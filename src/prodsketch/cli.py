@@ -175,8 +175,6 @@ def cmd_estimate(args) -> int:
         bank.ingest_many(iter_items(fp, first, k=k, n=n))
     result = bank.estimate()
     elapsed_ms = int((time.monotonic() - start) * 1000)
-    if args.snapshot_out:
-        bank.save(args.snapshot_out)
     RunReport(
         estimate_l2_squared=result.l2_squared,
         estimate_l2=result.l2,
@@ -189,6 +187,14 @@ def cmd_estimate(args) -> int:
         elapsed_ms=elapsed_ms,
         mode="independence",
     ).emit()
+    if args.snapshot_out:
+        # After the report, so a failed save never loses a finished estimate.
+        sys.stdout.flush()
+        try:
+            bank.save(args.snapshot_out)
+        except OSError as exc:
+            print(f"error: cannot write snapshot: {exc}", file=sys.stderr)
+            return EXIT_DATA
     return EXIT_OK
 
 

@@ -17,7 +17,11 @@ back to the derived formula.
 The bank stores counters in flat numpy int64 arrays (cells row-major by
 (group, index)) and ingests in chunks, which is arithmetically identical to
 applying ``SketchInstance.update_item`` per item per cell; ``instance_view``
-materializes any cell as a ``SketchInstance`` for inspection.  Ingestion is
+materializes any cell as a ``SketchInstance`` for inspection.  Per chunk and
+dimension, ``batch_sign_eval`` fills one cells x distinct-symbols sign
+matrix, and both the joint product and the marginal sums are gathered from
+it, so no sign is evaluated twice and nothing is precomputed per symbol of
+the alphabet: building a bank only derives hash coefficients.  Ingestion is
 single-writer; estimation is read-only.
 
 Snapshot format (version 1, little-endian), independence mode only:
@@ -55,11 +59,10 @@ _MAGIC = b"PSKBANK1"
 _HEADER = struct.Struct("<8q")
 _SNAPSHOT_VERSION = 1
 
-# Above this many table entries the bank evaluates hashes per chunk instead
-# of precomputing sign tables (2^26 int8 entries = 64 MiB).
-_SIGN_TABLE_ENTRY_LIMIT = 1 << 26
-
 _CHUNK_ITEMS = 8192
+# Cap on the entries of a chunk's sign matrices (summed over dimensions) and
+# of one joint-product slab; each is widened to int64 (32 MiB) for the sums.
+_WORKING_ENTRIES = 1 << 22
 
 
 @dataclass(frozen=True)
@@ -164,11 +167,6 @@ class EstimatorBank:
         self._coefs = derive_coefficients_batch(
             self.master_seed, shape.s2, shape.s1, k, config.spec
         )
-        if cells * k * config.n <= _SIGN_TABLE_ENTRY_LIMIT:
-            xs = np.arange(config.n, dtype=np.uint64)
-            self._tables = batch_sign_eval(self._coefs, xs, config.spec)
-        else:
-            self._tables = None
 
     # -- ingestion ----------------------------------------------------------
 
@@ -191,36 +189,56 @@ class EstimatorBank:
             total += len(chunk)
         return total
 
-    def _signs_for(self, dim: int, symbols: np.ndarray) -> np.ndarray:
-        if self._tables is not None:
-            return self._tables[:, dim, symbols]
-        return batch_sign_eval(self._coefs[:, dim, :], symbols, self.config.spec)
-
     def _ingest_chunk(self, chunk: list[tuple[int, ...]]) -> None:
         k, n = self.config.k, self.config.n
-        arr = np.asarray(chunk, dtype=np.int64)
-        if arr.ndim != 2 or arr.shape[1] != k:
+        try:
+            arr = np.asarray(chunk, dtype=np.uint64)
+        except OverflowError:  # a symbol below 0 or above 2^64 - 1
+            arr = None
+        if arr is not None and (arr.ndim != 2 or arr.shape[1] != k):
             raise ValueError(f"expected {k}-tuples")
-        if arr.size and (arr.min() < 0 or arr.max() >= n):
-            bad = arr[(arr < 0).any(axis=1) | (arr >= n).any(axis=1)][0]
+        if arr is None or (arr.size and n < (1 << 64) and arr.max() >= n):
+            bad = next(a for a in chunk if not all(0 <= x < n for x in a))
             raise ValueError(f"symbol out of range [0, {n}) in item {tuple(bad)}")
+        self._ingest_symbols(arr)
 
-        rows, counts = np.unique(arr, axis=0, return_counts=True)
+    def _ingest_symbols(self, arr: np.ndarray) -> None:
+        """Add a validated (items, k) uint64 block to every cell's counters."""
         cells = self.shape.cells
-        # Cap the (cells x unique-rows) int64 working set at ~32 MiB.
-        slab = max(1, (1 << 22) // max(cells, 1))
-        for lo in range(0, len(rows), slab):
-            sl = slice(lo, lo + slab)
-            prod = self._signs_for(0, rows[sl, 0].astype(np.uint64))
-            for dim in range(1, k):
-                prod = prod * self._signs_for(dim, rows[sl, dim].astype(np.uint64))
-            self._t1 += prod.astype(np.int64) @ counts[sl]
+        uniques = [
+            np.unique(arr[:, dim], return_inverse=True, return_counts=True)
+            for dim in range(self.config.k)
+        ]
+        if len(arr) > 1 and cells * sum(len(u[0]) for u in uniques) > _WORKING_ENTRIES:
+            half = len(arr) // 2
+            self._ingest_symbols(arr[:half])
+            self._ingest_symbols(arr[half:])
+            return
 
-        for dim in range(k):
-            syms, scnt = np.unique(arr[:, dim], return_counts=True)
-            cols = self._signs_for(dim, syms.astype(np.uint64))
-            self._marg[:, dim] += cols.astype(np.int64) @ scnt
-        self._m += len(chunk)
+        signs = []
+        for dim, (syms, _, counts) in enumerate(uniques):
+            matrix = batch_sign_eval(self._coefs[:, dim, :], syms, self.config.spec)
+            self._marg[:, dim] += matrix.astype(np.int64) @ counts
+            signs.append(matrix)
+
+        # Distinct items as mixed-radix codes over the per-dimension indexes,
+        # re-ranked below len(arr) whenever the radix would pass int64.
+        code, radix = np.zeros(len(arr), dtype=np.int64), 1
+        for syms, inverse, _ in uniques:
+            if radix * len(syms) >= 1 << 62:
+                code, radix = np.unique(code, return_inverse=True)[1], len(arr)
+            code = code * len(syms) + inverse
+            radix *= len(syms)
+        _, first, counts = np.unique(code, return_index=True, return_counts=True)
+        rows = [inverse[first] for _, inverse, _ in uniques]
+        slab = max(1, _WORKING_ENTRIES // cells)
+        for lo in range(0, len(first), slab):
+            sl = slice(lo, lo + slab)
+            prod = signs[0][:, rows[0][sl]]
+            for matrix, idx in zip(signs[1:], rows[1:]):
+                prod = prod * matrix[:, idx[sl]]
+            self._t1 += prod.astype(np.int64) @ counts[sl]
+        self._m += len(arr)
 
     # -- estimation ---------------------------------------------------------
 
@@ -297,6 +315,8 @@ class EstimatorBank:
     # -- snapshots -----------------------------------------------------------
 
     def snapshot_bytes(self) -> bytes:
+        if self.config.n >= 1 << 63:
+            raise ValueError("snapshot v1 stores n as int64; alphabet size too large")
         seed_signed = struct.unpack("<q", struct.pack("<Q", self.master_seed))[0]
         header = _HEADER.pack(
             _SNAPSHOT_VERSION,
@@ -315,14 +335,17 @@ class EstimatorBank:
         return _MAGIC + header + body.tobytes()
 
     def save(self, path) -> None:
+        data = self.snapshot_bytes()
         with open(path, "wb") as fp:
-            fp.write(self.snapshot_bytes())
+            fp.write(data)
 
     @classmethod
     def from_snapshot_bytes(cls, data: bytes) -> "EstimatorBank":
         if data[: len(_MAGIC)] != _MAGIC:
             raise ValueError("not a bank snapshot (bad magic)")
         off = len(_MAGIC)
+        if len(data) < off + _HEADER.size:
+            raise ValueError("snapshot truncated inside its header")
         version, k, n, width, s1, s2, seed_signed, mode = _HEADER.unpack_from(data, off)
         if version != _SNAPSHOT_VERSION:
             raise ValueError(f"unsupported snapshot version {version}")

@@ -9,6 +9,16 @@ uniform and each of the 16 sign patterns is hit by exactly a 1/16 fraction
 of seeds.  Independence is exact, not approximate, which is what lets the
 oracle verify moment bounds with zero tolerance by enumerating seeds.
 
+Evaluation.  ``sign_hash_eval`` is the scalar reference (Horner's rule).
+``batch_sign_eval`` is the only vectorised evaluator: because the low bit of
+``c * y`` is GF(2)-linear in ``c``, it equals ``parity(c & L(y))`` for a
+w-bit mask ``L(y)`` that depends on the symbol alone, so
+
+    h(y) = (-1)^(c0 ^ par(c1 & L(y)) ^ par(c2 & L(y^2)) ^ par(c3 & L(y^3)))
+
+Masks are built once per distinct symbol; each (hash, symbol) pair then
+costs ANDs and popcounts, with no field multiplication.
+
 Seed derivation is counter-mode SplitMix64.  Coefficient ``c`` of dimension
 ``dim`` of the hash tuple for bank cell ``(group, index)`` uses the counter
 
@@ -165,16 +175,59 @@ def derive_coefficients_batch(
 
 
 def batch_sign_eval(coefs: np.ndarray, xs: np.ndarray, spec: FieldSpec) -> np.ndarray:
-    """Signs of many hashes at many points.
+    """Signs of many hashes at many points, bit-identical to :func:`sign_hash_eval`.
 
     ``coefs`` has shape (..., 4) with the last axis (c0, c1, c2, c3);
     ``xs`` is a 1-D array of symbols.  Returns int8 signs of shape
-    (..., len(xs)).  Horner's rule with the vectorized field multiply.
+    (..., len(xs)).
+
+    The low bit of ``c * y`` is GF(2)-linear in ``c``, so it equals
+    ``parity(c & L(y))`` where bit ``i`` of the mask ``L(y)`` is the low bit
+    of ``x^i * y``.  The sign bit of ``p(y)`` is therefore the parity of
+    ``(c0, c1, c2, c3) & (1, L(y), L(y^2), L(y^3))``: the masks are built once
+    per symbol, and each (hash, symbol) pair then costs a few ANDs and
+    popcounts.  Both sides are packed into whole uint64 words (one word for
+    w <= 16).  The identity holds in GF(2)[x]/(f) for any f of degree w.
     """
+    w = spec.width
     coefs = np.asarray(coefs, dtype=np.uint64)
     xs = np.asarray(xs, dtype=np.uint64)
-    lead = coefs[..., 3:4]  # broadcast (..., 1) against (P,)
-    p = field_mul_vec(lead, xs, spec) ^ coefs[..., 2:3]
-    p = field_mul_vec(p, xs, spec) ^ coefs[..., 1:2]
-    p = field_mul_vec(p, xs, spec) ^ coefs[..., 0:1]
-    return (1 - 2 * (p & np.uint64(1)).astype(np.int8)).astype(np.int8)
+    x2 = field_mul_vec(xs, xs, spec)
+    x3 = field_mul_vec(x2, xs, spec)
+    masks = _lowbit_masks(np.stack([xs, x2, x3]), spec)
+    hash_words = _pack_words([coefs[..., j] for j in range(4)], w)
+    symbol_words = _pack_words([np.ones_like(xs), *masks], w)
+    parity = np.zeros(coefs.shape[:-1] + xs.shape, dtype=np.uint8)
+    for hw, sw in zip(hash_words, symbol_words):
+        parity ^= np.bitwise_count(hw[..., None] & sw)
+    return 1 - 2 * (parity & 1).view(np.int8)
+
+
+def _lowbit_masks(ys: np.ndarray, spec: FieldSpec) -> np.ndarray:
+    """``L(y)`` for each element: bit ``i`` is the low bit of ``x^i * y``.
+
+    A w-step walk that multiplies by x (shift, then fold the carry through
+    the reduction polynomial's low terms).
+    """
+    low = np.uint64(spec.low_terms)
+    mask = np.uint64(spec.mask)
+    top = np.uint64(spec.width - 1)
+    one = np.uint64(1)
+    t = ys
+    out = np.zeros_like(ys)
+    for i in range(spec.width):
+        out |= (t & one) << np.uint64(i)
+        t = ((t << one) & mask) ^ (((t >> top) & one) * low)
+    return out
+
+
+def _pack_words(parts: list[np.ndarray], width: int) -> list[np.ndarray]:
+    """Concatenate four w-bit fields into as few uint64 words as hold them."""
+    per_word = max(1, 64 // width)
+    words = []
+    for lo in range(0, len(parts), per_word):
+        word = parts[lo]
+        for j, part in enumerate(parts[lo + 1 : lo + per_word], start=1):
+            word = word | (part << np.uint64(j * width))
+        words.append(word)
+    return words

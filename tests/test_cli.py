@@ -3,10 +3,13 @@
 import io
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from prodsketch.cli import EXIT_DATA, EXIT_OK, EXIT_SELFTEST, EXIT_USAGE, main, smallest_width
 from prodsketch.estimator import EstimatorBank
+from prodsketch.field import FieldSpec
+from prodsketch.sketch import SketchConfig, SketchInstance
 
 
 def run(capsys, *argv):
@@ -161,6 +164,49 @@ def test_snapshot_out_roundtrips(stream_file, tmp_path, capsys):
     assert bank.item_count == int(rep["m"])
     assert bank.estimate().l2_squared == float(rep["estimate_l2_squared"])
     assert bank.master_seed == 21
+
+
+def test_snapshot_save_failure_keeps_report(stream_file, tmp_path, capsys):
+    snap = tmp_path / "missing-dir" / "bank.snap"
+    code, out, err = run(capsys, "estimate", "--input", str(stream_file),
+                         "--seed", "21", "--snapshot-out", str(snap))
+    assert code == EXIT_DATA and "cannot write snapshot" in err
+    rep = parse_report(out)
+    assert rep["report_version"] == "1" and rep["m"] == "200"
+    _, ok_out, _ = run(capsys, "estimate", "--input", str(stream_file), "--seed", "21")
+    assert parse_report(ok_out)["estimate_l2_squared"] == rep["estimate_l2_squared"]
+
+
+def test_estimate_full_width_symbols(tmp_path, capsys):
+    # Symbols >= 2^63 at n = 2^64 once overflowed an int64 conversion.
+    n = 1 << 64
+    items = [(n - 1, 0), (1 << 63, n - 1), (n - 1, 0), (7, 1 << 63)]
+    path = tmp_path / "wide.txt"
+    path.write_text("".join(f"{a},{b}\n" for a, b in items))
+    code, out, err = run(capsys, "estimate", "--input", str(path), "--k", "2",
+                         "--n", str(n), "--epsilon", "1", "--delta", "0.5", "--seed", "3")
+    assert code == EXIT_OK, err
+    rep = parse_report(out)
+    assert rep["m"] == "4"
+    # The same median of group means from scalar instances.
+    config = SketchConfig(k=2, n=n, spec=FieldSpec(64))
+    s1, s2 = int(rep["s1"]), int(rep["s2"])
+    values = []
+    for g in range(s2):
+        for j in range(s1):
+            inst = SketchInstance.from_master_seed(config, 3, group=g, index=j)
+            for a in items:
+                inst.update_item(a)
+            values.append(inst.finalize())
+    groups = np.sort(np.array(values).reshape(s2, s1).mean(axis=1))
+    assert groups[(s2 - 1) // 2] == float(rep["estimate_l2_squared"])
+    # Snapshot v1 stores n as int64: a clean refusal, after the report.
+    code, out, err = run(capsys, "estimate", "--input", str(path), "--k", "2",
+                         "--n", str(n), "--epsilon", "1", "--delta", "0.5", "--seed", "3",
+                         "--snapshot-out", str(tmp_path / "wide.snap"))
+    assert code == EXIT_DATA and "int64" in err
+    assert parse_report(out) == rep | {"elapsed_ms": parse_report(out)["elapsed_ms"]}
+    assert not (tmp_path / "wide.snap").exists()
 
 
 def test_paper_constants_shape(stream_file, capsys):

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from prodsketch import estimator
 from prodsketch.estimator import (
     AccuracyParams,
     BankShape,
@@ -209,6 +210,8 @@ def test_snapshot_rejects_garbage():
     blob = bank.snapshot_bytes()
     with pytest.raises(ValueError):
         EstimatorBank.from_snapshot_bytes(blob[:-8])  # truncated body
+    with pytest.raises(ValueError):
+        EstimatorBank.from_snapshot_bytes(blob[:20])  # truncated header
 
 
 def test_bank_symbol_validation():
@@ -240,11 +243,10 @@ def test_big_item_count_uses_exact_fallback():
 
 
 def test_large_alphabet_skips_tables():
-    # n too large for precomputed sign tables; lazy evaluation must agree.
+    # A large alphabet: per-chunk sign evaluation must agree with the scalar path.
     spec = FieldSpec(64)
     config = SketchConfig(k=2, n=1 << 40, spec=spec)
     bank = EstimatorBank(config, shape=BankShape(2, 2), master_seed=123)
-    assert bank._tables is None
     items = [(123456789, 987654321), (1 << 39, 42), (123456789, 987654321)]
     bank.ingest_many(items)
     for g in range(2):
@@ -253,3 +255,57 @@ def test_large_alphabet_skips_tables():
             for a in items:
                 inst.update_item(a)
             assert bank.instance_view(g, j).counters() == inst.counters()
+
+
+def test_full_width_symbols_match_scalar_instances():
+    # Symbols at and above 2^63 take the uint64 path; counters equal the
+    # scalar instances'.
+    config = SketchConfig(k=2, n=1 << 64, spec=FieldSpec(64))
+    top = (1 << 64) - 1
+    items = [(top, 0), (1 << 63, top), (top, 0), (5, (1 << 63) + 7)]
+    bank = EstimatorBank(config, shape=BankShape(3, 2), master_seed=9)
+    bank.ingest_many(items)
+    for g in range(2):
+        for j in range(3):
+            inst = SketchInstance.from_master_seed(config, 9, group=g, index=j)
+            for a in items:
+                inst.update_item(a)
+            assert bank.instance_view(g, j).counters() == inst.counters()
+
+
+def test_working_set_cap_splits_chunks_exactly(monkeypatch):
+    # A cap of one entry splits every chunk down to single items and every
+    # joint product into one-row slabs; the counters must not change.
+    items = list(generate(GenSpec(n=16, k=3, m=300, lam=0.4, rng_seed=4)))
+    config = SketchConfig(k=3, n=16, spec=W4)
+    whole = small_bank(3, s1=5, s2=3, config=config)
+    whole.ingest_many(items)
+    monkeypatch.setattr(estimator, "_WORKING_ENTRIES", 1)
+    split = small_bank(3, s1=5, s2=3, config=config)
+    split.ingest_many(items)
+    assert split.counters_equal(whole) and split.item_count == 300
+
+
+def test_negative_and_oversized_symbols_rejected():
+    config = SketchConfig(k=2, n=1 << 64, spec=FieldSpec(64))
+    bank = EstimatorBank(config, shape=BankShape(1, 1))
+    for item in [(0, -1), (1 << 64, 0)]:
+        with pytest.raises(ValueError, match="out of range"):
+            bank.ingest_many([(0, 0), item])
+    assert bank.item_count == 0
+
+
+def test_wide_tuples_match_scalar_instances():
+    # ~175 distinct symbols in each of 9 dimensions overflow an int64
+    # mixed-radix item code, so ingest must re-rank the codes on the way.
+    config = SketchConfig(k=9, n=1 << 16, spec=FieldSpec(16))
+    rng = np.random.default_rng(5)
+    items = [tuple(row) for row in (rng.integers(0, 256, size=(300, 9)) * 255).tolist()]
+    items += items[:50]
+    bank = EstimatorBank(config, shape=BankShape(2, 1), master_seed=11)
+    bank.ingest_many(items)
+    for j in range(2):
+        inst = SketchInstance.from_master_seed(config, 11, index=j)
+        for a in items:
+            inst.update_item(a)
+        assert bank.instance_view(0, j).counters() == inst.counters()

@@ -6,7 +6,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from prodsketch.field import FieldSpec
+from prodsketch.field import SUPPORTED_WIDTHS, FieldSpec, is_irreducible
 from prodsketch.hashing import (
     SignHash,
     SignHashSeed,
@@ -104,15 +104,42 @@ def test_counter_layout_is_injective_and_shape_free():
     )
 
 
+def _symbols_across_field(spec, rng, count=40):
+    # 0, 1, the top element and random values from the whole field,
+    # most of them with the high bits set.
+    top = spec.mask
+    randoms = [int(v) & top for v in rng.integers(0, 1 << 63, size=count, dtype=np.uint64)]
+    highs = [top ^ (v >> 1) for v in randoms]
+    return np.array(sorted({0, 1, top, *randoms, *highs}), dtype=np.uint64)
+
+
 def test_batch_matches_scalar_across_widths():
-    for width, n in ((1, 2), (2, 4), (4, 16), (8, 200), (64, 50)):
+    for width in SUPPORTED_WIDTHS:
         spec = FieldSpec(width)
-        hashes = derive_hashes(12345, 3, spec, n)
+        hashes = derive_hashes(12345, 3, spec)
         coefs = derive_coefficients_batch(12345, 1, 1, 3, spec)[0]
-        xs = np.arange(min(n, 64), dtype=np.uint64)
+        xs = _symbols_across_field(spec, np.random.default_rng(width))
         table = batch_sign_eval(coefs, xs, spec)
+        assert table.dtype == np.int8 and table.shape == (3, len(xs))
         for dim, h in enumerate(hashes):
-            assert [h(int(x)) for x in xs] == table[dim].tolist()
+            assert [h(int(x)) for x in xs] == table[dim].tolist(), width
+
+
+@pytest.mark.parametrize("width,poly", [(8, 0x101), (16, 0x1FFFF), (64, (1 << 64) | 0b11)])
+def test_batch_matches_scalar_on_reducible_polynomial(width, poly):
+    # The parity form holds in GF(2)[x]/(f) for any f of degree w, which is
+    # what lets the self-test's field-fault polynomial flow through it.
+    spec = FieldSpec(width, poly)
+    assert not is_irreducible(poly)
+    rng = np.random.default_rng(poly % 1000)
+    xs = _symbols_across_field(spec, rng)
+    words = rng.integers(0, 1 << 63, size=(16, 4), dtype=np.uint64)
+    coefs = words ^ (words << np.uint64(1))
+    coefs &= np.uint64(spec.mask)
+    table = batch_sign_eval(coefs, xs, spec)
+    for row, c in zip(table, coefs.tolist()):
+        h = SignHash(spec, SignHashSeed(*c), spec.order)
+        assert [sign_hash_eval(h, int(x)) for x in xs] == row.tolist()
 
 
 def test_direct_enumeration_covers_every_seed_pair_once():
