@@ -19,7 +19,7 @@ from .estimator import (
     merge_banks,
 )
 from .field import REDUCTION_POLYNOMIALS, SUPPORTED_WIDTHS, FieldSpec, field_mul
-from .hashing import SignHash, SignHashSeed, make_independent_hashes, sign_hash_eval
+from .hashing import SignHash, SignHashSeed, sign_hash_eval
 from .oracle import (
     EnumerationBudgetError,
     ExactMoments,
@@ -29,14 +29,7 @@ from .oracle import (
     exhaustive_moments,
     seed_uniformity_census,
 )
-from .sketch import (
-    EmptyStreamError,
-    Mode,
-    ModeError,
-    SketchConfig,
-    SketchInstance,
-    merge_sketches,
-)
+from .sketch import EmptyStreamError, SketchConfig, SketchInstance, merge_sketches
 from .streamgen import GenSpec, generate, generate_range
 
 __version__ = "0.1.0"
@@ -52,8 +45,6 @@ __all__ = [
     "FieldSpec",
     "FrequencyTable",
     "GenSpec",
-    "Mode",
-    "ModeError",
     "REDUCTION_POLYNOMIALS",
     "SUPPORTED_WIDTHS",
     "SignHash",
@@ -68,7 +59,6 @@ __all__ = [
     "field_mul",
     "generate",
     "generate_range",
-    "make_independent_hashes",
     "merge_banks",
     "merge_sketches",
     "seed_uniformity_census",

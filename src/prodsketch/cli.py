@@ -2,8 +2,8 @@
 
 Reports are key=value lines, one per field, with a leading
 ``report_version``.  Exit codes: 0 success, 1 usage error, 2 data error
-(malformed input, out-of-range symbols, budget refusals), 3 self-test
-failure.  ``estimate`` performs exactly one pass over its input and never
+(malformed input, out-of-range symbols, budget refusals, files that cannot
+be read or written), 3 self-test failure.  ``estimate`` performs exactly one pass over its input and never
 seeks, so piped standard input works at any size.
 """
 
@@ -18,10 +18,10 @@ from dataclasses import dataclass
 
 from .estimator import AccuracyParams, EstimatorBank
 from .field import SUPPORTED_WIDTHS, FieldSpec
-from .oracle import EnumerationBudgetError, FrequencyTable, exact_l2sq
+from .oracle import FrequencyTable, exact_l2sq
 from .selftest import all_passed, run_selftest
-from .sketch import EmptyStreamError, ModeError, SketchConfig
-from .streamfile import FormatError, iter_items, read_header, write_stream
+from .sketch import SketchConfig
+from .streamfile import iter_items, read_header, write_stream
 from .streamgen import GenSpec, generate
 
 EXIT_OK = 0
@@ -256,10 +256,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DATA
-    except (FormatError, EmptyStreamError, ModeError, EnumerationBudgetError, ValueError) as exc:
+    except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
 

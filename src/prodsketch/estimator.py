@@ -24,11 +24,16 @@ it, so no sign is evaluated twice and nothing is precomputed per symbol of
 the alphabet: building a bank only derives hash coefficients.  Ingestion is
 single-writer; estimation is read-only.
 
-Snapshot format (version 1, little-endian), independence mode only:
+Finalize uses the same rule as ``SketchInstance.finalize``
+(``sketch.finalize_values``): U is computed with int64 arrays while
+m^k < 2^62 and with Python ints past that, and every cell's Y is the
+correctly rounded float of (U/m^k)^2.
+
+Snapshot format (version 1, little-endian):
 
     magic  b"PSKBANK1"
     header <8q>: version=1, k, n, width, s1, s2, master_seed (as signed
-           64-bit bit pattern), mode (0 = independence)
+           64-bit bit pattern), mode (always 0; other values are refused)
     body   s2*s1 cell records, row-major (group, index), each <q>-packed:
            t1, marginal_sums[0..k-1], m
 
@@ -41,6 +46,7 @@ import math
 import struct
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import islice
 from typing import Iterable
 
 import numpy as np
@@ -53,7 +59,7 @@ from .hashing import (
     derive_coefficients_batch,
     derive_hashes,
 )
-from .sketch import EmptyStreamError, Mode, SketchConfig, SketchInstance
+from .sketch import EmptyStreamError, SketchConfig, SketchInstance, finalize_values
 
 _MAGIC = b"PSKBANK1"
 _HEADER = struct.Struct("<8q")
@@ -157,7 +163,6 @@ class EstimatorBank:
         self.params = params
         self.shape = shape
         self.master_seed = master_seed & ((1 << 64) - 1)
-        self.mode = Mode.INDEPENDENCE
 
         cells = shape.cells
         k = config.k
@@ -177,16 +182,11 @@ class EstimatorBank:
     def ingest_many(self, items: Iterable[tuple[int, ...]]) -> int:
         """Apply a batch of items; returns how many were ingested."""
         total = 0
-        chunk: list[tuple[int, ...]] = []
-        for a in items:
-            chunk.append(a)
-            if len(chunk) >= _CHUNK_ITEMS:
-                self._ingest_chunk(chunk)
-                total += len(chunk)
-                chunk = []
-        if chunk:
+        items = iter(items)
+        while chunk := list(islice(items, _CHUNK_ITEMS)):
             self._ingest_chunk(chunk)
             total += len(chunk)
+            del chunk  # so two chunks are never held at once (peak memory)
         return total
 
     def _ingest_chunk(self, chunk: list[tuple[int, ...]]) -> None:
@@ -249,9 +249,8 @@ class EstimatorBank:
     def instance_values(self) -> np.ndarray:
         """Per-instance Y as float64, shape (s2, s1).
 
-        Each value is the correctly rounded float of the exact rational
-        (U/m^k)^2, bit-identical to ``SketchInstance.finalize`` on the
-        same cell.
+        Each value is ``finalize_values`` of the cell's U, bit-identical to
+        ``SketchInstance.finalize`` on the same cell.
         """
         if self._m == 0:
             raise EmptyStreamError("cannot estimate from an empty stream")
@@ -264,11 +263,8 @@ class EstimatorBank:
                 t1 * m ** (k - 1) - math.prod(marg)
                 for t1, marg in zip(self._t1.tolist(), self._marg.tolist())
             ]
-        m2k = m ** (2 * k)
         y = np.fromiter(
-            (0.0 if u == 0 else float(Fraction(u * u, m2k)) for u in u_values),
-            dtype=np.float64,
-            count=len(u_values),
+            finalize_values(u_values, m, k), dtype=np.float64, count=len(u_values)
         )
         return y.reshape(self.shape.s2, self.shape.s1)
 
@@ -298,7 +294,7 @@ class EstimatorBank:
             group=group,
             index=index,
         )
-        inst = SketchInstance(self.config, hashes, Mode.INDEPENDENCE)
+        inst = SketchInstance(self.config, hashes)
         flat = group * self.shape.s1 + index
         inst.t1 = int(self._t1[flat])
         inst.marginal_sums = [int(v) for v in self._marg[flat]]
@@ -350,7 +346,7 @@ class EstimatorBank:
         if version != _SNAPSHOT_VERSION:
             raise ValueError(f"unsupported snapshot version {version}")
         if mode != 0:
-            raise ValueError("only independence-mode snapshots are supported")
+            raise ValueError(f"unsupported snapshot mode {mode}")
         off += _HEADER.size
         cells = s1 * s2
         body = np.frombuffer(data, dtype="<i8", offset=off)

@@ -116,13 +116,6 @@ def field_pow(a: FieldElement, e: int, spec: FieldSpec) -> FieldElement:
     return result
 
 
-def field_inv(a: FieldElement, spec: FieldSpec) -> FieldElement:
-    """Multiplicative inverse via ``a^(2^w - 2)``; zero has none."""
-    if a == 0:
-        raise ZeroDivisionError("zero has no multiplicative inverse")
-    return field_pow(a, spec.order - 2, spec)
-
-
 def field_mul_vec(a: np.ndarray, b: np.ndarray, spec: FieldSpec) -> np.ndarray:
     """Elementwise :func:`field_mul` on broadcastable uint64 arrays.
 

@@ -56,15 +56,6 @@ class SignHashSeed:
     def as_tuple(self) -> tuple[int, int, int, int]:
         return (self.c0, self.c1, self.c2, self.c3)
 
-    def as_int(self, width: int) -> int:
-        """Pack into one integer, c0 in the lowest w bits."""
-        return (
-            self.c0
-            | (self.c1 << width)
-            | (self.c2 << (2 * width))
-            | (self.c3 << (3 * width))
-        )
-
     @classmethod
     def from_int(cls, packed: int, width: int) -> "SignHashSeed":
         mask = (1 << width) - 1
@@ -147,13 +138,6 @@ def derive_hashes(
         )
         out.append(SignHash(spec, SignHashSeed(*coefs), n))
     return tuple(out)
-
-
-def make_independent_hashes(
-    k: int, master_seed: int, spec: FieldSpec, n: int | None = None
-) -> tuple[SignHash, ...]:
-    """Module-level hash tuple: bank cell (0, 0) of ``master_seed``."""
-    return derive_hashes(master_seed, k, spec, n)
 
 
 # ---------------------------------------------------------------------------

@@ -182,9 +182,9 @@ def exhaustive_moments(
 ) -> ExactMoments:
     """E[Y] and Var[Y] by iterating every seed tuple, in exact arithmetic.
 
-    ``source`` is either a :class:`FrequencyTable` (independence-mode Y,
-    the stream estimator) or a mapping from k-tuples to weights (turnstile
-    vector; Y = (sum_p v_p H(p))^2).  Weights may be ints, Fractions or
+    ``source`` is either a :class:`FrequencyTable` (the stream estimator's
+    Y) or a mapping from k-tuples to weights (turnstile vector;
+    Y = (sum_p v_p H(p))^2).  Weights may be ints, Fractions or
     floats; they are scaled to a common integer grid, so the result is
     exact for the binary values actually supplied.
     """

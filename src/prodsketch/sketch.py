@@ -1,6 +1,6 @@
-"""One estimator instance: k+1 integer counters plus a generic accumulator.
+"""One estimator instance: k+1 integer counters over an insert-only stream.
 
-In independence mode the instance watches a stream of k-tuples and keeps
+The instance watches a stream of k-tuples and keeps
 
     t1        = sum over items of H(a)   with H(a) = prod_i h_i(a_i)
     marg[i]   = sum over items of h_i(a_i)
@@ -13,33 +13,21 @@ arithmetic and ``Y = (U / m^k)^2``, which makes the algebraically-zero cases
 keeps merge/replay bit-exact.  Python integers are used throughout, so there
 is no overflow cliff; counters themselves are bounded by m.
 
-Turnstile mode instead accumulates ``acc = sum of delta * H(p)`` for signed
-point updates to an arbitrary vector.  The two modes answer different
-questions (the product of marginals is degree-k in the stream, not linear),
-so an instance is locked to one mode at construction and mixing raises.
-
-The accumulator keeps whatever numeric type the deltas carry: ints and
-Fractions stay exact (oracle configurations), floats float (production).
+Finalize rule.  :func:`finalize_values` is the one place that turns U into a
+float: ``U*U / m^(2k)`` in Python int true division, which is correctly
+rounded (the same float as the exact rational), so a scalar instance and a
+bank cell with equal counters finalize to the same bits.
 """
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass
 from fractions import Fraction
 from math import prod
+from typing import Iterable, Iterator
 
 from .field import FieldSpec
-from .hashing import SignHash, derive_hashes
-
-
-class Mode(enum.Enum):
-    INDEPENDENCE = "independence"
-    TURNSTILE = "turnstile"
-
-
-class ModeError(ValueError):
-    """An update was applied to an instance locked to the other mode."""
+from .hashing import MAX_DIMS, SignHash, derive_hashes
 
 
 class EmptyStreamError(ValueError):
@@ -55,25 +43,28 @@ class SketchConfig:
     spec: FieldSpec
 
     def __post_init__(self) -> None:
-        if self.k < 1:
-            raise ValueError("k must be >= 1")
+        # Seed counters hold 8 bits of dimension; a larger k would let one
+        # cell's dimensions reuse another cell's seeds.
+        if not (1 <= self.k <= MAX_DIMS):
+            raise ValueError(f"k must be in [1, {MAX_DIMS}]")
         if not (1 <= self.n <= self.spec.order):
             raise ValueError(
                 f"alphabet size {self.n} does not fit in GF(2^{self.spec.width})"
             )
 
 
+def finalize_values(u_values: Iterable[int], m: int, k: int) -> Iterator[float]:
+    """``Y = (U / m^k)^2`` for each unnormalized ``U``, correctly rounded."""
+    denominator = m ** (2 * k)
+    return (u * u / denominator for u in u_values)
+
+
 class SketchInstance:
     """Single-writer sketch state for one hash tuple."""
 
-    __slots__ = ("config", "hashes", "mode", "t1", "marginal_sums", "m", "generic_acc")
+    __slots__ = ("config", "hashes", "t1", "marginal_sums", "m")
 
-    def __init__(
-        self,
-        config: SketchConfig,
-        hashes: tuple[SignHash, ...],
-        mode: Mode = Mode.INDEPENDENCE,
-    ) -> None:
+    def __init__(self, config: SketchConfig, hashes: tuple[SignHash, ...]) -> None:
         if len(hashes) != config.k:
             raise ValueError(f"need {config.k} hashes, got {len(hashes)}")
         for h in hashes:
@@ -81,18 +72,15 @@ class SketchInstance:
                 raise ValueError("hash domain/field incompatible with config")
         self.config = config
         self.hashes = tuple(hashes)
-        self.mode = mode
         self.t1 = 0
         self.marginal_sums = [0] * config.k
         self.m = 0
-        self.generic_acc = 0
 
     @classmethod
     def from_master_seed(
         cls,
         config: SketchConfig,
         master_seed: int,
-        mode: Mode = Mode.INDEPENDENCE,
         *,
         group: int = 0,
         index: int = 0,
@@ -100,7 +88,7 @@ class SketchInstance:
         hashes = derive_hashes(
             master_seed, config.k, config.spec, config.n, group=group, index=index
         )
-        return cls(config, hashes, mode)
+        return cls(config, hashes)
 
     def _check_tuple(self, p: tuple[int, ...]) -> None:
         if len(p) != self.config.k:
@@ -118,9 +106,7 @@ class SketchInstance:
         return sign
 
     def update_item(self, a: tuple[int, ...]) -> None:
-        """Count one stream item (independence mode; insert-only)."""
-        if self.mode is not Mode.INDEPENDENCE:
-            raise ModeError("update_item requires independence mode")
+        """Count one stream item."""
         self._check_tuple(a)
         sign = 1
         for i, (h, x) in enumerate(zip(self.hashes, a)):
@@ -130,79 +116,44 @@ class SketchInstance:
         self.t1 += sign
         self.m += 1
 
-    def update_point(self, p: tuple[int, ...], delta) -> None:
-        """Add ``delta`` at coordinate p of the sketched vector (turnstile)."""
-        if self.mode is not Mode.TURNSTILE:
-            raise ModeError("update_point requires turnstile mode")
-        self._check_tuple(p)
-        sign = 1
-        for h, x in zip(self.hashes, p):
-            sign *= h(x)
-        self.generic_acc += delta * sign
-
     def _unnormalized(self) -> int:
+        if self.m == 0:
+            raise EmptyStreamError("cannot finalize an empty stream")
         return self.t1 * self.m ** (self.config.k - 1) - prod(self.marginal_sums)
 
     def finalize(self) -> float:
-        """Y = (t1/m - prod marg/m)^2 as a float; exact zero stays 0.0."""
-        if self.mode is not Mode.INDEPENDENCE:
-            raise ModeError("finalize requires independence mode")
-        if self.m == 0:
-            raise EmptyStreamError("cannot finalize an empty stream")
-        u = self._unnormalized()
-        if u == 0:
-            return 0.0
-        return float(Fraction(u * u, self.m ** (2 * self.config.k)))
+        """Y = (t1/m - prod marg/m)^2 as a correctly rounded float."""
+        return next(finalize_values([self._unnormalized()], self.m, self.config.k))
 
     def finalize_exact(self) -> Fraction:
         """Same value as :meth:`finalize`, as an exact rational."""
-        if self.mode is not Mode.INDEPENDENCE:
-            raise ModeError("finalize requires independence mode")
-        if self.m == 0:
-            raise EmptyStreamError("cannot finalize an empty stream")
         u = self._unnormalized()
         return Fraction(u * u, self.m ** (2 * self.config.k))
-
-    def finalize_turnstile(self):
-        """Y = acc^2; exact when all deltas were ints or Fractions."""
-        if self.mode is not Mode.TURNSTILE:
-            raise ModeError("finalize_turnstile requires turnstile mode")
-        return self.generic_acc * self.generic_acc
 
     def counters(self) -> tuple[int, tuple[int, ...], int]:
         return (self.t1, tuple(self.marginal_sums), self.m)
 
     def copy(self) -> "SketchInstance":
-        dup = SketchInstance(self.config, self.hashes, self.mode)
+        dup = SketchInstance(self.config, self.hashes)
         dup.t1 = self.t1
         dup.marginal_sums = list(self.marginal_sums)
         dup.m = self.m
-        dup.generic_acc = self.generic_acc
         return dup
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"SketchInstance(k={self.config.k}, n={self.config.n}, mode={self.mode.value}, "
-            f"t1={self.t1}, marg={self.marginal_sums}, m={self.m})"
-        )
 
 
 def merge_sketches(a: SketchInstance, b: SketchInstance) -> SketchInstance:
     """Counter-wise sum; equals sketching the concatenated stream.
 
-    Both operands must carry the same configuration, hash seeds and mode;
-    all counters are linear in the input, so addition is exact.
+    Both operands must carry the same configuration and hash seeds; all
+    counters are linear in the input, so addition is exact.
     """
     if a.config != b.config:
         raise ValueError("cannot merge sketches with different configurations")
     if a.hashes != b.hashes:
         raise ValueError("cannot merge sketches with different hash seeds")
-    if a.mode is not b.mode:
-        raise ModeError("cannot merge sketches in different modes")
     out = a.copy()
     out.t1 += b.t1
     for i in range(out.config.k):
         out.marginal_sums[i] += b.marginal_sums[i]
     out.m += b.m
-    out.generic_acc = out.generic_acc + b.generic_acc
     return out

@@ -87,14 +87,6 @@ def iter_items(
         yield _parse_line(line_no, stripped, k, n)
 
 
-def open_stream(
-    fp: IO[str], *, k: int | None = None, n: int | None = None
-) -> tuple[dict[str, str], Iterator[tuple[int, ...]]]:
-    """One-call form of read_header + iter_items with fixed k and n."""
-    header, first = read_header(fp)
-    return header, iter_items(fp, first, k=k, n=n)
-
-
 def _parse_line(
     line_no: int, line: str, k: int | None, n: int | None
 ) -> tuple[int, ...]:

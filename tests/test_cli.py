@@ -45,6 +45,8 @@ def test_gen_is_deterministic_and_diagonal_at_lambda_one(tmp_path, capsys):
                          "--lambda", "1", "--rng-seed", "7", "--out", str(p))
         assert code == EXIT_OK
     assert a.read_bytes() == b.read_bytes()
+    code, _, err = run(capsys, "gen", "--n", "3", "--k", "3", "--m", "50", "--out", str(tmp_path))
+    assert code == EXIT_DATA and err.startswith("error:")
     for line in a.read_text().splitlines():
         if line.startswith("#"):
             continue
@@ -130,6 +132,9 @@ def test_data_errors_exit_2(tmp_path, capsys):
     code, _, err = run(capsys, "estimate", "--input", str(tmp_path / "missing.txt"),
                        "--k", "2", "--n", "4")
     assert code == EXIT_DATA
+
+    code, out, err = run(capsys, "estimate", "--input", str(tmp_path), "--k", "2", "--n", "4")
+    assert code == EXIT_DATA and err.startswith("error:") and out == ""
 
     empty = tmp_path / "empty.txt"
     empty.write_text("")

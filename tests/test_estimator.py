@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from prodsketch import estimator
 from prodsketch.estimator import (
@@ -14,7 +16,8 @@ from prodsketch.estimator import (
     derive_shape,
     merge_banks,
 )
-from prodsketch.field import FieldSpec
+from prodsketch.field import SUPPORTED_WIDTHS, FieldSpec
+from prodsketch.oracle import FrequencyTable, exact_y_from_table
 from prodsketch.sketch import EmptyStreamError, SketchConfig, SketchInstance
 from prodsketch.streamgen import GenSpec, generate
 
@@ -53,6 +56,11 @@ def test_bank_shape_validation():
         BankShape(0, 1)
     with pytest.raises(ValueError):
         BankShape(1, 0)
+    # k past the 256 dimensions the seed counter layout holds
+    with pytest.raises(ValueError):
+        SketchConfig(k=300, n=4, spec=W2)
+    with pytest.raises(ValueError):
+        SketchConfig(k=0, n=4, spec=W2)
 
 
 def test_state_size_accounting():
@@ -212,6 +220,10 @@ def test_snapshot_rejects_garbage():
         EstimatorBank.from_snapshot_bytes(blob[:-8])  # truncated body
     with pytest.raises(ValueError):
         EstimatorBank.from_snapshot_bytes(blob[:20])  # truncated header
+    header = estimator._HEADER.pack(1, 300, 4, 2, 2, 1, 0, 0)
+    body = np.zeros(2 * 302, dtype="<i8").tobytes()
+    with pytest.raises(ValueError):
+        EstimatorBank.from_snapshot_bytes(estimator._MAGIC + header + body)  # k > 256
 
 
 def test_bank_symbol_validation():
@@ -309,3 +321,49 @@ def test_wide_tuples_match_scalar_instances():
         for a in items:
             inst.update_item(a)
         assert bank.instance_view(0, j).counters() == inst.counters()
+
+
+@st.composite
+def _bank_cases(draw):
+    """A field width, config, bank shape, seed and a short stream.
+
+    Each dimension draws a pool of up to four distinct symbols below n,
+    always with n - 1, and the stream picks from the pools, so symbols
+    span the whole width while the oracle's table stays small.
+    """
+    width = draw(st.sampled_from(SUPPORTED_WIDTHS))
+    n = draw(st.integers(1, 1 << width))
+    k = draw(st.integers(1, 4))
+    pools = [
+        sorted({n - 1, *draw(st.lists(st.integers(0, n - 1), max_size=3))})
+        for _ in range(k)
+    ]
+    picks = draw(st.lists(
+        st.tuples(*[st.integers(0, len(pool) - 1) for pool in pools]),
+        min_size=1, max_size=20,
+    ))
+    shape = BankShape(draw(st.integers(1, 3)), draw(st.integers(1, 3)))
+    seed = draw(st.integers(0, (1 << 64) - 1))
+    return SketchConfig(k=k, n=n, spec=FieldSpec(width)), shape, seed, pools, picks
+
+
+@settings(max_examples=100, deadline=None)
+@given(_bank_cases())
+def test_bank_scalar_and_table_oracle_agree_at_every_width(case):
+    config, shape, seed, pools, picks = case
+    items = [tuple(pool[i] for pool, i in zip(pools, pick)) for pick in picks]
+    bank = EstimatorBank(config, shape=shape, master_seed=seed)
+    bank.ingest_many(items)
+    values = bank.instance_values()
+    # The table counts pool indexes; the oracle's hashes read them back as symbols.
+    table = FrequencyTable.from_stream(picks, config.k, max(map(len, pools)))
+    for g in range(shape.s2):
+        for j in range(shape.s1):
+            inst = SketchInstance.from_master_seed(config, seed, group=g, index=j)
+            for a in items:
+                inst.update_item(a)
+            by_index = tuple(
+                (lambda i, h=h, pool=pool: h(pool[i])) for h, pool in zip(inst.hashes, pools)
+            )
+            oracle = float(exact_y_from_table(table, by_index))
+            assert values[g, j].hex() == inst.finalize().hex() == oracle.hex()

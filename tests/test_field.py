@@ -10,7 +10,6 @@ from prodsketch.field import (
     SUPPORTED_WIDTHS,
     FieldSpec,
     clmul,
-    field_inv,
     field_mul,
     field_mul_vec,
     field_pow,
@@ -54,7 +53,7 @@ def test_axioms_w8_inverses_exhaustive():
     assert ok, detail
     spec = FieldSpec(8)
     for a in range(1, 256):
-        assert field_mul(a, field_inv(a, spec), spec) == 1
+        assert field_mul(a, field_pow(a, spec.order - 2, spec), spec) == 1
 
 
 def test_pinned_polynomials_are_irreducible():
@@ -95,7 +94,7 @@ def test_vectorized_mul_matches_scalar(width):
 def test_w64_group_laws(a, b):
     spec = FieldSpec(64)
     assert field_mul(a, b, spec) == field_mul(b, a, spec)
-    assert field_mul(a, field_inv(a, spec), spec) == 1
+    assert field_mul(a, field_pow(a, spec.order - 2, spec), spec) == 1
 
 
 @settings(max_examples=50, deadline=None)

@@ -14,7 +14,6 @@ from prodsketch.hashing import (
     coefficient_counter,
     derive_coefficients_batch,
     derive_hashes,
-    make_independent_hashes,
     sign_hash_eval,
 )
 
@@ -69,14 +68,9 @@ def test_singleton_and_pairwise_uniformity_follow():
         assert set(counts.values()) == {256 // 2 ** len(points)}
 
 
-def test_seed_packing_roundtrip():
-    for s in range(256):
-        assert SignHashSeed.from_int(s, 2).as_int(2) == s
-
-
 def test_make_independent_hashes_deterministic():
-    a = make_independent_hashes(1, 99, W2, 4)
-    b = make_independent_hashes(1, 99, W2, 4)
+    a = derive_hashes(99, 1, W2, 4)
+    b = derive_hashes(99, 1, W2, 4)
     assert len(a) == 1 and a == b
 
 
@@ -90,7 +84,7 @@ def test_derivation_fixed_vectors_differ_between_masters():
 
 
 def test_cell_zero_matches_module_level_derivation():
-    assert derive_hashes(7, 2, W2, 4, group=0, index=0) == make_independent_hashes(2, 7, W2, 4)
+    assert derive_hashes(7, 2, W2, 4, group=0, index=0) == derive_hashes(7, 2, W2, 4)
 
 
 def test_counter_layout_is_injective_and_shape_free():

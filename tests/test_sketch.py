@@ -1,4 +1,4 @@
-"""Sketch instance semantics: counters, modes, exact zeros, merging."""
+"""Sketch instance semantics: counters, exact zeros, finalize, merging."""
 
 import itertools
 from fractions import Fraction
@@ -11,10 +11,9 @@ from prodsketch.field import FieldSpec
 from prodsketch.hashing import SignHash, SignHashSeed, derive_hashes
 from prodsketch.sketch import (
     EmptyStreamError,
-    Mode,
-    ModeError,
     SketchConfig,
     SketchInstance,
+    finalize_values,
     merge_sketches,
 )
 
@@ -23,8 +22,8 @@ W2 = FieldSpec(2)
 CFG22 = SketchConfig(k=2, n=4, spec=W2)
 
 
-def fresh(master_seed=0, config=CFG22, mode=Mode.INDEPENDENCE):
-    return SketchInstance.from_master_seed(config, master_seed, mode)
+def fresh(master_seed=0, config=CFG22):
+    return SketchInstance.from_master_seed(config, master_seed)
 
 
 def tuples(n, k, max_size=60):
@@ -112,6 +111,23 @@ def test_finalize_empty_raises():
         fresh().finalize()
 
 
+@st.composite
+def _big_u_m_k(draw):
+    m = draw(st.integers(1, 1 << 64))
+    k = draw(st.integers(1, 8))
+    bound = 2 * m**k  # |t1 * m^(k-1) - prod marg| <= 2 m^k
+    return draw(st.integers(-bound, bound)), m, k
+
+
+@settings(max_examples=200, deadline=None)
+@given(_big_u_m_k())
+def test_finalize_values_is_the_rounded_rational(case):
+    # Int true division rounds correctly, so it matches the exact rational's
+    # float well past the int64 range the bank's fast path covers.
+    u, m, k = case
+    assert next(finalize_values([u], m, k)).hex() == float(Fraction(u * u, m ** (2 * k))).hex()
+
+
 @settings(max_examples=60, deadline=None)
 @given(tuples(4, 2))
 def test_parity_and_bound_invariants(stream):
@@ -170,71 +186,6 @@ def test_merge_mismatches_rejected():
     other_cfg = SketchConfig(k=2, n=3, spec=W2)
     with pytest.raises(ValueError):
         merge_sketches(fresh(1), fresh(1, other_cfg))
-    with pytest.raises(ModeError):
-        merge_sketches(fresh(1), fresh(1, mode=Mode.TURNSTILE))
-
-
-def test_mode_separation():
-    ind = fresh(2)
-    tur = fresh(2, mode=Mode.TURNSTILE)
-    with pytest.raises(ModeError):
-        ind.update_point((0, 0), 1)
-    with pytest.raises(ModeError):
-        tur.update_item((0, 0))
-    with pytest.raises(ModeError):
-        tur.finalize()
-    with pytest.raises(ModeError):
-        ind.finalize_turnstile()
-
-
-def test_turnstile_cancellation_and_empty():
-    inst = fresh(3, mode=Mode.TURNSTILE)
-    assert inst.finalize_turnstile() == 0
-    before = inst.generic_acc
-    inst.update_point((1, 2), 1)
-    inst.update_point((1, 2), -1)
-    assert inst.generic_acc == before
-
-
-def test_turnstile_additive_in_delta():
-    split, joint = fresh(6, mode=Mode.TURNSTILE), fresh(6, mode=Mode.TURNSTILE)
-    split.update_point((1, 2), 2)
-    split.update_point((1, 2), 3)
-    joint.update_point((1, 2), 5)
-    assert split.generic_acc == joint.generic_acc
-    assert split.finalize_turnstile() == joint.finalize_turnstile()
-
-
-def test_turnstile_uniform_vector_factorizes():
-    # sum over the whole product domain of H equals the product of the
-    # per-dimension sign sums; checked by direct summation at n=4, k=2.
-    inst = fresh(21, mode=Mode.TURNSTILE)
-    for p in itertools.product(range(4), repeat=2):
-        inst.update_point(p, 1)
-    expected = 1
-    for h in inst.hashes:
-        expected *= sum(h(x) for x in range(4))
-    assert inst.generic_acc == expected
-    assert inst.finalize_turnstile() == expected * expected
-
-
-def test_turnstile_scaling_is_quadratic():
-    base = fresh(8, mode=Mode.TURNSTILE)
-    scaled = fresh(8, mode=Mode.TURNSTILE)
-    updates = [((0, 1), Fraction(1, 3)), ((2, 2), Fraction(-2, 5)), ((3, 0), 2)]
-    for p, d in updates:
-        base.update_point(p, d)
-        scaled.update_point(p, 7 * d)
-    assert scaled.finalize_turnstile() == 49 * base.finalize_turnstile()
-
-
-def test_turnstile_exact_with_fractions_floats_with_floats():
-    exact = fresh(8, mode=Mode.TURNSTILE)
-    exact.update_point((0, 0), Fraction(1, 3))
-    assert isinstance(exact.finalize_turnstile(), Fraction)
-    fl = fresh(8, mode=Mode.TURNSTILE)
-    fl.update_point((0, 0), 0.5)
-    assert isinstance(fl.finalize_turnstile(), float)
 
 
 def test_instance_hash_compatibility_checked():

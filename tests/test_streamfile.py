@@ -4,7 +4,7 @@ import io
 
 import pytest
 
-from prodsketch.streamfile import FormatError, iter_items, open_stream, read_header, write_stream
+from prodsketch.streamfile import FormatError, iter_items, read_header, write_stream
 
 
 def test_write_read_roundtrip():
@@ -12,21 +12,24 @@ def test_write_read_roundtrip():
     items = [(0, 1), (2, 3), (1, 1)]
     assert write_stream(buf, items, {"n": "4", "k": "2"}) == 3
     buf.seek(0)
-    header, parsed = open_stream(buf, k=2, n=4)
+    header, first = read_header(buf)
+    parsed = iter_items(buf, first, k=2, n=4)
     assert header == {"n": "4", "k": "2"}
     assert list(parsed) == items
 
 
 def test_headerless_stream_and_arity_pinning():
     buf = io.StringIO("1,2\n3,0\n")
-    header, items = open_stream(buf)
+    header, first = read_header(buf)
+    items = iter_items(buf, first)
     assert header == {}
     assert list(items) == [(1, 2), (3, 0)]
 
 
 def test_blank_lines_and_comment_only_headers():
     buf = io.StringIO("# plain comment\n# n=4\n\n0,0\n\n1,1\n")
-    header, items = open_stream(buf, k=2, n=4)
+    header, first = read_header(buf)
+    items = iter_items(buf, first, k=2, n=4)
     assert header == {"n": "4"}
     assert list(items) == [(0, 0), (1, 1)]
 
@@ -39,7 +42,7 @@ def test_empty_input():
 
 def test_malformed_line_reports_number():
     buf = io.StringIO("0,0\n0,x\n")
-    _, items = open_stream(buf, k=2, n=4)
+    items = iter_items(buf, read_header(buf)[1], k=2, n=4)
     with pytest.raises(FormatError) as err:
         list(items)
     assert "line 2" in str(err.value)
@@ -47,29 +50,34 @@ def test_malformed_line_reports_number():
 
 
 def test_arity_mismatch_detected():
-    _, items = open_stream(io.StringIO("0,0,0\n"), k=2)
+    buf = io.StringIO("0,0,0\n")
+    items = iter_items(buf, read_header(buf)[1], k=2)
     with pytest.raises(FormatError) as err:
         list(items)
     assert "expected 2 fields" in str(err.value)
     # without k, the first line pins the arity
-    _, items = open_stream(io.StringIO("0,0,0\n1,1\n"))
+    buf = io.StringIO("0,0,0\n1,1\n")
+    items = iter_items(buf, read_header(buf)[1])
     with pytest.raises(FormatError) as err:
         list(items)
     assert "line 2" in str(err.value)
 
 
 def test_symbol_range_checked():
-    _, items = open_stream(io.StringIO("0,7\n"), k=2, n=4)
+    buf = io.StringIO("0,7\n")
+    items = iter_items(buf, read_header(buf)[1], k=2, n=4)
     with pytest.raises(FormatError) as err:
         list(items)
     assert "symbol 7" in str(err.value)
-    _, items = open_stream(io.StringIO("-1,0\n"), k=2)
+    buf = io.StringIO("-1,0\n")
+    items = iter_items(buf, read_header(buf)[1], k=2)
     with pytest.raises(FormatError):
         list(items)
 
 
 def test_header_after_data_rejected():
-    _, items = open_stream(io.StringIO("0,0\n# k=2\n1,1\n"), k=2)
+    buf = io.StringIO("0,0\n# k=2\n1,1\n")
+    items = iter_items(buf, read_header(buf)[1], k=2)
     with pytest.raises(FormatError) as err:
         list(items)
     assert "header line after data" in str(err.value)
