@@ -16,12 +16,12 @@ import sys
 import time
 from dataclasses import dataclass
 
-from .estimator import AccuracyParams, EstimatorBank
+from .estimator import AccuracyParams, EstimatorBank, StateSize, derive_shape, distinct_rows
 from .field import SUPPORTED_WIDTHS, FieldSpec
 from .oracle import FrequencyTable, exact_l2sq
 from .selftest import all_passed, run_selftest
 from .sketch import SketchConfig
-from .streamfile import iter_items, read_header, write_stream
+from .streamfile import iter_blocks, read_header, write_stream
 from .streamgen import GenSpec, generate
 
 EXIT_OK = 0
@@ -96,6 +96,8 @@ def _build_parser() -> argparse.ArgumentParser:
     est.add_argument("--paper-constants", action="store_true",
                      help="use s1 = ceil(72/eps^2) at k=2 instead of the derived constant")
     est.add_argument("--snapshot-out", help="write the bank snapshot to this path")
+    est.add_argument("--memory-budget", type=int, default=1 << 27,
+                     help="refuse banks needing more than this many counters and seeds")
     est.set_defaults(func=cmd_estimate)
 
     exact = sub.add_parser("exact", help="exact squared L2 distance from a frequency table")
@@ -166,13 +168,15 @@ def cmd_estimate(args) -> int:
         header, first = read_header(fp)
         k, n = _resolve_dims(args, header)
         config = SketchConfig(k=k, n=n, spec=FieldSpec(smallest_width(n)))
-        bank = EstimatorBank(
-            config,
-            params=params,
-            master_seed=args.seed,
-            paper_constants=args.paper_constants,
-        )
-        bank.ingest_many(iter_items(fp, first, k=k, n=n))
+        shape = derive_shape(params, k, paper_constants=args.paper_constants)
+        size = StateSize.of(shape, k)
+        if size.counters + size.seeds > args.memory_budget:
+            raise ValueError(
+                f"bank needs {size.counters + size.seeds} counters and seeds, "
+                f"over the budget of {args.memory_budget}"
+            )
+        bank = EstimatorBank(config, params=params, shape=shape, master_seed=args.seed)
+        bank.ingest_blocks(iter_blocks(fp, first, k=k, n=n))
     result = bank.estimate()
     elapsed_ms = int((time.monotonic() - start) * 1000)
     RunReport(
@@ -207,12 +211,14 @@ def cmd_exact(args) -> int:
                 f"marginal tables need {k * n} entries, over the budget of {args.memory_budget}"
             )
         table = FrequencyTable(k, n)
-        for item in iter_items(fp, first, k=k, n=n):
-            table.add(item)
-            if len(table.joint) > args.memory_budget:
-                raise ValueError(
-                    f"joint support exceeds the memory budget of {args.memory_budget} entries"
-                )
+        for block in iter_blocks(fp, first, k=k, n=n):
+            at, counts = distinct_rows(block)
+            for row, count in zip(block[at].tolist(), counts.tolist()):
+                table.add(tuple(row), count)
+                if len(table.joint) > args.memory_budget:
+                    raise ValueError(
+                        f"joint support exceeds the memory budget of {args.memory_budget} entries"
+                    )
     value = exact_l2sq(table)
     print(f"report_version={REPORT_VERSION}")
     print(f"k={k}")

@@ -15,9 +15,12 @@ conventional constant for the two-dimensional case; for k != 2 it falls
 back to the derived formula.
 
 The bank stores counters in flat numpy int64 arrays (cells row-major by
-(group, index)) and ingests in chunks, which is arithmetically identical to
-applying ``SketchInstance.update_item`` per item per cell; ``instance_view``
-materializes any cell as a ``SketchInstance`` for inspection.  Per chunk and
+(group, index)).  ``ingest_blocks`` is the one ingest path: it takes
+(rows, k) uint64 arrays, such as ``streamfile.iter_blocks`` yields
+(``ingest_many`` batches tuples into such arrays), and works in chunks,
+which is arithmetically identical to applying ``SketchInstance.update_item``
+per item per cell; ``instance_view`` materializes any cell as a
+``SketchInstance`` for inspection.  Per chunk and
 dimension, ``batch_sign_eval`` fills one cells x distinct-symbols sign
 matrix, and both the joint product and the marginal sums are gathered from
 it, so no sign is evaluated twice and nothing is precomputed per symbol of
@@ -47,7 +50,7 @@ import struct
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice
-from typing import Iterable
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -67,7 +70,7 @@ _SNAPSHOT_VERSION = 1
 
 _CHUNK_ITEMS = 8192
 # Cap on the entries of a chunk's sign matrices (summed over dimensions) and
-# of one joint-product slab; each is widened to int64 (32 MiB) for the sums.
+# of one joint-product slab; each is widened to float64 (32 MiB) for the sums.
 _WORKING_ENTRIES = 1 << 22
 
 
@@ -119,6 +122,10 @@ class StateSize:
     counters: int
     seeds: int
 
+    @classmethod
+    def of(cls, shape: BankShape, k: int) -> "StateSize":
+        return cls(counters=shape.cells * (k + 1), seeds=shape.cells * k * 4)
+
 
 def derive_shape(
     params: AccuracyParams, k: int, *, paper_constants: bool = False
@@ -135,6 +142,35 @@ def derive_shape(
         s1 = math.ceil(Fraction(8 * (3**k - 1)) / Fraction(params.epsilon) ** 2)
     s2 = max(1, math.ceil(2.0 * math.log(1.0 / params.delta) - 1e-12))
     return BankShape(s1=s1, s2=s2)
+
+
+def distinct_rows(block: np.ndarray, uniques=None) -> tuple[np.ndarray, np.ndarray]:
+    """First index and multiplicity of each distinct row of a (rows, k) block.
+
+    ``uniques`` are the per-column ``np.unique(..., return_inverse=True)``
+    results when the caller already has them.  Rows are told apart by
+    mixed-radix codes over the per-column ranks, re-ranked below len(block)
+    whenever the radix would pass int64.
+    """
+    if uniques is None:
+        uniques = [np.unique(column, return_inverse=True) for column in block.T]
+    code, radix = np.zeros(len(block), dtype=np.int64), 1
+    for syms, inverse, *_ in uniques:
+        if radix * len(syms) >= 1 << 62:
+            code, radix = np.unique(code, return_inverse=True)[1], len(block)
+        code = code * len(syms) + inverse
+        radix *= len(syms)
+    _, first, counts = np.unique(code, return_index=True, return_counts=True)
+    return first, counts
+
+
+def _exact_matvec(signs: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """``signs @ counts`` for a +-1 matrix, through a float64 (BLAS) product.
+
+    Every entry is bounded in absolute value by ``counts.sum()``, the items
+    of one ingested chunk, far below 2^53, so the float64 sums are exact.
+    """
+    return (signs.astype(np.float64) @ counts.astype(np.float64)).astype(np.int64)
 
 
 def _median_lower(values: np.ndarray) -> float:
@@ -181,26 +217,40 @@ class EstimatorBank:
 
     def ingest_many(self, items: Iterable[tuple[int, ...]]) -> int:
         """Apply a batch of items; returns how many were ingested."""
-        total = 0
+        return self.ingest_blocks(self._tuple_blocks(items))
+
+    def _tuple_blocks(self, items: Iterable[tuple[int, ...]]) -> Iterator[np.ndarray]:
+        k, n = self.config.k, self.config.n
         items = iter(items)
         while chunk := list(islice(items, _CHUNK_ITEMS)):
-            self._ingest_chunk(chunk)
-            total += len(chunk)
+            try:
+                block = np.asarray(chunk, dtype=np.uint64)
+            except OverflowError:  # a symbol below 0 or above 2^64 - 1
+                bad = next(a for a in chunk if not all(0 <= x < n for x in a))
+                raise ValueError(f"symbol out of range [0, {n}) in item {tuple(bad)}")
+            if block.ndim != 2 or block.shape[1] != k:
+                raise ValueError(f"expected {k}-tuples")
             del chunk  # so two chunks are never held at once (peak memory)
-        return total
+            yield block
 
-    def _ingest_chunk(self, chunk: list[tuple[int, ...]]) -> None:
+    def ingest_blocks(self, blocks: Iterable[np.ndarray]) -> int:
+        """Apply ``(rows, k)`` uint64 arrays of symbols; returns the item count.
+
+        Blocks are checked before any of their items is applied; blocks
+        before a refused one stay ingested.
+        """
         k, n = self.config.k, self.config.n
-        try:
-            arr = np.asarray(chunk, dtype=np.uint64)
-        except OverflowError:  # a symbol below 0 or above 2^64 - 1
-            arr = None
-        if arr is not None and (arr.ndim != 2 or arr.shape[1] != k):
-            raise ValueError(f"expected {k}-tuples")
-        if arr is None or (arr.size and n < (1 << 64) and arr.max() >= n):
-            bad = next(a for a in chunk if not all(0 <= x < n for x in a))
-            raise ValueError(f"symbol out of range [0, {n}) in item {tuple(bad)}")
-        self._ingest_symbols(arr)
+        total = 0
+        for block in blocks:
+            if block.dtype != np.uint64 or block.ndim != 2 or block.shape[1] != k:
+                raise ValueError(f"expected a (rows, {k}) uint64 array")
+            if len(block) and block.max() >= n:
+                bad = block[(block >= n).any(axis=1)][0]
+                raise ValueError(f"symbol out of range [0, {n}) in item {tuple(bad.tolist())}")
+            for lo in range(0, len(block), _CHUNK_ITEMS):
+                self._ingest_symbols(block[lo : lo + _CHUNK_ITEMS])
+            total += len(block)
+        return total
 
     def _ingest_symbols(self, arr: np.ndarray) -> None:
         """Add a validated (items, k) uint64 block to every cell's counters."""
@@ -218,18 +268,10 @@ class EstimatorBank:
         signs = []
         for dim, (syms, _, counts) in enumerate(uniques):
             matrix = batch_sign_eval(self._coefs[:, dim, :], syms, self.config.spec)
-            self._marg[:, dim] += matrix.astype(np.int64) @ counts
+            self._marg[:, dim] += _exact_matvec(matrix, counts)
             signs.append(matrix)
 
-        # Distinct items as mixed-radix codes over the per-dimension indexes,
-        # re-ranked below len(arr) whenever the radix would pass int64.
-        code, radix = np.zeros(len(arr), dtype=np.int64), 1
-        for syms, inverse, _ in uniques:
-            if radix * len(syms) >= 1 << 62:
-                code, radix = np.unique(code, return_inverse=True)[1], len(arr)
-            code = code * len(syms) + inverse
-            radix *= len(syms)
-        _, first, counts = np.unique(code, return_index=True, return_counts=True)
+        first, counts = distinct_rows(arr, uniques)
         rows = [inverse[first] for _, inverse, _ in uniques]
         slab = max(1, _WORKING_ENTRIES // cells)
         for lo in range(0, len(first), slab):
@@ -237,7 +279,7 @@ class EstimatorBank:
             prod = signs[0][:, rows[0][sl]]
             for matrix, idx in zip(signs[1:], rows[1:]):
                 prod = prod * matrix[:, idx[sl]]
-            self._t1 += prod.astype(np.int64) @ counts[sl]
+            self._t1 += _exact_matvec(prod, counts[sl])
         self._m += len(arr)
 
     # -- estimation ---------------------------------------------------------
@@ -275,10 +317,7 @@ class EstimatorBank:
         return Estimate(l2_squared=med, l2=math.sqrt(med))
 
     def state_size(self) -> StateSize:
-        return StateSize(
-            counters=self.shape.cells * (self.config.k + 1),
-            seeds=self.shape.cells * self.config.k * 4,
-        )
+        return StateSize.of(self.shape, self.config.k)
 
     # -- inspection & merging ----------------------------------------------
 

@@ -5,11 +5,23 @@ Header lines come first and start with ``#``; those of the form
 Every following non-empty line is one item: k comma-separated 0-based
 integers.  The format is line-oriented on purpose: it diffs cleanly,
 pipes through standard tools, and parses in one pass without seeking.
+
+``iter_blocks`` reads the items as uint64 arrays, one ``np.loadtxt`` call
+per block of lines; a block it refuses is re-parsed line by line, so the
+accepted syntax and the line numbers of errors are those of one ``int()``
+per field.
 """
 
 from __future__ import annotations
 
+import warnings
+from itertools import islice
 from typing import IO, Iterable, Iterator, Mapping
+
+import numpy as np
+
+# Input lines per parsed block (the last block of a stream may be shorter).
+_BLOCK_LINES = 8192
 
 
 class FormatError(ValueError):
@@ -59,46 +71,69 @@ def read_header(fp: IO[str]) -> tuple[dict[str, str], tuple[int, str] | None]:
     return header, None
 
 
-def iter_items(
-    fp: IO[str],
-    first: tuple[int, str] | None,
-    *,
-    k: int | None = None,
-    n: int | None = None,
-) -> Iterator[tuple[int, ...]]:
-    """Yield items starting from ``first`` (as returned by read_header).
+def iter_blocks(
+    fp: IO[str], first: tuple[int, str] | None, *, k: int, n: int
+) -> Iterator[np.ndarray]:
+    """Yield the items from ``first`` (as returned by read_header) onward, in blocks.
 
-    Arity is checked against ``k`` (or pinned to the first item's arity
-    when k is None) and symbols against ``n`` when given.
+    Each block is a validated ``(rows, k)`` uint64 array covering up to
+    ``_BLOCK_LINES`` consecutive input lines; blank lines are skipped and
+    every symbol lies in ``[0, n)``.  The input is read exactly once.
     """
+    if not (k >= 1 and 1 <= n <= 1 << 64):
+        raise ValueError("k must be >= 1 and n must lie in [1, 2^64]")
     if first is None:
         return
     line_no, line = first
-    item = _parse_line(line_no, line, k, n)
-    k = k if k is not None else len(item)
-    yield item
-    for raw in fp:
-        line_no += 1
+    lines = [line]
+    while True:
+        lines.extend(islice(fp, _BLOCK_LINES - len(lines)))
+        if not lines:
+            return
+        block = _parse_block(lines, line_no, k, n)
+        line_no += len(lines)
+        lines = []  # so no block's text is held while the next is read
+        if len(block):
+            yield block
+
+
+def _parse_block(lines: list[str], line_no: int, k: int, n: int) -> np.ndarray:
+    """Parse lines ``line_no, line_no + 1, ...`` in one vectorised call.
+
+    ``np.loadtxt`` accepts a subset of what ``int()`` accepts and gives the
+    same values; whatever it refuses (or a symbol >= n) is re-parsed line by
+    line so the accepted syntax and every ``FormatError`` stay those of
+    ``_parse_line``.
+    """
+    try:
+        with warnings.catch_warnings():
+            # An all-blank block is no data, not a warning.
+            warnings.simplefilter("ignore", UserWarning)
+            arr = np.loadtxt(lines, delimiter=",", dtype=np.uint64, ndmin=2, comments=None)
+        if arr.shape[1] == k and arr.max() < n:
+            return arr
+    except (ValueError, OverflowError):  # also the max of an all-blank block
+        pass
+    items = []
+    for offset, raw in enumerate(lines):
         stripped = raw.strip()
         if not stripped:
             continue
         if stripped.startswith("#"):
-            raise FormatError(line_no, "header line after data")
-        yield _parse_line(line_no, stripped, k, n)
+            raise FormatError(line_no + offset, "header line after data")
+        items.append(_parse_line(line_no + offset, stripped, k, n))
+    return np.array(items, dtype=np.uint64).reshape(-1, k)
 
 
-def _parse_line(
-    line_no: int, line: str, k: int | None, n: int | None
-) -> tuple[int, ...]:
+def _parse_line(line_no: int, line: str, k: int, n: int) -> tuple[int, ...]:
     parts = line.split(",")
     try:
         item = tuple(int(p) for p in parts)
     except ValueError:
         raise FormatError(line_no, f"not a comma-separated integer tuple: {line!r}")
-    if k is not None and len(item) != k:
+    if len(item) != k:
         raise FormatError(line_no, f"expected {k} fields, got {len(item)}")
     for x in item:
-        if x < 0 or (n is not None and x >= n):
-            upper = n if n is not None else "inf"
-            raise FormatError(line_no, f"symbol {x} outside [0, {upper})")
+        if not 0 <= x < n:
+            raise FormatError(line_no, f"symbol {x} outside [0, {n})")
     return item

@@ -7,15 +7,18 @@ lines on a green run (pytest shows them on failures regardless).
 import io
 import itertools
 import math
+import os
 import subprocess
 import sys
 import time
 from contextlib import contextmanager, redirect_stdout
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import prodsketch
 from prodsketch.cli import main
 from prodsketch.estimator import AccuracyParams, BankShape, EstimatorBank, derive_shape
 from prodsketch.field import FieldSpec
@@ -211,6 +214,8 @@ def test_criterion_8_one_pass_on_a_pipe():
             [sys.executable, "-m", "prodsketch.cli", "estimate",
              "--k", "2", "--n", "4", "--epsilon", "0.9", "--delta", "0.5"],
             input=data, capture_output=True, timeout=240,
+            # The child imports the same prodsketch as this process.
+            env=dict(os.environ, PYTHONPATH=str(Path(prodsketch.__file__).parents[1])),
         )
         assert proc.returncode == 0, proc.stderr.decode()
         fields = report_fields(proc.stdout.decode())

@@ -1,13 +1,20 @@
 """CLI subcommands end to end, exit codes, and report formats."""
 
 import io
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import prodsketch
+from prodsketch import cli
 from prodsketch.cli import EXIT_DATA, EXIT_OK, EXIT_SELFTEST, EXIT_USAGE, main, smallest_width
-from prodsketch.estimator import EstimatorBank
+from prodsketch.estimator import AccuracyParams, EstimatorBank, StateSize, derive_shape
+from prodsketch.streamfile import _BLOCK_LINES
 from prodsketch.field import FieldSpec
 from prodsketch.sketch import SketchConfig, SketchInstance
 
@@ -157,6 +164,63 @@ def test_exact_memory_budget_refusal(stream_file, capsys):
     code, _, err = run(capsys, "exact", "--input", str(stream_file),
                        "--memory-budget", "4")
     assert code == EXIT_DATA and "budget" in err
+
+
+def test_estimate_memory_budget_refusal(capsys, monkeypatch):
+    def no_bank(*args, **kwargs):
+        raise AssertionError("bank built despite the budget")
+
+    def header_then_stop():
+        yield "# k=8\n"
+        yield "# n=4\n"
+        yield "0,0,0,0,0,0,0,0\n"  # read_header's lookahead: the first data line
+        raise AssertionError("stream read past its header")
+
+    monkeypatch.setattr(cli, "EstimatorBank", no_bank)
+    monkeypatch.setattr("sys.stdin", header_then_stop())
+    code, out, err = run(capsys, "estimate")  # k = 8 at the default eps and budget
+    size = StateSize.of(derive_shape(AccuracyParams(0.2, 0.1), 8), 8)
+    assert code == EXIT_DATA and out == ""
+    assert f"{size.counters + size.seeds}" in err and f"{1 << 27}" in err
+    monkeypatch.setattr("sys.stdin", io.StringIO("0,0\n"))
+    code, _, err = run(capsys, "estimate", "--k", "2", "--n", "4", "--memory-budget", "100")
+    assert code == EXIT_DATA and "budget of 100" in err
+    # k = 7 at eps = 0.2 stays under the default budget.
+    size = StateSize.of(derive_shape(AccuracyParams(0.2, 0.1), 7), 7)
+    assert size.counters + size.seeds <= 1 << 27
+
+
+def cli_child(*argv, text):
+    """Run the CLI as a child process on ``text`` piped to standard input."""
+    return subprocess.run(
+        [sys.executable, "-m", "prodsketch.cli", *argv], input=text.encode(),
+        capture_output=True, timeout=120,
+        env=dict(os.environ, PYTHONPATH=str(Path(prodsketch.__file__).parents[1])),
+    )
+
+
+def test_block_errors_keep_exact_line_numbers():
+    # Lines 1-2 are the header, so block 1 covers lines 3 .. _BLOCK_LINES + 2.
+    lines = ["# k=2", "# n=4"] + ["1,2"] * (3 * _BLOCK_LINES)
+    bad_symbol = _BLOCK_LINES + 500  # in block 2
+    header = 2 * _BLOCK_LINES + 700  # in block 3
+    lines[header - 1] = "# late=1"
+    with_bad = list(lines)
+    with_bad[bad_symbol - 1] = "3,9"
+    for command in ("estimate", "exact"):
+        proc = cli_child(command, text="\n".join(with_bad) + "\n")
+        assert proc.returncode == EXIT_DATA
+        assert proc.stderr.decode() == f"error: line {bad_symbol}: symbol 9 outside [0, 4)\n"
+        proc = cli_child(command, text="\n".join(lines) + "\n")
+        assert proc.returncode == EXIT_DATA
+        assert proc.stderr.decode() == f"error: line {header}: header line after data\n"
+
+
+def test_blank_block_prints_no_warning():
+    text = "# k=2\n# n=4\n0,1\n" + "\n" * (2 * _BLOCK_LINES) + "  \n1,0\n"
+    proc = cli_child("estimate", text=text)
+    assert proc.returncode == EXIT_OK and proc.stderr == b""
+    assert parse_report(proc.stdout.decode())["m"] == "2"
 
 
 def test_snapshot_out_roundtrips(stream_file, tmp_path, capsys):

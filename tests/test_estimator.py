@@ -202,6 +202,47 @@ def test_snapshot_roundtrip_bit_exact():
     assert back.estimate() == bank.estimate()
 
 
+def _loads_or_value_error(data):
+    try:
+        assert isinstance(EstimatorBank.from_snapshot_bytes(data), EstimatorBank)
+    except ValueError:
+        pass
+
+
+def test_snapshot_loader_survives_truncation_and_bit_flips():
+    bank = small_bank(12, s1=2, s2=2)
+    bank.ingest_many([(0, 1), (3, 2), (1, 1)])
+    blob = bank.snapshot_bytes()
+    for cut in range(len(blob)):
+        _loads_or_value_error(blob[:cut])
+    for bit in range(8 * len(blob)):
+        flipped = bytearray(blob)
+        flipped[bit // 8] ^= 1 << (bit % 8)
+        _loads_or_value_error(bytes(flipped))
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.one_of(
+    st.binary(max_size=200),
+    st.binary(max_size=200).map(lambda b: estimator._MAGIC + b),
+    st.tuples(st.lists(st.integers(-(1 << 63), (1 << 63) - 1), min_size=8, max_size=8),
+              st.binary(max_size=160)).map(
+        lambda t: estimator._MAGIC + estimator._HEADER.pack(*t[0]) + t[1]),
+    # Well-formed version-1 headers with small, possibly invalid fields and a
+    # body of about the length they announce.
+    st.builds(
+        lambda k, n, width, s1, s2, extra: estimator._MAGIC
+        + estimator._HEADER.pack(1, k, n, width, s1, s2, 0, 0)
+        + bytes(8 * max(0, s1 * s2 * (k + 2) + extra)),
+        k=st.integers(-3, 4), n=st.integers(-2, 20),
+        width=st.sampled_from([-1, 0, 1, 2, 3, 4, 8, 64, 65]),
+        s1=st.integers(-2, 3), s2=st.integers(-2, 3), extra=st.sampled_from([0, 0, -1, 1]),
+    ),
+))
+def test_snapshot_loader_fuzz(data):
+    _loads_or_value_error(data)
+
+
 def test_snapshot_file_roundtrip(tmp_path):
     bank = small_bank(77)
     bank.ingest_many([(0, 0), (1, 3)])
@@ -232,6 +273,34 @@ def test_bank_symbol_validation():
         bank.ingest((0, 4))
     with pytest.raises(ValueError):
         bank.ingest_many([(0, 0), (1, 1, 1)])
+
+
+def test_ingest_blocks_equals_ingest_many():
+    stream = list(generate(GenSpec(n=4, k=2, m=500, lam=0.4, rng_seed=9)))
+    arr = np.array(stream, dtype=np.uint64)
+    a, b = small_bank(5), small_bank(5)
+    a.ingest_many(stream)
+    assert b.ingest_blocks([arr[:123], arr[123:123], arr[123:]]) == 500
+    assert a.counters_equal(b) and b.item_count == 500
+
+
+def test_ingest_blocks_validation():
+    bank = small_bank()
+    for block in [np.array([[0, 4]], dtype=np.uint64),  # symbol >= n
+                  np.array([[0, 1]], dtype=np.int64),  # not uint64
+                  np.array([[0, 1, 2]], dtype=np.uint64),  # arity
+                  np.array([0, 1], dtype=np.uint64)]:  # not (rows, k)
+        with pytest.raises(ValueError):
+            bank.ingest_blocks([np.zeros((2, 2), dtype=np.uint64), block])
+    assert bank.item_count == 2 * 4  # blocks before a refused one stay ingested
+
+
+def test_exact_matvec_is_exact_at_chunk_scale():
+    rng = np.random.default_rng(3)
+    signs = (1 - 2 * rng.integers(0, 2, size=(64, 300))).astype(np.int8)
+    counts = rng.integers(1, 1 << 20, size=300)
+    want = signs.astype(np.int64) @ counts
+    assert np.array_equal(estimator._exact_matvec(signs, counts), want)
 
 
 def test_requires_params_or_shape():
