@@ -212,7 +212,7 @@ def cmd_exact(args) -> int:
             )
         table = FrequencyTable(k, n)
         for block in iter_blocks(fp, first, k=k, n=n):
-            at, counts = distinct_rows(block)
+            at, _, counts = distinct_rows(block)
             for row, count in zip(block[at].tolist(), counts.tolist()):
                 table.add(tuple(row), count)
                 if len(table.joint) > args.memory_budget:

@@ -17,14 +17,18 @@ back to the derived formula.
 The bank stores counters in flat numpy int64 arrays (cells row-major by
 (group, index)).  ``ingest_blocks`` is the one ingest path: it takes
 (rows, k) uint64 arrays, such as ``streamfile.iter_blocks`` yields
-(``ingest_many`` batches tuples into such arrays), and works in chunks,
-which is arithmetically identical to applying ``SketchInstance.update_item``
-per item per cell; ``instance_view`` materializes any cell as a
-``SketchInstance`` for inspection.  Per chunk and
-dimension, ``batch_sign_eval`` fills one cells x distinct-symbols sign
-matrix, and both the joint product and the marginal sums are gathered from
-it, so no sign is evaluated twice and nothing is precomputed per symbol of
-the alphabet: building a bank only derives hash coefficients.  Ingestion is
+(``ingest_many`` batches tuples into such arrays).  Every counter is linear
+in the stream's frequency vector, so a call keeps one exact histogram
+(distinct rows with their multiplicities) and adds it to the counters once,
+at the end of the call, or earlier whenever its support passes
+``_CHUNK_ITEMS`` rows or its item total would reach 2^53.  That is
+arithmetically identical to applying ``SketchInstance.update_item`` per
+item per cell; ``instance_view`` materializes any cell as a
+``SketchInstance`` for inspection.  Per flush and dimension,
+``batch_sign_eval`` fills one cells x distinct-symbols sign matrix, and
+both the joint product and the marginal sums are gathered from it, so no
+sign is evaluated twice and nothing is precomputed per symbol of the
+alphabet: building a bank only derives hash coefficients.  Ingestion is
 single-writer; estimation is read-only.
 
 Finalize uses the same rule as ``SketchInstance.finalize``
@@ -68,8 +72,12 @@ _MAGIC = b"PSKBANK1"
 _HEADER = struct.Struct("<8q")
 _SNAPSHOT_VERSION = 1
 
+# An ingest histogram is flushed once its support passes _CHUNK_ITEMS rows,
+# and before its item total reaches _EXACT_ITEMS, below which every float64
+# sum of a flush is exact.  ``ingest_many`` batches tuples by _CHUNK_ITEMS.
 _CHUNK_ITEMS = 8192
-# Cap on the entries of a chunk's sign matrices (summed over dimensions) and
+_EXACT_ITEMS = 1 << 53
+# Cap on the entries of a flush's sign matrices (summed over dimensions) and
 # of one joint-product slab; each is widened to float64 (32 MiB) for the sums.
 _WORKING_ENTRIES = 1 << 22
 
@@ -144,31 +152,34 @@ def derive_shape(
     return BankShape(s1=s1, s2=s2)
 
 
-def distinct_rows(block: np.ndarray, uniques=None) -> tuple[np.ndarray, np.ndarray]:
-    """First index and multiplicity of each distinct row of a (rows, k) block.
+def distinct_rows(block: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """First index, inverse and multiplicity of the distinct rows of a block.
 
-    ``uniques`` are the per-column ``np.unique(..., return_inverse=True)``
-    results when the caller already has them.  Rows are told apart by
+    ``block[first]`` are the distinct rows of the (rows, k) array, and row i
+    of the block is ``block[first][inverse[i]]``.  Rows are told apart by
     mixed-radix codes over the per-column ranks, re-ranked below len(block)
     whenever the radix would pass int64.
     """
-    if uniques is None:
-        uniques = [np.unique(column, return_inverse=True) for column in block.T]
     code, radix = np.zeros(len(block), dtype=np.int64), 1
-    for syms, inverse, *_ in uniques:
+    for column in block.T:
+        syms, inverse = np.unique(column, return_inverse=True)
         if radix * len(syms) >= 1 << 62:
             code, radix = np.unique(code, return_inverse=True)[1], len(block)
         code = code * len(syms) + inverse
         radix *= len(syms)
-    _, first, counts = np.unique(code, return_index=True, return_counts=True)
-    return first, counts
+    _, first, inverse, counts = np.unique(
+        code, return_index=True, return_inverse=True, return_counts=True
+    )
+    return first, inverse, counts
 
 
 def _exact_matvec(signs: np.ndarray, counts: np.ndarray) -> np.ndarray:
     """``signs @ counts`` for a +-1 matrix, through a float64 (BLAS) product.
 
     Every entry is bounded in absolute value by ``counts.sum()``, the items
-    of one ingested chunk, far below 2^53, so the float64 sums are exact.
+    of one flush, which ``ingest_blocks`` keeps below ``_EXACT_ITEMS`` =
+    2^53, so the float64 sums are exact.  (Only a single block of 2^53 rows
+    could pass it, and such a block does not fit in memory.)
     """
     return (signs.astype(np.float64) @ counts.astype(np.float64)).astype(np.int64)
 
@@ -223,64 +234,87 @@ class EstimatorBank:
         k, n = self.config.k, self.config.n
         items = iter(items)
         while chunk := list(islice(items, _CHUNK_ITEMS)):
-            try:
-                block = np.asarray(chunk, dtype=np.uint64)
-            except OverflowError:  # a symbol below 0 or above 2^64 - 1
-                bad = next(a for a in chunk if not all(0 <= x < n for x in a))
-                raise ValueError(f"symbol out of range [0, {n}) in item {tuple(bad)}")
+            block = np.asarray(chunk)
             if block.ndim != 2 or block.shape[1] != k:
                 raise ValueError(f"expected {k}-tuples")
+            kind = block.dtype.kind
+            if kind in "bu" or kind == "i" and block.min() >= 0:
+                block = block.astype(np.uint64, copy=False)
+            else:  # floats, strings, negative, huge or mixed values
+                if not all(isinstance(x, (int, np.integer)) for a in chunk for x in a):
+                    raise ValueError("symbols must be integers")
+                if not all(0 <= x < n for a in chunk for x in a):
+                    bad = next(a for a in chunk if not all(0 <= x < n for x in a))
+                    raise ValueError(f"symbol out of range [0, {n}) in item {tuple(bad)}")
+                block = np.asarray(chunk, dtype=np.uint64)
             del chunk  # so two chunks are never held at once (peak memory)
             yield block
 
     def ingest_blocks(self, blocks: Iterable[np.ndarray]) -> int:
         """Apply ``(rows, k)`` uint64 arrays of symbols; returns the item count.
 
-        Blocks are checked before any of their items is applied; blocks
-        before a refused one stay ingested.
+        Blocks are merged into one histogram of distinct rows, which is
+        added to the counters when the call ends, and before a block is
+        merged into it if its support has passed ``_CHUNK_ITEMS`` rows or
+        its item total would reach ``_EXACT_ITEMS``.  Blocks are checked
+        before any of their items is applied; blocks before a refused one
+        stay ingested, also when the iterator itself raises.
         """
         k, n = self.config.k, self.config.n
+        rows = np.empty((0, k), dtype=np.uint64)
+        counts = np.empty(0, dtype=np.int64)
         total = 0
-        for block in blocks:
-            if block.dtype != np.uint64 or block.ndim != 2 or block.shape[1] != k:
-                raise ValueError(f"expected a (rows, {k}) uint64 array")
-            if len(block) and block.max() >= n:
-                bad = block[(block >= n).any(axis=1)][0]
-                raise ValueError(f"symbol out of range [0, {n}) in item {tuple(bad.tolist())}")
-            for lo in range(0, len(block), _CHUNK_ITEMS):
-                self._ingest_symbols(block[lo : lo + _CHUNK_ITEMS])
-            total += len(block)
+        try:
+            for block in blocks:
+                if block.dtype != np.uint64 or block.ndim != 2 or block.shape[1] != k:
+                    raise ValueError(f"expected a (rows, {k}) uint64 array")
+                if len(block) and block.max() >= n:
+                    bad = block[(block >= n).any(axis=1)][0]
+                    raise ValueError(f"symbol out of range [0, {n}) in item {tuple(bad.tolist())}")
+                if len(rows) > _CHUNK_ITEMS or (
+                    len(rows) and counts.sum() + len(block) >= _EXACT_ITEMS
+                ):
+                    self._add_rows(rows, counts)
+                    rows, counts = rows[:0], counts[:0]
+                first, _, block_counts = distinct_rows(block)
+                if len(rows):
+                    merged = np.concatenate([rows, block[first]])
+                    first, inverse, _ = distinct_rows(merged)
+                    weights = np.concatenate([counts, block_counts])
+                    rows, counts = merged[first], np.bincount(inverse, weights).astype(np.int64)
+                else:
+                    rows, counts = block[first], block_counts
+                total += len(block)
+        finally:
+            if len(rows):
+                self._add_rows(rows, counts)
         return total
 
-    def _ingest_symbols(self, arr: np.ndarray) -> None:
-        """Add a validated (items, k) uint64 block to every cell's counters."""
+    def _add_rows(self, rows: np.ndarray, counts: np.ndarray) -> None:
+        """Add distinct (rows, k) uint64 rows, each ``counts`` times, to every cell."""
         cells = self.shape.cells
-        uniques = [
-            np.unique(arr[:, dim], return_inverse=True, return_counts=True)
-            for dim in range(self.config.k)
-        ]
-        if len(arr) > 1 and cells * sum(len(u[0]) for u in uniques) > _WORKING_ENTRIES:
-            half = len(arr) // 2
-            self._ingest_symbols(arr[:half])
-            self._ingest_symbols(arr[half:])
+        uniques = [np.unique(column, return_inverse=True) for column in rows.T]
+        if len(rows) > 1 and cells * sum(len(syms) for syms, _ in uniques) > _WORKING_ENTRIES:
+            half = len(rows) // 2
+            self._add_rows(rows[:half], counts[:half])
+            self._add_rows(rows[half:], counts[half:])
             return
 
         signs = []
-        for dim, (syms, _, counts) in enumerate(uniques):
+        for dim, (syms, inverse) in enumerate(uniques):
             matrix = batch_sign_eval(self._coefs[:, dim, :], syms, self.config.spec)
-            self._marg[:, dim] += _exact_matvec(matrix, counts)
+            self._marg[:, dim] += _exact_matvec(matrix, np.bincount(inverse, counts))
             signs.append(matrix)
 
-        first, counts = distinct_rows(arr, uniques)
-        rows = [inverse[first] for _, inverse, _ in uniques]
+        idx = [inverse for _, inverse in uniques]
         slab = max(1, _WORKING_ENTRIES // cells)
-        for lo in range(0, len(first), slab):
+        for lo in range(0, len(rows), slab):
             sl = slice(lo, lo + slab)
-            prod = signs[0][:, rows[0][sl]]
-            for matrix, idx in zip(signs[1:], rows[1:]):
-                prod = prod * matrix[:, idx[sl]]
+            prod = signs[0][:, idx[0][sl]]
+            for matrix, inverse in zip(signs[1:], idx[1:]):
+                prod = prod * matrix[:, inverse[sl]]
             self._t1 += _exact_matvec(prod, counts[sl])
-        self._m += len(arr)
+        self._m += int(counts.sum())
 
     # -- estimation ---------------------------------------------------------
 

@@ -1,5 +1,6 @@
 """Bank behavior: shape derivation, scalar equivalence, merging, snapshots."""
 
+import io
 import math
 
 import numpy as np
@@ -7,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from prodsketch import estimator
+from prodsketch import estimator, streamfile
 from prodsketch.estimator import (
     AccuracyParams,
     BankShape,
@@ -19,6 +20,7 @@ from prodsketch.estimator import (
 from prodsketch.field import SUPPORTED_WIDTHS, FieldSpec
 from prodsketch.oracle import FrequencyTable, exact_y_from_table
 from prodsketch.sketch import EmptyStreamError, SketchConfig, SketchInstance
+from prodsketch.streamfile import FormatError
 from prodsketch.streamgen import GenSpec, generate
 
 W2 = FieldSpec(2)
@@ -390,6 +392,109 @@ def test_wide_tuples_match_scalar_instances():
         for a in items:
             inst.update_item(a)
         assert bank.instance_view(0, j).counters() == inst.counters()
+
+
+def test_non_integer_symbols_rejected():
+    # np.asarray(..., dtype=uint64) would truncate 1.5 to 1 and parse "1";
+    # the scalar instance refuses both, and so must the bank.
+    bank = small_bank()
+    for item in [(1.5, 2), (np.float64(3.9), 1), ("1", "2"), (b"1", 2), (1, None)]:
+        with pytest.raises(ValueError):
+            bank.ingest_many([(0, 0), item])
+    assert bank.item_count == 0
+    # Python ints, numpy ints of any width and bools are integers.
+    bank.ingest_many([(1, 2), (np.int8(3), np.uint64(0)), (True, np.int64(2))])
+    want = small_bank()
+    want.ingest_blocks([np.array([[1, 2], [3, 0], [1, 2]], dtype=np.uint64)])
+    assert bank.counters_equal(want)
+
+
+@pytest.mark.parametrize("limit", [1, 2, 3, 4])
+def test_flush_limits_keep_counters_exact(monkeypatch, limit):
+    # Flushing after every few distinct rows or items must not change a
+    # counter: the histogram is exact and the counters are linear in it.
+    stream = list(generate(GenSpec(n=16, k=3, m=400, lam=0.7, rng_seed=6)))
+    arr = np.array(stream, dtype=np.uint64)
+    config = SketchConfig(k=3, n=16, spec=W4)
+    whole = small_bank(4, config=config)
+    whole.ingest_blocks([arr])
+    monkeypatch.setattr(estimator, "_EXACT_ITEMS", limit)
+    monkeypatch.setattr(estimator, "_CHUNK_ITEMS", limit)
+    by_blocks, by_tuples = small_bank(4, config=config), small_bank(4, config=config)
+    assert by_blocks.ingest_blocks([arr[:7], arr[7:7], arr[7:250], arr[250:]]) == 400
+    assert by_tuples.ingest_many(stream) == 400
+    assert by_blocks.counters_equal(whole) and by_tuples.counters_equal(whole)
+
+
+def test_histogram_support_stays_bounded(monkeypatch):
+    # A stream of distinct rows is flushed once the support passes the
+    # limit, so the buffer (and each merge's sort) stays small.
+    flushes = []
+    add_rows = EstimatorBank._add_rows
+
+    def spy(self, rows, counts):
+        flushes.append(len(rows))
+        add_rows(self, rows, counts)
+
+    monkeypatch.setattr(EstimatorBank, "_add_rows", spy)
+    monkeypatch.setattr(estimator, "_CHUNK_ITEMS", 4)
+    config = SketchConfig(k=2, n=16, spec=W4)
+    arr = np.array([(x, y) for x in range(16) for y in range(2)], dtype=np.uint64)
+    bank = small_bank(config=config)
+    assert bank.ingest_blocks([arr[lo : lo + 3] for lo in range(0, 32, 3)]) == 32
+    assert sum(flushes) == 32 and max(flushes) <= 4 + 3 and len(flushes) >= 32 // 7
+
+
+def test_iterator_error_keeps_earlier_blocks(monkeypatch):
+    # The histogram of the blocks read so far is flushed when the block
+    # iterator raises, as it is when a block is refused.
+    stream = list(generate(GenSpec(n=4, k=2, m=80, lam=0.5, rng_seed=8)))
+    text = "".join(f"{a},{b}\n" for a, b in stream) + "0,1\n0,9\n"
+    monkeypatch.setattr(streamfile, "_BLOCK_LINES", 40)  # blocks 1-40, 41-80, 81-82
+    fp = io.StringIO(text)
+    _, first = streamfile.read_header(fp)
+    bank, want = small_bank(2), small_bank(2)
+    with pytest.raises(FormatError, match="line 82"):
+        bank.ingest_blocks(streamfile.iter_blocks(fp, first, k=2, n=4))
+    want.ingest_many(stream)
+    assert bank.item_count == 80 and bank.counters_equal(want)
+
+
+@st.composite
+def _buffer_cases(draw):
+    """A config, bank shape, seed, a stream with repeats and its block cuts."""
+    n = draw(st.integers(1, 300))
+    width = draw(st.sampled_from([w for w in SUPPORTED_WIDTHS if 1 << w >= n]))
+    k = draw(st.integers(1, 4))
+    row = st.tuples(*[st.integers(0, n - 1)] * k)
+    pool = draw(st.lists(row, min_size=1, max_size=draw(st.sampled_from([2, 6, 40]))))
+    items = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=60))
+    cuts = sorted(draw(st.lists(st.integers(0, len(items)), max_size=5)))
+    shape = BankShape(draw(st.integers(1, 2)), draw(st.integers(1, 2)))
+    seed = draw(st.integers(0, (1 << 64) - 1))
+    # Small limits flush between blocks; the unpatched values (last) merge.
+    limits = draw(st.sampled_from([1, 2, 4, 1 << 53])), draw(st.sampled_from([1, 2, 4, 8192]))
+    return SketchConfig(k=k, n=n, spec=FieldSpec(width)), shape, seed, items, cuts, limits
+
+
+@settings(max_examples=60, deadline=None)
+@given(_buffer_cases())
+def test_buffered_ingest_matches_scalar_instances(case):
+    config, shape, seed, items, cuts, (exact_items, chunk_items) = case
+    arr = np.array(items, dtype=np.uint64).reshape(len(items), config.k)
+    bounds = [0, *cuts, len(items)]
+    blocks = [arr[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
+    bank = EstimatorBank(config, shape=shape, master_seed=seed)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(estimator, "_EXACT_ITEMS", exact_items)
+        mp.setattr(estimator, "_CHUNK_ITEMS", chunk_items)
+        assert bank.ingest_blocks(blocks) == len(items)
+    for g in range(shape.s2):
+        for j in range(shape.s1):
+            inst = SketchInstance.from_master_seed(config, seed, group=g, index=j)
+            for a in items:
+                inst.update_item(a)
+            assert bank.instance_view(g, j).counters() == inst.counters()
 
 
 @st.composite
