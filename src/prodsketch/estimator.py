@@ -21,7 +21,8 @@ The bank stores counters in flat numpy int64 arrays (cells row-major by
 in the stream's frequency vector, so a call keeps one exact histogram
 (distinct rows with their multiplicities) and adds it to the counters once,
 at the end of the call, or earlier whenever its support passes
-``_CHUNK_ITEMS`` rows or its item total would reach 2^53.  That is
+``_CHUNK_ITEMS`` rows or its item total would reach 2^53; a block of
+mostly distinct rows is added on its own instead of merged.  That is
 arithmetically identical to applying ``SketchInstance.update_item`` per
 item per cell; ``instance_view`` materializes any cell as a
 ``SketchInstance`` for inspection.  Per flush and dimension,
@@ -256,9 +257,11 @@ class EstimatorBank:
         Blocks are merged into one histogram of distinct rows, which is
         added to the counters when the call ends, and before a block is
         merged into it if its support has passed ``_CHUNK_ITEMS`` rows or
-        its item total would reach ``_EXACT_ITEMS``.  Blocks are checked
-        before any of their items is applied; blocks before a refused one
-        stay ingested, also when the iterator itself raises.
+        its item total would reach ``_EXACT_ITEMS``.  A block whose distinct
+        rows are more than three quarters of its rows is added on its own,
+        without the merge.  Blocks are checked before any of their items is
+        applied; blocks before a refused one stay ingested, also when the
+        iterator itself raises.
         """
         k, n = self.config.k, self.config.n
         rows = np.empty((0, k), dtype=np.uint64)
@@ -271,12 +274,19 @@ class EstimatorBank:
                 if len(block) and block.max() >= n:
                     bad = block[(block >= n).any(axis=1)][0]
                     raise ValueError(f"symbol out of range [0, {n}) in item {tuple(bad.tolist())}")
+                total += len(block)
+                first, _, block_counts = distinct_rows(block)
+                if 4 * len(first) > 3 * len(block):
+                    # Rows that barely repeat in their block seldom repeat
+                    # across blocks: merging them would only sort them again.
+                    self._add_rows(block[first], block_counts)
+                    continue
                 if len(rows) > _CHUNK_ITEMS or (
                     len(rows) and counts.sum() + len(block) >= _EXACT_ITEMS
                 ):
-                    self._add_rows(rows, counts)
-                    rows, counts = rows[:0], counts[:0]
-                first, _, block_counts = distinct_rows(block)
+                    # Empty the buffer first, so a failed flush is never replayed.
+                    pending, rows, counts = (rows, counts), rows[:0], counts[:0]
+                    self._add_rows(*pending)
                 if len(rows):
                     merged = np.concatenate([rows, block[first]])
                     first, inverse, _ = distinct_rows(merged)
@@ -284,7 +294,6 @@ class EstimatorBank:
                     rows, counts = merged[first], np.bincount(inverse, weights).astype(np.int64)
                 else:
                     rows, counts = block[first], block_counts
-                total += len(block)
         finally:
             if len(rows):
                 self._add_rows(rows, counts)

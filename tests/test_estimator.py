@@ -426,23 +426,63 @@ def test_flush_limits_keep_counters_exact(monkeypatch, limit):
     assert by_blocks.counters_equal(whole) and by_tuples.counters_equal(whole)
 
 
-def test_histogram_support_stays_bounded(monkeypatch):
-    # A stream of distinct rows is flushed once the support passes the
-    # limit, so the buffer (and each merge's sort) stays small.
+def _spy_add_rows(monkeypatch, fail_first=False):
+    """Record the support of every ``_add_rows`` call; optionally make the
+    first call raise after it has updated the counters."""
     flushes = []
     add_rows = EstimatorBank._add_rows
 
     def spy(self, rows, counts):
         flushes.append(len(rows))
         add_rows(self, rows, counts)
+        if fail_first and len(flushes) == 1:
+            raise RuntimeError("flush interrupted")
 
     monkeypatch.setattr(EstimatorBank, "_add_rows", spy)
+    return flushes
+
+
+def test_histogram_support_stays_bounded(monkeypatch):
+    # A stream of ever new rows, each repeated within its block, is flushed
+    # once the support passes the limit, so the buffer (and each merge's
+    # sort) stays small.
+    flushes = _spy_add_rows(monkeypatch)
     monkeypatch.setattr(estimator, "_CHUNK_ITEMS", 4)
     config = SketchConfig(k=2, n=16, spec=W4)
     arr = np.array([(x, y) for x in range(16) for y in range(2)], dtype=np.uint64)
     bank = small_bank(config=config)
-    assert bank.ingest_blocks([arr[lo : lo + 3] for lo in range(0, 32, 3)]) == 32
+    blocks = [np.repeat(arr[lo : lo + 3], 2, axis=0) for lo in range(0, 32, 3)]
+    assert bank.ingest_blocks(blocks) == 64
     assert sum(flushes) == 32 and max(flushes) <= 4 + 3 and len(flushes) >= 32 // 7
+
+
+def test_distinct_block_skips_the_merge(monkeypatch):
+    # A block of mostly distinct rows (7 of 8) is added on its own; the
+    # histogram of the repeating blocks around it is flushed once, at the end.
+    flushes = _spy_add_rows(monkeypatch)
+    config = SketchConfig(k=2, n=16, spec=W4)
+    repeats = np.array([(1, 2)] * 5 + [(3, 4)] * 3, dtype=np.uint64)
+    distinct = np.array([(x, x) for x in range(7)] + [(0, 0)], dtype=np.uint64)
+    bank, want = small_bank(config=config), small_bank(config=config)
+    assert bank.ingest_blocks([repeats, distinct, repeats]) == 24
+    assert flushes == [7, 2]
+    want.ingest_blocks([np.concatenate([repeats, distinct, repeats])])
+    assert bank.counters_equal(want)
+
+
+def test_failed_flush_is_not_replayed(monkeypatch):
+    # A flush that raises after touching the counters must not be added
+    # again by the flush at the end of the call.
+    flushes = _spy_add_rows(monkeypatch, fail_first=True)
+    monkeypatch.setattr(estimator, "_CHUNK_ITEMS", 1)
+    config = SketchConfig(k=2, n=16, spec=W4)
+    blocks = [np.array([(v, v)] * 2, dtype=np.uint64) for v in range(3)]
+    bank, want = small_bank(config=config), small_bank(config=config)
+    with pytest.raises(RuntimeError, match="flush interrupted"):
+        bank.ingest_blocks(blocks)
+    assert flushes == [2]
+    want.ingest_many([(0, 0), (0, 0), (1, 1), (1, 1)])
+    assert bank.item_count == 4 and bank.counters_equal(want)
 
 
 def test_iterator_error_keeps_earlier_blocks(monkeypatch):
