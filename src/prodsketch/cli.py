@@ -16,13 +16,13 @@ import sys
 import time
 from dataclasses import dataclass
 
-from .estimator import AccuracyParams, EstimatorBank, StateSize, derive_shape, distinct_rows
+from .estimator import AccuracyParams, EstimatorBank, StateSize, derive_shape
 from .field import SUPPORTED_WIDTHS, FieldSpec
 from .oracle import FrequencyTable, exact_l2sq
 from .selftest import all_passed, run_selftest
 from .sketch import SketchConfig
 from .streamfile import iter_blocks, read_header, write_stream
-from .streamgen import GenSpec, generate
+from .streamgen import GenSpec, generate_blocks
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -210,15 +210,8 @@ def cmd_exact(args) -> int:
             raise ValueError(
                 f"marginal tables need {k * n} entries, over the budget of {args.memory_budget}"
             )
-        table = FrequencyTable(k, n)
-        for block in iter_blocks(fp, first, k=k, n=n):
-            at, _, counts = distinct_rows(block)
-            for row, count in zip(block[at].tolist(), counts.tolist()):
-                table.add(tuple(row), count)
-                if len(table.joint) > args.memory_budget:
-                    raise ValueError(
-                        f"joint support exceeds the memory budget of {args.memory_budget} entries"
-                    )
+        blocks = iter_blocks(fp, first, k=k, n=n)
+        table = FrequencyTable.from_blocks(blocks, k, n, max_support=args.memory_budget)
     value = exact_l2sq(table)
     print(f"report_version={REPORT_VERSION}")
     print(f"k={k}")
@@ -234,10 +227,10 @@ def cmd_gen(args) -> int:
     spec = GenSpec(n=args.n, k=args.k, m=args.m, lam=args.lam, rng_seed=args.rng_seed)
     header = spec.header()
     if args.out == "-":
-        write_stream(sys.stdout, generate(spec), header)
+        write_stream(sys.stdout, generate_blocks(spec, 0, spec.m), header)
     else:
         with open(args.out, "w", encoding="ascii") as fp:
-            write_stream(fp, generate(spec), header)
+            write_stream(fp, generate_blocks(spec, 0, spec.m), header)
         for key, value in header.items():
             print(f"# {key}={value}")
     return EXIT_OK

@@ -174,6 +174,13 @@ def distinct_rows(block: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray
     return first, inverse, counts
 
 
+def merge_rows(parts: Iterable[tuple[np.ndarray, np.ndarray]]) -> tuple[np.ndarray, np.ndarray]:
+    """Distinct rows of (rows, counts) pairs with summed counts, exact while all sum below 2^53."""
+    rows, counts = map(np.concatenate, zip(*parts))
+    first, inverse, _ = distinct_rows(rows)
+    return rows[first], np.bincount(inverse, counts).astype(np.int64)
+
+
 def _exact_matvec(signs: np.ndarray, counts: np.ndarray) -> np.ndarray:
     """``signs @ counts`` for a +-1 matrix, through a float64 (BLAS) product.
 
@@ -223,10 +230,6 @@ class EstimatorBank:
 
     # -- ingestion ----------------------------------------------------------
 
-    def ingest(self, a: tuple[int, ...]) -> None:
-        """Apply one stream item to every instance."""
-        self.ingest_many([a])
-
     def ingest_many(self, items: Iterable[tuple[int, ...]]) -> int:
         """Apply a batch of items; returns how many were ingested."""
         return self.ingest_blocks(self._tuple_blocks(items))
@@ -235,7 +238,10 @@ class EstimatorBank:
         k, n = self.config.k, self.config.n
         items = iter(items)
         while chunk := list(islice(items, _CHUNK_ITEMS)):
-            block = np.asarray(chunk)
+            try:
+                block = np.asarray(chunk)
+            except ValueError:  # tuples of different lengths
+                raise ValueError(f"expected {k}-tuples") from None
             if block.ndim != 2 or block.shape[1] != k:
                 raise ValueError(f"expected {k}-tuples")
             kind = block.dtype.kind
@@ -288,10 +294,7 @@ class EstimatorBank:
                     pending, rows, counts = (rows, counts), rows[:0], counts[:0]
                     self._add_rows(*pending)
                 if len(rows):
-                    merged = np.concatenate([rows, block[first]])
-                    first, inverse, _ = distinct_rows(merged)
-                    weights = np.concatenate([counts, block_counts])
-                    rows, counts = merged[first], np.bincount(inverse, weights).astype(np.int64)
+                    rows, counts = merge_rows([(rows, counts), (block[first], block_counts)])
                 else:
                     rows, counts = block[first], block_counts
         finally:

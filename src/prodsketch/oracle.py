@@ -17,10 +17,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 from typing import Iterable, Mapping
 
 import numpy as np
 
+from .estimator import distinct_rows, merge_rows
 from .field import FieldSpec
 from .hashing import SignHash, batch_sign_eval
 from .sketch import EmptyStreamError
@@ -42,7 +44,8 @@ class FrequencyTable:
             raise ValueError("k and n must be >= 1")
         self.k = k
         self.n = n
-        self.joint: dict[tuple[int, ...], int] = {}
+        self._joint: dict[tuple[int, ...], int] = {}
+        self._arrays: tuple[np.ndarray, np.ndarray] | None = None
         self.marginals = [[0] * n for _ in range(k)]
         self.m = 0
 
@@ -52,6 +55,47 @@ class FrequencyTable:
         for a in items:
             table.add(a)
         return table
+
+    @classmethod
+    def from_blocks(
+        cls, blocks: Iterable[np.ndarray], k: int, n: int, *, max_support: float = math.inf
+    ) -> "FrequencyTable":
+        """Table of validated (rows, k) uint64 blocks, equal to ``add`` per row, built with arrays.
+
+        Blocks' distinct rows are merged into the table's once they outnumber them by more
+        than a block; a merge past ``max_support`` rows raises.  ``joint`` is built when read.
+        """
+        parts = [(np.empty((0, k), np.uint64), np.empty(0, np.int64))]
+        for block in chain(blocks, [None]):  # None marks the end: merge what is left
+            if block is not None:
+                first, _, counts = distinct_rows(block)
+                parts.append((block[first], counts))
+            if block is None or sum(len(c) for _, c in parts) > 2 * len(parts[0][1]) + len(block):
+                parts = [merge_rows(parts)]
+                if len(parts[0][1]) > max_support:
+                    raise ValueError(
+                        f"joint support exceeds the memory budget of {max_support} entries"
+                    )
+        table = cls(k, n)
+        table._arrays = rows, counts = parts[0]
+        sums = (np.bincount(column.astype(np.intp), counts, minlength=n) for column in rows.T)
+        table.marginals = [s.astype(np.int64).tolist() for s in sums]  # exact: m < 2^53
+        table.m = int(counts.sum())
+        return table
+
+    @property
+    def joint(self) -> dict[tuple[int, ...], int]:
+        if self._arrays is not None:
+            rows, counts = self._arrays
+            self._joint, self._arrays = dict(zip(map(tuple, rows.tolist()), counts.tolist())), None
+        return self._joint
+
+    def _joint_arrays(self) -> tuple[np.ndarray, np.ndarray]:
+        """The distinct items as a (support, k) uint64 array, and their counts."""
+        if self._arrays is None:
+            keys, values = list(self._joint), list(self._joint.values())
+            return np.array(keys, np.uint64).reshape(-1, self.k), np.array(values)
+        return self._arrays
 
     def add(self, item: tuple[int, ...], count: int = 1) -> None:
         item = tuple(item)
@@ -80,19 +124,20 @@ class ExactMoments:
 def exact_l2sq(table: FrequencyTable) -> Fraction:
     """Squared L2 distance between the joint and the product of marginals.
 
-    Scaled to integers by m^(2k): only cells with f > 0 are visited, and
-    the all-cells sum of the squared marginal product factorizes into
-    prod_i sum_x f_i(x)^2.
+    Scaled to integers by m^(2k): each cell with f > 0 and marginal product p
+    adds (f S - p)^2 - p^2, S = m^(k-1), to prod_i sum_x f_i(x)^2, the sum over
+    all cells of p^2.  Array sums stay below m^(k+1): int64 while that fits,
+    Python ints past it.
     """
     if table.m == 0:
         raise EmptyStreamError("frequency table is empty")
     m, k = table.m, table.k
-    total = math.prod(sum(c * c for c in marg) for marg in table.marginals)
-    scale = m ** (k - 1)
-    for item, f in table.joint.items():
-        p = math.prod(table.marginals[i][x] for i, x in enumerate(item))
-        d = f * scale - p
-        total += d * d - p * p
+    dtype = np.int64 if m ** (k + 1) < 1 << 63 else object
+    rows, counts = table._joint_arrays()
+    f, margs = counts.astype(dtype), [np.array(marg, dtype=dtype) for marg in table.marginals]
+    p = math.prod(marg[column] for column, marg in zip(rows.T, margs))
+    s = m ** (k - 1)
+    total = math.prod(int(marg @ marg) for marg in margs) + s * s * int(f @ f) - 2 * s * int(f @ p)
     return Fraction(total, m ** (2 * k))
 
 

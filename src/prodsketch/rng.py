@@ -32,8 +32,8 @@ def word_at(seed: int, index: int) -> int:
     return mix64((seed + ((index + 1) * GAMMA)) & MASK64)
 
 
-def words_at(seed: int, indices: np.ndarray) -> np.ndarray:
-    """Vectorized :func:`word_at` over a uint64 array of counter indices."""
+def words_at(seed: int | np.ndarray, indices: np.ndarray) -> np.ndarray:
+    """Vectorized :func:`word_at`; ``seed`` is an int or a uint64 array broadcast to ``indices``."""
     with np.errstate(over="ignore"):
         z = (np.asarray(indices, dtype=np.uint64) + np.uint64(1)) * np.uint64(GAMMA)
         z += np.uint64(seed & MASK64)

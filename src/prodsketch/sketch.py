@@ -97,14 +97,6 @@ class SketchInstance:
             if not (0 <= x < self.config.n):
                 raise ValueError(f"symbol {x} outside [0, {self.config.n})")
 
-    def product_hash(self, p: tuple[int, ...]) -> int:
-        """H(p) = product of the per-dimension signs; always +1 or -1."""
-        self._check_tuple(p)
-        sign = 1
-        for h, x in zip(self.hashes, p):
-            sign *= h(x)
-        return sign
-
     def update_item(self, a: tuple[int, ...]) -> None:
         """Count one stream item."""
         self._check_tuple(a)

@@ -9,7 +9,7 @@ pipes through standard tools, and parses in one pass without seeking.
 ``iter_blocks`` reads the items as uint64 arrays, one ``np.loadtxt`` call
 per block of lines; a block it refuses is re-parsed line by line, so the
 accepted syntax and the line numbers of errors are those of one ``int()``
-per field.
+per field.  ``write_stream`` writes such blocks, one string per block.
 """
 
 from __future__ import annotations
@@ -33,17 +33,19 @@ class FormatError(ValueError):
 
 
 def write_stream(
-    fp: IO[str], items: Iterable[tuple[int, ...]], header: Mapping[str, str] | None = None
+    fp: IO[str], blocks: Iterable[np.ndarray], header: Mapping[str, str] | None = None
 ) -> int:
-    """Write header and items; returns the number of items written."""
+    """Write header and (rows, k) uint64 blocks, one string each; returns the item count."""
     if header:
         for key, value in header.items():
             fp.write(f"# {key}={value}\n")
     count = 0
-    for item in items:
-        fp.write(",".join(map(str, item)))
-        fp.write("\n")
-        count += 1
+    for block in blocks:
+        syms, inverse = np.unique(block, return_inverse=True)
+        names = np.array(list(map(str, syms.tolist())), dtype=object)[inverse.reshape(block.shape)]
+        if len(block):
+            fp.write("\n".join(map(",".join, names.tolist())) + "\n")
+        count += len(block)
     return count
 
 

@@ -164,7 +164,7 @@ def test_criterion_6_exact_zero_cases():
                 assert inst.finalize_exact() == 0
         for seed in range(10):
             bank = EstimatorBank(config, shape=BankShape(6, 3), master_seed=seed)
-            bank.ingest((0, 2))
+            bank.ingest_many([(0, 2)])
             assert bank.estimate().l2_squared == 0.0
             bank = EstimatorBank(config, shape=BankShape(6, 3), master_seed=seed)
             bank.ingest_many([(1, 1)] * 23)

@@ -164,6 +164,19 @@ def test_exact_memory_budget_refusal(stream_file, capsys):
     code, _, err = run(capsys, "exact", "--input", str(stream_file),
                        "--memory-budget", "4")
     assert code == EXIT_DATA and "budget" in err
+    # k*n = 8 entries pass; the 200 items occupy more than 8 of the 16 joint cells.
+    code, out, err = run(capsys, "exact", "--input", str(stream_file), "--memory-budget", "8")
+    assert code == EXIT_DATA and out == ""
+    assert err == "error: joint support exceeds the memory budget of 8 entries\n"
+
+
+def test_gen_refuses_alphabets_past_64_bits(capsys):
+    code, out, err = run(capsys, "gen", "--n", str((1 << 64) + 1), "--k", "1", "--m", "1",
+                         "--out", "-")
+    assert code == EXIT_DATA and out == ""
+    assert err == f"error: alphabet size {(1 << 64) + 1} exceeds the widest supported field\n"
+    code, out, _ = run(capsys, "gen", "--n", str(1 << 64), "--k", "2", "--m", "3", "--out", "-")
+    assert code == EXIT_OK and len(out.splitlines()) == 6 + 3
 
 
 def test_estimate_memory_budget_refusal(capsys, monkeypatch):

@@ -94,7 +94,7 @@ def test_ingest_one_by_one_equals_batch():
     stream = list(generate(GenSpec(n=4, k=2, m=75, lam=0.2, rng_seed=4)))
     a, b = small_bank(7), small_bank(7)
     for item in stream:
-        a.ingest(item)
+        a.ingest_many([item])
     b.ingest_many(stream)
     assert a.counters_equal(b)
     assert a.estimate() == b.estimate()
@@ -114,7 +114,7 @@ def test_ingest_streams_concatenate():
 def test_estimate_zero_cases():
     for seed in range(5):
         bank = small_bank(seed)
-        bank.ingest((1, 2))
+        bank.ingest_many([(1, 2)])
         assert bank.estimate().l2_squared == 0.0
         bank2 = small_bank(seed)
         bank2.ingest_many([(3, 0)] * 17)
@@ -257,7 +257,7 @@ def test_snapshot_rejects_garbage():
     with pytest.raises(ValueError):
         EstimatorBank.from_snapshot_bytes(b"NOTASNAP" + b"\0" * 64)
     bank = small_bank(0)
-    bank.ingest((0, 0))
+    bank.ingest_many([(0, 0)])
     blob = bank.snapshot_bytes()
     with pytest.raises(ValueError):
         EstimatorBank.from_snapshot_bytes(blob[:-8])  # truncated body
@@ -272,9 +272,11 @@ def test_snapshot_rejects_garbage():
 def test_bank_symbol_validation():
     bank = small_bank()
     with pytest.raises(ValueError):
-        bank.ingest((0, 4))
-    with pytest.raises(ValueError):
+        bank.ingest_many([(0, 4)])
+    with pytest.raises(ValueError, match="expected 2-tuples"):
         bank.ingest_many([(0, 0), (1, 1, 1)])
+    with pytest.raises(ValueError, match="expected 2-tuples"):
+        bank.ingest_many([(0, 0, 0), (1, 1)])
 
 
 def test_ingest_blocks_equals_ingest_many():

@@ -1,8 +1,10 @@
 """Oracle correctness: exact distance, enumerated moments, dual-route checks."""
 
 import itertools
+import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -41,6 +43,18 @@ def brute_l2sq(stream, k, n):
             prod *= Fraction(margs[i].get(x, 0), m)
         total += (pr - prod) ** 2
     return total
+
+
+def scalar_l2sq(table):
+    """The distance from the table one joint cell at a time, in Python ints."""
+    m, k = table.m, table.k
+    total = math.prod(sum(c * c for c in marg) for marg in table.marginals)
+    scale = m ** (k - 1)
+    for item, f in table.joint.items():
+        p = math.prod(table.marginals[i][x] for i, x in enumerate(item))
+        d = f * scale - p
+        total += d * d - p * p
+    return Fraction(total, m ** (2 * k))
 
 
 def brute_moments(stream, k, n, spec):
@@ -232,3 +246,61 @@ def test_turnstile_requires_n():
         exhaustive_moments({(0, 0): 1}, spec=W1)
     with pytest.raises(ValueError):
         exhaustive_moments({}, spec=W1, k=2, n=2)
+
+
+@settings(max_examples=150, deadline=None)
+@given(k=st.integers(1, 3), n=st.integers(1, 5), data=st.data())
+def test_from_blocks_equals_scalar_table(k, n, data):
+    items = data.draw(st.lists(st.tuples(*[st.integers(0, n - 1)] * k), min_size=1, max_size=60))
+    cuts = sorted(data.draw(st.lists(st.integers(0, len(items)), max_size=6)))
+    bounds = [0, *cuts, len(items)]
+    blocks = [np.array(items[lo:hi], dtype=np.uint64).reshape(-1, k)
+              for lo, hi in zip(bounds, bounds[1:])]
+    table = FrequencyTable.from_blocks(iter(blocks), k, n)
+    reference = FrequencyTable.from_stream(items, k=k, n=n)
+    assert exact_l2sq(table) == scalar_l2sq(reference) == exact_l2sq(reference)
+    assert (table.m, table.marginals) == (reference.m, reference.marginals)
+    assert table.joint == reference.joint  # builds the dict from the arrays
+    assert exact_l2sq(table) == scalar_l2sq(reference)
+    support = len(reference.joint)
+    FrequencyTable.from_blocks(iter(blocks), k, n, max_support=support)
+    with pytest.raises(ValueError, match=f"memory budget of {support - 1} entries"):
+        FrequencyTable.from_blocks(iter(blocks), k, n, max_support=support - 1)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    k=st.integers(1, 4),
+    n=st.integers(1, 4),
+    counts=st.lists(st.integers(1, 1 << 40), min_size=1, max_size=12),
+    data=st.data(),
+)
+def test_exact_l2sq_equals_scalar_formula_at_any_count(k, n, counts, data):
+    # Counts up to 2^40 put m^(k+1) on both sides of 2^63, so both the int64
+    # and the Python-int evaluation are held to the scalar formula.
+    table = FrequencyTable(k, n)
+    for c in counts:
+        table.add(data.draw(st.tuples(*[st.integers(0, n - 1)] * k)), c)
+    assert exact_l2sq(table) == scalar_l2sq(table)
+
+
+def brute_table_l2sq(table):
+    """The definition over all of [n]^k, from the table's counts."""
+    m, total = table.m, Fraction(0)
+    for omega in itertools.product(range(table.n), repeat=table.k):
+        prod = math.prod(Fraction(table.marginals[i][x], m) for i, x in enumerate(omega))
+        total += (Fraction(table.joint.get(omega, 0), m) - prod) ** 2
+    return total
+
+
+@pytest.mark.parametrize("cells", [
+    {(0, 0): (1 << 20) - 1, (1, 1): 1 << 20},  # m^3 just below 2^63: int64
+    {(0, 0): 1 << 21, (1, 1): 1 << 21},  # m^2 < 2^63 < m^3, and sum f p = 2^64
+    {(0, 0): 3 << 40, (1, 1): 1 << 40, (0, 1): 5},  # m^2 > 2^63
+])
+def test_exact_l2sq_on_both_sides_of_int64(cells):
+    table = FrequencyTable(2, 2)
+    for item, c in cells.items():
+        table.add(item, c)
+    assert exact_l2sq(table) == scalar_l2sq(table) == brute_table_l2sq(table)
+

@@ -34,9 +34,10 @@ def tuples(n, k, max_size=60):
 
 def test_product_hash_is_plain_hash_at_k1():
     config = SketchConfig(k=1, n=4, spec=W2)
-    inst = fresh(3, config)
     for x in range(4):
-        assert inst.product_hash((x,)) == inst.hashes[0](x)
+        inst = fresh(3, config)
+        inst.update_item((x,))
+        assert inst.t1 == inst.marginal_sums[0] == inst.hashes[0](x)
 
 
 def test_product_hash_example_and_closure():
@@ -44,9 +45,12 @@ def test_product_hash_example_and_closure():
     h2 = SignHash(W2, SignHashSeed.from_int(4, 2), 4)   # the polynomial x
     inst = SketchInstance(CFG22, (h1, h2))
     assert h1(1) == 1 and h2(3) == -1
-    assert inst.product_hash((1, 3)) == -1
+    inst.update_item((1, 3))
+    assert inst.t1 == -1
     for p in itertools.product(range(4), repeat=2):
-        assert inst.product_hash(p) in (-1, 1)
+        before = inst.t1
+        inst.update_item(p)
+        assert inst.t1 - before == h1(p[0]) * h2(p[1]) in (-1, 1)
 
 
 def test_tuple_validation():
@@ -56,7 +60,7 @@ def test_tuple_validation():
     with pytest.raises(ValueError):
         inst.update_item((1, 4))
     with pytest.raises(ValueError):
-        inst.product_hash((0, -1))
+        inst.update_item((0, -1))
 
 
 def test_single_item_is_exact_zero_for_every_seed():

@@ -11,12 +11,14 @@ from hypothesis import strategies as st
 
 from prodsketch import streamfile
 from prodsketch.streamfile import (
+    _BLOCK_LINES,
     FormatError,
     _parse_line,
     iter_blocks,
     read_header,
     write_stream,
 )
+from prodsketch.streamgen import GenSpec, generate, generate_blocks
 
 
 def read_rows(buf, *, k, n):
@@ -28,13 +30,45 @@ def read_rows(buf, *, k, n):
 def test_write_read_roundtrip():
     buf = io.StringIO()
     items = [(0, 1), (2, 3), (1, 1)]
-    assert write_stream(buf, items, {"n": "4", "k": "2"}) == 3
+    assert write_stream(buf, [np.array(items, dtype=np.uint64)], {"n": "4", "k": "2"}) == 3
     buf.seek(0)
     header, first = read_header(buf)
     blocks = list(iter_blocks(buf, first, k=2, n=4))
     assert header == {"n": "4", "k": "2"}
     assert [b.dtype for b in blocks] == [np.uint64]
     assert [tuple(row) for row in blocks[0].tolist()] == items
+
+
+def per_item_text(items, header):
+    """The stream text written one item at a time."""
+    lines = [f"# {key}={value}\n" for key, value in header.items()]
+    return "".join(lines + [",".join(map(str, item)) + "\n" for item in items])
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    k=st.integers(1, 4),
+    symbols=st.sampled_from([st.integers(0, 3), st.integers(0, (1 << 64) - 1)]),
+    data=st.data(),
+)
+def test_write_stream_matches_per_item_text(k, symbols, data):
+    items = data.draw(st.lists(st.tuples(*[symbols] * k), max_size=30))
+    cuts = sorted(data.draw(st.lists(st.integers(0, len(items)), max_size=4)))
+    bounds = [0, *cuts, len(items)]
+    blocks = [np.array(items[lo:hi], dtype=np.uint64).reshape(-1, k)
+              for lo, hi in zip(bounds, bounds[1:])]
+    header = {"k": str(k), "m": str(len(items))}
+    buf = io.StringIO()
+    assert write_stream(buf, blocks, header) == len(items)
+    assert buf.getvalue() == per_item_text(items, header)
+
+
+def test_write_stream_of_generated_blocks_matches_per_item_text():
+    # More than one default-size block, with rejected draws (n = 3) in each.
+    spec = GenSpec(n=3, k=3, m=2 * _BLOCK_LINES + 17, lam=0.4, rng_seed=-5)
+    buf = io.StringIO()
+    assert write_stream(buf, generate_blocks(spec, 0, spec.m), spec.header()) == spec.m
+    assert buf.getvalue() == per_item_text(generate(spec), spec.header())
 
 
 def test_headerless_stream():
