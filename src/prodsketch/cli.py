@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import io
 import math
 import sys
 import time
@@ -127,11 +128,19 @@ def _build_parser() -> argparse.ArgumentParser:
 
 @contextlib.contextmanager
 def _open_input(path: str):
-    if path == "-":
+    # Bytes outside ASCII decode to lone surrogates, so a file and stdin
+    # both hand them to the line parser, which refuses them by line number.
+    if path != "-":
+        with open(path, "r", encoding="ascii", errors="surrogateescape") as fp:
+            yield fp
+    elif not hasattr(sys.stdin, "buffer"):  # a text stream put in place of stdin
         yield sys.stdin
     else:
-        with open(path, "r", encoding="ascii") as fp:
+        fp = io.TextIOWrapper(sys.stdin.buffer, encoding="ascii", errors="surrogateescape")
+        try:
             yield fp
+        finally:
+            fp.detach()  # leave sys.stdin's buffer open
 
 
 def _resolve_dims(args, header) -> tuple[int, int]:
@@ -152,6 +161,8 @@ def _header_int(header: dict[str, str], key: str) -> int | None:
     if key not in header:
         return None
     try:
+        if not header[key].isascii():  # int() also reads non-ASCII digits
+            raise ValueError
         return int(header[key])
     except ValueError:
         raise ValueError(f"stream header has non-integer {key}={header[key]!r}")

@@ -27,10 +27,17 @@ arithmetically identical to applying ``SketchInstance.update_item`` per
 item per cell; ``instance_view`` materializes any cell as a
 ``SketchInstance`` for inspection.  Per flush and dimension,
 ``batch_sign_eval`` fills one cells x distinct-symbols sign matrix, and
-both the joint product and the marginal sums are gathered from it, so no
+both the joint counter and the marginal sums are computed from it, so no
 sign is evaluated twice and nothing is precomputed per symbol of the
-alphabet: building a bank only derives hash coefficients.  Ingestion is
-single-writer; estimation is read-only.
+alphabet: building a bank only derives hash coefficients.  The joint
+counter sum_x f(x) prod_d h_d(x_d) factorises over dimensions: when the
+flush's symbol grid (the product of its per-dimension symbol counts) is at
+most ``_DENSE_GRID`` times its support, the flush is scattered into a
+dense histogram over that grid and contracted one dimension at a time;
+otherwise each (cell, row) sign product is gathered and summed.  Every
+partial sum of either path is bounded by the flush's item total, below
+2^53, so both are exact in float64 and give the same counters.  Ingestion
+is single-writer; estimation is read-only.
 
 Finalize uses the same rule as ``SketchInstance.finalize``
 (``sketch.finalize_values``): U is computed with int64 arrays while
@@ -50,6 +57,7 @@ Round-trips are bit-exact; hash seeds are re-derived from master_seed.
 
 from __future__ import annotations
 
+import copy
 import math
 import struct
 from dataclasses import dataclass
@@ -78,9 +86,14 @@ _SNAPSHOT_VERSION = 1
 # sum of a flush is exact.  ``ingest_many`` batches tuples by _CHUNK_ITEMS.
 _CHUNK_ITEMS = 8192
 _EXACT_ITEMS = 1 << 53
-# Cap on the entries of a flush's sign matrices (summed over dimensions) and
-# of one joint-product slab; each is widened to float64 (32 MiB) for the sums.
+# Cap on the entries of a flush's sign matrices (summed over dimensions), of
+# one joint-product slab and of one cell slab of a dense contraction's
+# partial sums; each is at most 32 MiB as float64.
 _WORKING_ENTRIES = 1 << 22
+# A flush whose symbol grid (the product over dimensions of its distinct
+# symbol counts) has at most _DENSE_GRID cells per distinct row is
+# contracted as a dense histogram instead of row by row.
+_DENSE_GRID = 4
 
 
 @dataclass(frozen=True)
@@ -98,8 +111,9 @@ class AccuracyParams:
     def __post_init__(self) -> None:
         if not (0.0 < self.epsilon <= 1.0):
             raise ValueError("epsilon must lie in (0, 1]")
-        if not (0.0 < self.delta < 1.0):
-            raise ValueError("delta must lie in (0, 1)")
+        if not (0.0 < self.delta < 1.0) or math.isinf(1.0 / self.delta):
+            # derive_shape takes log(1/delta), which a subnormal delta overflows.
+            raise ValueError("delta must lie in (0, 1) with a finite 1/delta")
 
 
 @dataclass(frozen=True)
@@ -319,13 +333,30 @@ class EstimatorBank:
             signs.append(matrix)
 
         idx = [inverse for _, inverse in uniques]
-        slab = max(1, _WORKING_ENTRIES // cells)
-        for lo in range(0, len(rows), slab):
-            sl = slice(lo, lo + slab)
-            prod = signs[0][:, idx[0][sl]]
-            for matrix, inverse in zip(signs[1:], idx[1:]):
-                prod = prod * matrix[:, inverse[sl]]
-            self._t1 += _exact_matvec(prod, counts[sl])
+        grid = [len(syms) for syms, _ in uniques]
+        size = math.prod(grid)
+        if size <= _DENSE_GRID * len(rows):
+            # t1 = sum_x f(x) prod_d h_d(x_d) factorises over dimensions:
+            # contract the dense histogram one dimension at a time, the last
+            # with one GEMM and each earlier one with a batched matvec.
+            hist = np.bincount(np.ravel_multi_index(idx, grid), counts, size)
+            hist = hist.reshape(-1, grid[-1]).T
+            slab = max(1, _WORKING_ENTRIES // hist.shape[1])
+            for lo in range(0, cells, slab):
+                sl = slice(lo, lo + slab)
+                part = signs[-1][sl].astype(np.float64) @ hist
+                for matrix in signs[-2::-1]:
+                    part = part.reshape(len(part), -1, matrix.shape[1]) @ (
+                        matrix[sl, :, None].astype(np.float64))
+                self._t1[sl] += part.reshape(-1).astype(np.int64)
+        else:
+            slab = max(1, _WORKING_ENTRIES // cells)
+            for lo in range(0, len(rows), slab):
+                sl = slice(lo, lo + slab)
+                prod = signs[0][:, idx[0][sl]]
+                for matrix, inverse in zip(signs[1:], idx[1:]):
+                    prod = prod * matrix[:, inverse[sl]]
+                self._t1 += _exact_matvec(prod, counts[sl])
         self._m += int(counts.sum())
 
     # -- estimation ---------------------------------------------------------
@@ -462,8 +493,10 @@ def merge_banks(a: EstimatorBank, b: EstimatorBank) -> EstimatorBank:
     """Cell-wise counter sum; equals ingesting the concatenated stream."""
     if a.config != b.config or a.shape != b.shape or a.master_seed != b.master_seed:
         raise ValueError("banks differ in configuration, shape or master seed")
-    out = EstimatorBank(a.config, shape=a.shape, master_seed=a.master_seed,
-                        params=a.params)
+    # The checks above prove that a's hash coefficients are the merged
+    # bank's: a shallow copy shares them (nothing mutates them) instead of
+    # deriving them again.
+    out = copy.copy(a)
     out._t1 = a._t1 + b._t1
     out._marg = a._marg + b._marg
     out._m = a._m + b._m

@@ -130,6 +130,8 @@ def _parse_block(lines: list[str], line_no: int, k: int, n: int) -> np.ndarray:
 def _parse_line(line_no: int, line: str, k: int, n: int) -> tuple[int, ...]:
     parts = line.split(",")
     try:
+        if not line.isascii():  # int() also reads non-ASCII digits such as "\u0663"
+            raise ValueError
         item = tuple(int(p) for p in parts)
     except ValueError:
         raise FormatError(line_no, f"not a comma-separated integer tuple: {line!r}")

@@ -25,6 +25,7 @@ from typing import Iterator
 
 import numpy as np
 
+from .hashing import MAX_DIMS
 from .rng import word_at, words_at
 from .streamfile import _BLOCK_LINES
 
@@ -44,6 +45,10 @@ class GenSpec:
             raise ValueError("n, k and m must be >= 1")
         if self.n > 1 << 64:  # no 64-bit word would pass the rejection bound
             raise ValueError(f"alphabet size {self.n} exceeds the widest supported field")
+        if self.k > MAX_DIMS:  # a block holds k + 1 words per item
+            raise ValueError(f"k must be in [1, {MAX_DIMS}]")
+        if self.m > 1 << 64:  # item i draws from word i of a 64-bit counter
+            raise ValueError("m must be at most 2^64")
         if not (0.0 <= self.lam <= 1.0):
             raise ValueError("lambda must lie in [0, 1]")
 

@@ -9,6 +9,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import prodsketch
 from prodsketch import cli
@@ -149,6 +151,26 @@ def test_data_errors_exit_2(tmp_path, capsys):
     assert code == EXIT_DATA and "empty" in err.lower()
 
 
+@pytest.mark.parametrize("command", ["estimate", "exact"])
+@pytest.mark.parametrize("data, message", [
+    (b"# k=2\n# n=4\n\xd9\xa3,1\n0,1\n", "line 3: not a comma-separated integer tuple"),
+    (b"# k=2\n# n=4\n0,1\n\xff,1\n", "line 4: not a comma-separated integer tuple"),
+    (b"# k=\xd9\xa3\n# n=4\n0,1\n", "stream header has non-integer k="),
+])
+def test_non_ascii_input_fails_alike_from_file_and_stdin(tmp_path, capsys, monkeypatch,
+                                                        command, data, message):
+    # An Arabic-Indic digit three (UTF-8 d9 a3), which int() reads as 3, and
+    # a byte that is no UTF-8: the same line-numbered refusal by either route.
+    path = tmp_path / "stream.txt"
+    path.write_bytes(data)
+    from_file = run(capsys, command, "--input", str(path))
+    monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(data), encoding="utf-8"))
+    from_stdin = run(capsys, command)
+    assert from_file == from_stdin
+    code, out, err = from_file
+    assert code == EXIT_DATA and out == "" and err.startswith(f"error: {message}")
+
+
 def test_usage_errors_exit_1(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["estimate", "--bogus-flag"])
@@ -158,6 +180,9 @@ def test_usage_errors_exit_1(capsys):
     assert exc.value.code == EXIT_USAGE
     code, _, err = run(capsys, "estimate", "--k", "2", "--n", "4", "--epsilon", "7")
     assert code == EXIT_USAGE and "epsilon" in err
+    # 1/delta overflows for a subnormal delta, so its shape has no s2.
+    code, _, err = run(capsys, "estimate", "--k", "2", "--n", "4", "--delta", "5e-324")
+    assert code == EXIT_USAGE and err == "error: delta must lie in (0, 1) with a finite 1/delta\n"
 
 
 def test_exact_memory_budget_refusal(stream_file, capsys):
@@ -177,6 +202,12 @@ def test_gen_refuses_alphabets_past_64_bits(capsys):
     assert err == f"error: alphabet size {(1 << 64) + 1} exceeds the widest supported field\n"
     code, out, _ = run(capsys, "gen", "--n", str(1 << 64), "--k", "2", "--m", "3", "--out", "-")
     assert code == EXIT_OK and len(out.splitlines()) == 6 + 3
+    # Past 2^64 items the word counter would wrap; past 256 dimensions a
+    # block's words would grow without bound.  Both are refused up front.
+    for flags, message in ((("--k", "1", "--m", str((1 << 64) + 1)), "m must be at most 2^64"),
+                           (("--k", "257", "--m", "1"), "k must be in [1, 256]")):
+        code, out, err = run(capsys, "gen", "--n", "4", *flags, "--out", "-")
+        assert code == EXIT_DATA and out == "" and err == f"error: {message}\n"
 
 
 def test_estimate_memory_budget_refusal(capsys, monkeypatch):
@@ -319,3 +350,77 @@ def test_smallest_width():
     assert smallest_width(1 << 60) == 64
     with pytest.raises(ValueError):
         smallest_width((1 << 64) + 1)
+
+
+_FUZZ_FLAGS = {  # flag: values it takes when it does not carry the case's edge value
+    "estimate": {"--k": ("1", "3"), "--n": ("1", "4", "65536"), "--epsilon": ("0.5", "1"),
+                 "--delta": ("0.5",), "--seed": ("7",), "--memory-budget": ("100000000",)},
+    "exact": {"--k": ("1", "3"), "--n": ("1", "4", "65536"), "--memory-budget": ("1000",)},
+    "gen": {"--n": ("1", "4"), "--k": ("1", "3"), "--m": ("1", "5"), "--lambda": ("0.5",),
+            "--rng-seed": ("7",)},
+    "selftest": {},
+}
+_FUZZ_EDGES = ("nan", "-1", "0", str((1 << 64) + 1), str(-(1 << 65)), "inf", "5e-324", "x", "")
+_FUZZ_ITEMS = ("0,1", "3,3")
+_FUZZ_LINES = ("# k=2", "# n=4", "# k=nan", "# n=0", f"# k={(1 << 64) + 1}", "# n=٣",
+               *_FUZZ_ITEMS, "٣,1", "1,2,3", "-1,0", "9,9", "1.5,0", "0,1,", " 2 , 1 ", "",
+               "#", "1_0,1")
+
+
+@st.composite
+def _fuzz_case(draw):
+    """argv, stream bytes and the route: one flag (at most) carries an edge
+    value, the others are valid or left out, so each edge meets a run that
+    would otherwise go through."""
+    command = draw(st.sampled_from([*_FUZZ_FLAGS, "nosuch"]))
+    flags = _FUZZ_FLAGS.get(command, {})
+    argv = [command]
+    if command == "selftest":  # a flag of another command: a usage error, not a full run
+        argv += ["--k", "1"]
+    edge = draw(st.sampled_from([*flags, None]))
+    for flag, valid in flags.items():
+        if flag == edge:
+            value = draw(st.sampled_from(_FUZZ_EDGES))
+        elif command == "gen" and flag in ("--n", "--k", "--m"):  # required
+            value = draw(st.sampled_from(valid))
+        elif flag in ("--n", "--k"):  # mostly given: the header seldom has both
+            value = draw(st.sampled_from((*valid, None)))
+        else:
+            value = draw(st.none() | st.sampled_from(valid))
+        if value is not None:
+            argv += [flag, value]
+    # Half the streams are clean (or empty), so a flag's edge is reached.
+    lines = draw(st.lists(st.sampled_from(_FUZZ_ITEMS), max_size=3)
+                 | st.lists(st.sampled_from(_FUZZ_LINES), max_size=6))
+    data = "\n".join(lines).encode() + draw(st.just(b"") | st.binary(max_size=8))
+    return argv, data, draw(st.booleans())
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=_fuzz_case())
+def test_cli_fuzz_exits_cleanly(tmp_path_factory, case):
+    # Any subcommand, flag value and stream bytes, read from a file or from
+    # stdin, end in exit 0, 1 or 2 with at most one error line, never in a
+    # traceback.
+    argv, data, piped = case
+    work = tmp_path_factory.mktemp("fuzz")
+    path = work / "stream.txt"
+    path.write_bytes(data)
+    if argv[0] in ("estimate", "exact") and not piped:
+        argv += ["--input", str(path)]
+    if argv[0] == "gen":
+        argv += ["--out", "-" if piped else str(work / "out.txt")]
+    stdin, stdout, stderr = sys.stdin, sys.stdout, sys.stderr
+    sys.stdin = io.TextIOWrapper(io.BytesIO(data), encoding="utf-8")
+    sys.stdout, sys.stderr = io.StringIO(), io.StringIO()
+    try:
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse: usage errors and --help
+            code = exc.code
+        err = sys.stderr.getvalue()
+    finally:
+        sys.stdin, sys.stdout, sys.stderr = stdin, stdout, stderr
+    assert code in (EXIT_OK, EXIT_USAGE, EXIT_DATA), (argv, data, err)
+    assert sum(line.count("error:") for line in err.splitlines()) <= 1, err
+    assert "Traceback" not in err

@@ -172,7 +172,7 @@ def test_monotone_refinement_keeps_cell_values():
     assert np.array_equal(wide.instance_values()[:, :3], narrow.instance_values())
 
 
-def test_merge_banks_identity_split_commute():
+def test_merge_banks_identity_split_commute(monkeypatch):
     stream = list(generate(GenSpec(n=4, k=2, m=90, lam=0.2, rng_seed=10)))
     whole = small_bank(1)
     whole.ingest_many(stream)
@@ -181,8 +181,16 @@ def test_merge_banks_identity_split_commute():
     left, right = small_bank(1), small_bank(1)
     left.ingest_many(stream[:37])
     right.ingest_many(stream[37:])
-    assert merge_banks(left, right).counters_equal(whole)
     assert merge_banks(right, left).counters_equal(whole)
+    # The merged bank reuses left's hash coefficients instead of deriving
+    # them again, and goes on ingesting into counters of its own.
+    monkeypatch.setattr(estimator, "derive_coefficients_batch", None)
+    merged = merge_banks(left, right)
+    assert merged.counters_equal(whole) and merged.estimate() == whole.estimate()
+    merged.ingest_many(stream[:11])
+    whole.ingest_many(stream[:11])
+    assert merged.counters_equal(whole) and merged.estimate() == whole.estimate()
+    assert left.item_count == 37 and right.item_count == 53
 
 
 def test_merge_banks_mismatch_rejected():
@@ -537,6 +545,71 @@ def test_buffered_ingest_matches_scalar_instances(case):
             for a in items:
                 inst.update_item(a)
             assert bank.instance_view(g, j).counters() == inst.counters()
+
+
+@st.composite
+def _flush_cases(draw):
+    """A config, bank shape and seed, and the distinct rows and counts of one flush.
+
+    Each dimension draws its own pool of one to eight symbols, so the
+    flush's symbol grid ranges from dense to sparse.
+    """
+    n = draw(st.sampled_from([2, 5, 16, 1 << 16]))
+    k = draw(st.integers(1, 4))
+    pools = [draw(st.lists(st.integers(0, n - 1), min_size=1, unique=True,
+                           max_size=draw(st.sampled_from([1, 3, 8])))) for _ in range(k)]
+    rows = draw(st.lists(st.tuples(*map(st.sampled_from, pools)), min_size=1, max_size=40,
+                         unique=True))
+    counts = draw(st.lists(st.integers(1, 1 << 20), min_size=len(rows), max_size=len(rows)))
+    shape = BankShape(draw(st.integers(1, 7)), draw(st.integers(1, 3)))
+    seed = draw(st.integers(0, (1 << 64) - 1))
+    width = min(w for w in SUPPORTED_WIDTHS if 1 << w >= n)
+    return (SketchConfig(k=k, n=n, spec=FieldSpec(width)), shape, seed,
+            np.array(rows, dtype=np.uint64), np.array(counts, dtype=np.int64))
+
+
+def _add_rows_by_both_paths(config, shape, seed, rows, counts, working=1 << 22):
+    """Banks after one ``_add_rows`` call forced onto the row path and the dense path."""
+    banks = []
+    for grid in (0, 1 << 64):
+        bank = EstimatorBank(config, shape=shape, master_seed=seed)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(estimator, "_DENSE_GRID", grid)
+            mp.setattr(estimator, "_WORKING_ENTRIES", working)
+            bank._add_rows(rows, counts)
+        banks.append(bank)
+    return banks
+
+
+@settings(max_examples=80, deadline=None)
+@given(_flush_cases(), st.sampled_from(["one", "fit", "default"]))
+def test_dense_and_row_contractions_agree(case, working):
+    # "one" halves every flush down to single rows and contracts one cell
+    # per slab; "fit" keeps the flush whole but slabs the cells whenever the
+    # partial sums outgrow the sign matrices.
+    config, shape, seed, rows, counts = case
+    symbols = sum(len(np.unique(column)) for column in rows.T)
+    entries = {"one": 1, "fit": shape.cells * symbols, "default": 1 << 22}[working]
+    by_rows, dense = _add_rows_by_both_paths(config, shape, seed, rows, counts, entries)
+    assert by_rows.counters_equal(dense) and dense.item_count == counts.sum()
+
+
+def test_dense_contraction_is_exact_below_2_53():
+    # Every (cell, symbol) partial sum of one flush is bounded by its item
+    # total, so float64 stays exact up to a total of 2^53 - 1.
+    config = SketchConfig(k=3, n=4, spec=W2)
+    rows = np.array([(a, b, c) for a in range(4) for b in range(4) for c in range(3)],
+                    dtype=np.uint64)
+    counts = np.ones(len(rows), dtype=np.int64)
+    counts[5] = (1 << 53) - len(rows)
+    by_rows, dense = _add_rows_by_both_paths(config, BankShape(3, 2), 7, rows, counts)
+    assert by_rows.counters_equal(dense) and dense.item_count == (1 << 53) - 1
+    for g in range(2):
+        for j in range(3):
+            hashes = dense.instance_view(g, j).hashes
+            t1 = sum(int(c) * math.prod(h(int(x)) for h, x in zip(hashes, row))
+                     for row, c in zip(rows, counts))
+            assert dense.instance_view(g, j).t1 == t1
 
 
 @st.composite

@@ -94,11 +94,13 @@ def test_empty_input():
 
 
 def test_malformed_line_reports_number():
-    buf = io.StringIO("0,0\n0,x\n")
-    with pytest.raises(FormatError) as err:
-        read_rows(buf, k=2, n=4)
-    assert "line 2" in str(err.value)
-    assert err.value.line_no == 2
+    # int() reads the Arabic-Indic digit "\u0663" as 3; a stream is ASCII.
+    for bad in ["0,x", "\u0663,1", "0,\udcff"]:
+        buf = io.StringIO(f"0,0\n{bad}\n")
+        with pytest.raises(FormatError) as err:
+            read_rows(buf, k=2, n=4)
+        assert "line 2" in str(err.value)
+        assert err.value.line_no == 2
 
 
 def test_arity_mismatch_detected():
