@@ -15,7 +15,6 @@ import io
 import math
 import sys
 import time
-from dataclasses import dataclass
 
 from .estimator import AccuracyParams, EstimatorBank, StateSize, derive_shape
 from .field import SUPPORTED_WIDTHS, FieldSpec
@@ -33,39 +32,11 @@ EXIT_SELFTEST = 3
 REPORT_VERSION = 1
 
 
-@dataclass(frozen=True)
-class RunReport:
-    estimate_l2_squared: float
-    estimate_l2: float
-    k: int
-    n: int
-    m: int
-    s1: int
-    s2: int
-    master_seed: int
-    elapsed_ms: int
-    mode: str
-
-    FIELDS = (
-        "estimate_l2_squared",
-        "estimate_l2",
-        "k",
-        "n",
-        "m",
-        "s1",
-        "s2",
-        "master_seed",
-        "elapsed_ms",
-        "mode",
-    )
-
-    def emit(self, out=None) -> None:
-        out = out or sys.stdout
-        print(f"report_version={REPORT_VERSION}", file=out)
-        for key in self.FIELDS:
-            value = getattr(self, key)
-            text = repr(value) if isinstance(value, float) else str(value)
-            print(f"{key}={text}", file=out)
+def _print_report(**fields) -> None:
+    """Print ``report_version`` then one key=value line per field, floats by repr."""
+    print(f"report_version={REPORT_VERSION}")
+    for key, value in fields.items():
+        print(f"{key}={value!r}" if isinstance(value, float) else f"{key}={value}")
 
 
 def smallest_width(n: int) -> int:
@@ -189,8 +160,7 @@ def cmd_estimate(args) -> int:
         bank = EstimatorBank(config, params=params, shape=shape, master_seed=args.seed)
         bank.ingest_blocks(iter_blocks(fp, first, k=k, n=n))
     result = bank.estimate()
-    elapsed_ms = int((time.monotonic() - start) * 1000)
-    RunReport(
+    _print_report(
         estimate_l2_squared=result.l2_squared,
         estimate_l2=result.l2,
         k=k,
@@ -199,9 +169,9 @@ def cmd_estimate(args) -> int:
         s1=bank.shape.s1,
         s2=bank.shape.s2,
         master_seed=args.seed,
-        elapsed_ms=elapsed_ms,
+        elapsed_ms=int((time.monotonic() - start) * 1000),
         mode="independence",
-    ).emit()
+    )
     if args.snapshot_out:
         # After the report, so a failed save never loses a finished estimate.
         sys.stdout.flush()
@@ -224,13 +194,14 @@ def cmd_exact(args) -> int:
         blocks = iter_blocks(fp, first, k=k, n=n)
         table = FrequencyTable.from_blocks(blocks, k, n, max_support=args.memory_budget)
     value = exact_l2sq(table)
-    print(f"report_version={REPORT_VERSION}")
-    print(f"k={k}")
-    print(f"n={n}")
-    print(f"m={table.m}")
-    print(f"exact_l2_squared_fraction={value.numerator}/{value.denominator}")
-    print(f"exact_l2_squared={float(value)!r}")
-    print(f"exact_l2={math.sqrt(value)!r}")
+    _print_report(
+        k=k,
+        n=n,
+        m=table.m,
+        exact_l2_squared_fraction=f"{value.numerator}/{value.denominator}",
+        exact_l2_squared=float(value),
+        exact_l2=math.sqrt(value),
+    )
     return EXIT_OK
 
 

@@ -229,7 +229,6 @@ class EstimatorBank:
                 raise ValueError("provide either params or an explicit shape")
             shape = derive_shape(params, config.k, paper_constants=paper_constants)
         self.config = config
-        self.params = params
         self.shape = shape
         self.master_seed = master_seed & ((1 << 64) - 1)
 

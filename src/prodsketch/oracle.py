@@ -8,6 +8,11 @@ floating-point slack.  The price is a hard budget: enumeration is only
 permitted for field width <= 2 and k <= 3, and at most 2^24 seed tuples;
 larger configurations are rejected rather than sampled.
 
+Enumeration runs on one vector.  The estimator's cell value is
+U = t1 m^(k-1) - prod_i marg_i = sum_p H(p) v_p with the deviation vector
+v = m^(k-1) f - f_1 (x) ... (x) f_k, so a table's Y is the AMS square of
+v / m^k and a turnstile vector's Y is that of its own weights.
+
 The joint frequency map is sparse (streams occupy few cells of [n]^k)
 while the per-dimension marginals are dense arrays (alphabets are small).
 """
@@ -17,7 +22,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain
+from itertools import chain, product
 from typing import Iterable, Mapping
 
 import numpy as np
@@ -225,13 +230,15 @@ def exhaustive_moments(
     n: int | None = None,
     budget: int = ENUMERATION_BUDGET,
 ) -> ExactMoments:
-    """E[Y] and Var[Y] by iterating every seed tuple, in exact arithmetic.
+    """E[Y] and Var[Y] of Y = (sum_p v_p H(p))^2 over every seed tuple, exactly.
 
-    ``source`` is either a :class:`FrequencyTable` (the stream estimator's
-    Y) or a mapping from k-tuples to weights (turnstile vector;
-    Y = (sum_p v_p H(p))^2).  Weights may be ints, Fractions or
-    floats; they are scaled to a common integer grid, so the result is
-    exact for the binary values actually supplied.
+    ``source`` is a mapping from k-tuples to weights v_p (turnstile vector)
+    or a :class:`FrequencyTable`.  A table's Y is that of its deviation
+    vector v / m^k, v_p = m^(k-1) f(p) - prod_i f_i(p_i): a cell's
+    U = t1 m^(k-1) - prod_i marg_i is sum_p H(p) v_p.  Weights may be ints,
+    Fractions or floats; they are scaled to one integer grid, so the result
+    is exact for the binary values actually supplied.  Refusals come before
+    anything is expanded over [n]^k.
     """
     if isinstance(source, FrequencyTable):
         k, n = source.k, source.n
@@ -253,101 +260,69 @@ def exhaustive_moments(
         raise EnumerationBudgetError(f"enumeration requires k <= {_MAX_ENUM_K}, got {k}")
     if not (1 <= n <= spec.order):
         raise ValueError(f"alphabet size {n} does not fit the field")
-    seeds = 1 << (4 * spec.width)
-    tuples = seeds**k
+    tuples = (1 << (4 * spec.width)) ** k
     if tuples > budget:
         raise EnumerationBudgetError(
             f"{tuples} seed tuples exceed the enumeration budget of {budget}"
         )
 
-    signs = all_seed_signs(spec, n)
     if isinstance(source, FrequencyTable):
-        tensor = np.zeros((n,) * k, dtype=object)
-        for item, f in source.joint.items():
-            tensor[item] = f
-        m = source.m
-        multiplier = m ** (k - 1)
-        marg_vectors = [np.array(marg, dtype=object) for marg in source.marginals]
-        bound = 2 * m**k
-        y_denominator = m ** (2 * k)
-    else:
-        tensor = np.zeros((n,) * k, dtype=object)
-        weights = {}
-        for p, wgt in source.items():
-            p = tuple(p)
-            if len(p) != k:
-                raise ValueError(f"expected {k}-tuples in the turnstile vector")
-            for x in p:
-                if not (0 <= x < n):
-                    raise ValueError(f"symbol {x} outside [0, {n})")
-            weights[p] = Fraction(wgt)
-        denom = math.lcm(*(w.denominator for w in weights.values()))
-        for p, wgt in weights.items():
-            tensor[p] = int(wgt * denom)
-        multiplier = 1
-        marg_vectors = None
-        bound = max(1, int(sum(abs(int(w * denom)) for w in weights.values())))
-        y_denominator = denom * denom
+        source = _deviation_vector(source)
+    weights = {tuple(p): Fraction(wgt) for p, wgt in source.items()}
+    scale = math.lcm(*(w.denominator for w in weights.values()))
+    tensor = np.zeros((n,) * k, dtype=object)
+    for p, wgt in weights.items():
+        if len(p) != k:
+            raise ValueError(f"expected {k}-tuples in the turnstile vector")
+        for x in p:
+            if not (0 <= x < n):
+                raise ValueError(f"symbol {x} outside [0, {n})")
+        tensor[p] = int(wgt * scale)
+    bound = max(1, int(np.abs(tensor).sum()))  # |sum_p v_p H(p)| <= sum_p |v_p|
 
-    exact_objects = bound**4 >= (1 << 61)
-    if exact_objects:
-        table = signs.astype(object)
+    signs = all_seed_signs(spec, n)
+    if bound**4 < (1 << 61):
+        signs, tensor = signs.astype(np.int64), tensor.astype(np.int64)
     else:
-        table = signs.astype(np.int64)
-        tensor = tensor.astype(np.int64)
-        if marg_vectors is not None:
-            marg_vectors = [v.astype(np.int64) for v in marg_vectors]
-
-    margins = None
-    if marg_vectors is not None:
-        margins = [table @ v for v in marg_vectors]
+        signs = signs.astype(object)
 
     s1_sum = 0
     s2_sum = 0
-    for num in _numerator_slabs(table, tensor, multiplier, margins, k):
+    for num in _numerator_slabs(signs, tensor):
         a, b = _exact_square_sums(num, bound)
         s1_sum += a
         s2_sum += b
 
-    e_y = Fraction(s1_sum, tuples) / y_denominator
-    e_y2 = Fraction(s2_sum, tuples) / (y_denominator * y_denominator)
+    e_y = Fraction(s1_sum, tuples * scale**2)
+    e_y2 = Fraction(s2_sum, tuples * scale**4)
     variance = e_y2 - e_y * e_y
     ratio = variance / (e_y * e_y) if e_y != 0 else None
     return ExactMoments(expectation=e_y, variance=variance, ratio=ratio)
 
 
-def _numerator_slabs(table, tensor, multiplier, margins, k):
-    """Yield arrays of the integer numerator of Y over all seed tuples.
+def _deviation_vector(table: FrequencyTable) -> dict[tuple[int, ...], Fraction]:
+    """v / m^k over all of [n]^k, v_p = m^(k-1) f(p) - prod_i f_i(p_i)."""
+    m, k, joint = table.m, table.k, table.joint
+    return {
+        p: Fraction(
+            joint.get(p, 0) * m ** (k - 1) - math.prod(f[x] for f, x in zip(table.marginals, p)),
+            m**k,
+        )
+        for p in product(range(table.n), repeat=k)
+    }
 
-    Seed axes are enumerated in full; k = 3 is produced in slabs over the
-    first seed axis to bound memory.
+
+def _numerator_slabs(signs: np.ndarray, tensor: np.ndarray):
+    """Yield sum_p v_p H(p) over every seed tuple, in slabs of 64 first-axis seeds.
+
+    Dimensions 2..k are contracted against the sign table one at a time,
+    each appending its seed axis; the first is contracted per slab.
     """
-    if k == 1:
-        a = table @ tensor
-        yield (a * multiplier - margins[0]) if margins else a
-    elif k == 2:
-        a = table @ tensor @ table.T
-        if margins:
-            yield a * multiplier - np.multiply.outer(margins[0], margins[1])
-        else:
-            yield a
-    else:
-        partial = np.tensordot(tensor, table, axes=([1], [1]))  # (a, c, t)
-        partial = np.tensordot(partial, table, axes=([1], [1]))  # (a, t, u)
-        rows = table.shape[0]
-        slab = 64
-        for lo in range(0, rows, slab):
-            hi = min(lo + slab, rows)
-            a = np.tensordot(table[lo:hi], partial, axes=([1], [0]))
-            if margins:
-                outer = (
-                    margins[0][lo:hi, None, None]
-                    * margins[1][None, :, None]
-                    * margins[2][None, None, :]
-                )
-                yield a * multiplier - outer
-            else:
-                yield a
+    partial = tensor
+    for _ in range(tensor.ndim - 1):
+        partial = np.tensordot(partial, signs, axes=([1], [1]))
+    for lo in range(0, signs.shape[0], 64):
+        yield np.tensordot(signs[lo : lo + 64], partial, axes=([1], [0]))
 
 
 def _exact_square_sums(num: np.ndarray, bound: int) -> tuple[int, int]:

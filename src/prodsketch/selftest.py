@@ -19,6 +19,7 @@ control can demonstrate the battery actually fails on a broken field.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import random
 from dataclasses import dataclass
@@ -222,16 +223,9 @@ def run_selftest(quick: bool = False, field_fault: bool = False) -> list[CheckRe
 
     enum_ok = True
     for n, k, spec in ((2, 2, w2), (3, 2, w2), (4, 2, w2), (2, 3, w1)):
-        t = all_seed_signs(spec, n).astype(np.int64)
-        row = t.sum(axis=1)
-        m = n**k
-        if k == 2:
-            u = np.multiply.outer(row, row) * m - np.multiply.outer(n * row, n * row)
-        else:
-            u = (
-                np.einsum("a,b,c->abc", row, row, row) * m**2
-                - np.einsum("a,b,c->abc", n**2 * row, n**2 * row, n**2 * row)
-            )
+        row = all_seed_signs(spec, n).astype(np.int64).sum(axis=1)
+        t1 = functools.reduce(np.multiply.outer, [row] * k)  # uniform joint: t1 factorises
+        u = t1 * (n**k) ** (k - 1) - t1 * (n ** (k - 1)) ** k  # each margin is n^(k-1) row
         if np.any(u != 0):
             enum_ok = False
     results.append(

@@ -108,6 +108,43 @@ def test_exact_hand_computed_quarter(tmp_path, capsys):
     assert float(rep["exact_l2_squared"]) == 0.25
 
 
+def test_reports_are_byte_stable(stream_file, tmp_path, capsys):
+    # Key order, report_version first, floats by repr and the num/den fraction,
+    # byte for byte; only elapsed_ms varies between runs.
+    code, out, _ = run(capsys, "estimate", "--input", str(stream_file), "--seed", "3")
+    assert code == EXIT_OK
+    lines = out.splitlines()
+    assert lines[9].startswith("elapsed_ms=") and lines[9][len("elapsed_ms="):].isdigit()
+    del lines[9]
+    assert lines == [
+        "report_version=1",
+        "estimate_l2_squared=0.08107395825625002",
+        "estimate_l2=0.28473489118169204",
+        "k=2",
+        "n=4",
+        "m=200",
+        "s1=1600",
+        "s2=5",
+        "master_seed=3",
+        "mode=independence",
+    ]
+    code, out, _ = run(capsys, "exact", "--input", str(stream_file))
+    assert code == EXIT_OK
+    assert out == (
+        "report_version=1\nk=2\nn=4\nm=200\n"
+        "exact_l2_squared_fraction=33063713/400000000\n"
+        "exact_l2_squared=0.0826592825\nexact_l2=0.2875052738646719\n"
+    )
+    path = tmp_path / "two.txt"
+    path.write_text("0,0\n1,1\n")
+    code, out, _ = run(capsys, "exact", "--input", str(path), "--k", "2", "--n", "2")
+    assert code == EXIT_OK
+    assert out == (
+        "report_version=1\nk=2\nn=2\nm=2\nexact_l2_squared_fraction=1/4\n"
+        "exact_l2_squared=0.25\nexact_l2=0.5\n"
+    )
+
+
 def test_estimate_single_line_and_constant_are_zero(capsys, monkeypatch):
     monkeypatch.setattr("sys.stdin", io.StringIO("0,0,0\n"))
     code, out, _ = run(capsys, "estimate", "--k", "3", "--n", "4")

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from prodsketch.field import FieldSpec
@@ -215,6 +215,92 @@ def test_budget_rejections():
         exhaustive_moments(table, spec=W2, budget=1000)
     with pytest.raises(EmptyStreamError):
         exhaustive_moments(FrequencyTable(2, 2), spec=W2)
+
+
+def test_refusals_come_before_any_expansion(monkeypatch):
+    # A table past the width or k limit is refused from its k, n and m alone:
+    # neither its counts nor the sign table may be read first.
+    class Untouchable(FrequencyTable):
+        @property
+        def joint(self):
+            raise AssertionError("joint counts read before the refusal")
+
+        def _joint_arrays(self):
+            raise AssertionError("joint counts read before the refusal")
+
+    def no_signs(*args):
+        raise AssertionError("sign table built before the refusal")
+
+    monkeypatch.setattr("prodsketch.oracle.all_seed_signs", no_signs)
+    wide = Untouchable(2, 1 << 16)
+    wide.m = 1
+    with pytest.raises(EnumerationBudgetError, match="width"):
+        exhaustive_moments(wide, spec=FieldSpec(4))
+    for n, spec in ((2, W1), (4, W2), (1 << 16, FieldSpec(16))):
+        four = Untouchable(4, n)
+        four.m = 1
+        with pytest.raises(EnumerationBudgetError):
+            exhaustive_moments(four, spec=spec)
+    budget = Untouchable(3, 4)
+    budget.m = 1
+    with pytest.raises(EnumerationBudgetError, match="budget"):
+        exhaustive_moments(budget, spec=W2, budget=(1 << 24) - 1)
+
+
+# Every w = 1 hash on [2] as a lookup of its scalar evaluations, so the loop
+# below shares nothing with the oracle's sign tables.
+W1_HASHES = [
+    [h(0), h(1)].__getitem__
+    for h in (SignHash(W1, SignHashSeed.from_int(s, 1), 2) for s in range(16))
+]
+
+
+def per_tuple_moments(y_of, k):
+    """E[Y] and Var[Y] from Y at each seed tuple of the w = 1 family, one at a time."""
+    ys = [y_of(hashes) for hashes in itertools.product(W1_HASHES, repeat=k)]
+    e_y = sum(ys, Fraction(0)) / len(ys)
+    return e_y, sum((y * y for y in ys), Fraction(0)) / len(ys) - e_y * e_y
+
+
+# Counts and weights past about 2^15 put the enumeration's L1 bound^4 past
+# 2^61, so the object-dtype path is held to the loop as well as the int64 one.
+_COUNTS = st.lists(st.integers(0, 3) | st.integers(0, 10**6), min_size=8, max_size=8)
+_WEIGHTS = st.lists(
+    st.integers(-(10**6), 10**6) | st.fractions(-(10**6), 10**6, max_denominator=1000),
+    min_size=8, max_size=8,
+)
+
+
+@settings(max_examples=30, deadline=None)
+@given(k=st.integers(1, 3), n=st.integers(1, 2), counts=_COUNTS)
+@example(k=3, n=2, counts=[999_983, 0, 7, 31_337, 1, 500_009, 2, 65_521])
+@example(k=2, n=2, counts=[1, 0, 0, 1, 0, 0, 0, 0])
+def test_enumeration_matches_per_seed_table_loop(k, n, counts):
+    cells = list(itertools.product(range(n), repeat=k))
+    assume(any(counts[: len(cells)]))
+    table = FrequencyTable(k, n)
+    for p, c in zip(cells, counts):
+        if c:
+            table.add(p, c)
+    fast = exhaustive_moments(table, spec=W1)
+    slow = per_tuple_moments(lambda hashes: exact_y_from_table(table, hashes), k)
+    assert (fast.expectation, fast.variance) == slow
+
+
+@settings(max_examples=20, deadline=None)
+@given(k=st.integers(1, 3), n=st.integers(1, 2), weights=_WEIGHTS)
+@example(k=3, n=2, weights=[-(10**6), Fraction(7, 3), 0, 999_999, Fraction(-1, 997), 5, -3, 1])
+@example(k=1, n=2, weights=[Fraction(-1, 2), Fraction(1, 3)] + [0] * 6)
+def test_enumeration_matches_per_seed_vector_loop(k, n, weights):
+    vec = dict(zip(itertools.product(range(n), repeat=k), weights))
+
+    def direct_y(hashes):
+        acc = sum((w * math.prod(h(x) for h, x in zip(hashes, p)) for p, w in vec.items()),
+                  Fraction(0))
+        return acc * acc
+
+    fast = exhaustive_moments(vec, spec=W1, k=k, n=n)
+    assert (fast.expectation, fast.variance) == per_tuple_moments(direct_y, k)
 
 
 def test_census_patterns_and_marginalization():
