@@ -157,7 +157,7 @@ def cmd_estimate(args) -> int:
                 f"bank needs {size.counters + size.seeds} counters and seeds, "
                 f"over the budget of {args.memory_budget}"
             )
-        bank = EstimatorBank(config, params=params, shape=shape, master_seed=args.seed)
+        bank = EstimatorBank(config, shape=shape, master_seed=args.seed)
         bank.ingest_blocks(iter_blocks(fp, first, k=k, n=n))
     result = bank.estimate()
     _print_report(

@@ -17,7 +17,7 @@ back to the derived formula.
 The bank stores counters in flat numpy int64 arrays (cells row-major by
 (group, index)).  ``ingest_blocks`` is the one ingest path: it takes
 (rows, k) uint64 arrays, such as ``streamfile.iter_blocks`` yields
-(``ingest_many`` batches tuples into such arrays).  Every counter is linear
+(``ingest_many`` gets them from ``streamfile.tuple_blocks``).  Every counter is linear
 in the stream's frequency vector, so a call keeps one exact histogram
 (distinct rows with their multiplicities) and adds it to the counters once,
 at the end of the call, or earlier whenever its support passes
@@ -62,8 +62,7 @@ import math
 import struct
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import islice
-from typing import Iterable, Iterator
+from typing import Iterable
 
 import numpy as np
 
@@ -76,6 +75,7 @@ from .hashing import (
     derive_hashes,
 )
 from .sketch import EmptyStreamError, SketchConfig, SketchInstance, finalize_values
+from .streamfile import tuple_blocks
 
 _MAGIC = b"PSKBANK1"
 _HEADER = struct.Struct("<8q")
@@ -83,7 +83,7 @@ _SNAPSHOT_VERSION = 1
 
 # An ingest histogram is flushed once its support passes _CHUNK_ITEMS rows,
 # and before its item total reaches _EXACT_ITEMS, below which every float64
-# sum of a flush is exact.  ``ingest_many`` batches tuples by _CHUNK_ITEMS.
+# sum of a flush is exact.
 _CHUNK_ITEMS = 8192
 _EXACT_ITEMS = 1 << 53
 # Cap on the entries of a flush's sign matrices (summed over dimensions), of
@@ -222,12 +222,11 @@ class EstimatorBank:
         params: AccuracyParams | None = None,
         shape: BankShape | None = None,
         master_seed: int = 0,
-        paper_constants: bool = False,
     ) -> None:
         if shape is None:
             if params is None:
                 raise ValueError("provide either params or an explicit shape")
-            shape = derive_shape(params, config.k, paper_constants=paper_constants)
+            shape = derive_shape(params, config.k)
         self.config = config
         self.shape = shape
         self.master_seed = master_seed & ((1 << 64) - 1)
@@ -245,30 +244,7 @@ class EstimatorBank:
 
     def ingest_many(self, items: Iterable[tuple[int, ...]]) -> int:
         """Apply a batch of items; returns how many were ingested."""
-        return self.ingest_blocks(self._tuple_blocks(items))
-
-    def _tuple_blocks(self, items: Iterable[tuple[int, ...]]) -> Iterator[np.ndarray]:
-        k, n = self.config.k, self.config.n
-        items = iter(items)
-        while chunk := list(islice(items, _CHUNK_ITEMS)):
-            try:
-                block = np.asarray(chunk)
-            except ValueError:  # tuples of different lengths
-                raise ValueError(f"expected {k}-tuples") from None
-            if block.ndim != 2 or block.shape[1] != k:
-                raise ValueError(f"expected {k}-tuples")
-            kind = block.dtype.kind
-            if kind in "bu" or kind == "i" and block.min() >= 0:
-                block = block.astype(np.uint64, copy=False)
-            else:  # floats, strings, negative, huge or mixed values
-                if not all(isinstance(x, (int, np.integer)) for a in chunk for x in a):
-                    raise ValueError("symbols must be integers")
-                if not all(0 <= x < n for a in chunk for x in a):
-                    bad = next(a for a in chunk if not all(0 <= x < n for x in a))
-                    raise ValueError(f"symbol out of range [0, {n}) in item {tuple(bad)}")
-                block = np.asarray(chunk, dtype=np.uint64)
-            del chunk  # so two chunks are never held at once (peak memory)
-            yield block
+        return self.ingest_blocks(tuple_blocks(items, self.config.k, self.config.n))
 
     def ingest_blocks(self, blocks: Iterable[np.ndarray]) -> int:
         """Apply ``(rows, k)`` uint64 arrays of symbols; returns the item count.
@@ -373,14 +349,9 @@ class EstimatorBank:
         if self._m == 0:
             raise EmptyStreamError("cannot estimate from an empty stream")
         k, m = self.config.k, self._m
-        if m**k < (1 << 62):
-            u_values = (self._t1 * m ** (k - 1) - self._marg.prod(axis=1)).tolist()
-        else:
-            # Counters exceed the int64-safe product range; exact big ints.
-            u_values = [
-                t1 * m ** (k - 1) - math.prod(marg)
-                for t1, marg in zip(self._t1.tolist(), self._marg.tolist())
-            ]
+        dtype = np.int64 if m**k < 1 << 62 else object  # |U| <= 2 m^k
+        t1, marg = self._t1.astype(dtype), self._marg.astype(dtype)
+        u_values = (t1 * m ** (k - 1) - marg.prod(axis=1)).tolist()
         y = np.fromiter(
             finalize_values(u_values, m, k), dtype=np.float64, count=len(u_values)
         )

@@ -13,16 +13,21 @@ U = t1 m^(k-1) - prod_i marg_i = sum_p H(p) v_p with the deviation vector
 v = m^(k-1) f - f_1 (x) ... (x) f_k, so a table's Y is the AMS square of
 v / m^k and a turnstile vector's Y is that of its own weights.
 
-The joint frequency map is sparse (streams occupy few cells of [n]^k)
-while the per-dimension marginals are dense arrays (alphabets are small).
+A table's joint counts are sparse, its distinct rows with their counts
+(streams occupy few cells of [n]^k), while the per-dimension marginals are
+dense (alphabets are small).  Tuples enter a table only through
+``streamfile.tuple_blocks``, the path and checks of ``ingest_many``.
+Integer sums pick their dtype from a bound: int64 where it provably holds
+them, Python ints (object arrays) past it.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain, product
+from itertools import chain
 from typing import Iterable, Mapping
 
 import numpy as np
@@ -31,6 +36,7 @@ from .estimator import distinct_rows, merge_rows
 from .field import FieldSpec
 from .hashing import SignHash, batch_sign_eval
 from .sketch import EmptyStreamError
+from .streamfile import tuple_blocks
 
 ENUMERATION_BUDGET = 1 << 24
 _MAX_ENUM_WIDTH = 2
@@ -42,33 +48,39 @@ class EnumerationBudgetError(ValueError):
 
 
 class FrequencyTable:
-    """Exact joint and marginal counts of a tuple stream."""
+    """Exact joint and marginal counts of a tuple stream, held as arrays.
+
+    ``rows`` are the distinct items as a (support, k) uint64 array and
+    ``counts`` their int64 multiplicities; ``marginals`` are per-dimension
+    lists of counts and ``m`` is the item total.  Counts are merged with
+    ``merge_rows``, exact while ``m`` stays below 2^53, so ``add`` refuses
+    a count that would reach it; each ``add`` sorts the whole support, so
+    large tables are built with ``from_stream`` or ``from_blocks``.
+    ``joint`` is a dict built from the arrays when read.
+    """
 
     def __init__(self, k: int, n: int) -> None:
         if k < 1 or n < 1:
             raise ValueError("k and n must be >= 1")
         self.k = k
         self.n = n
-        self._joint: dict[tuple[int, ...], int] = {}
-        self._arrays: tuple[np.ndarray, np.ndarray] | None = None
+        self.rows = np.empty((0, k), np.uint64)
+        self.counts = np.empty(0, np.int64)
         self.marginals = [[0] * n for _ in range(k)]
         self.m = 0
 
     @classmethod
     def from_stream(cls, items: Iterable[tuple[int, ...]], k: int, n: int) -> "FrequencyTable":
-        table = cls(k, n)
-        for a in items:
-            table.add(a)
-        return table
+        return cls.from_blocks(tuple_blocks(items, k, n), k, n)
 
     @classmethod
     def from_blocks(
         cls, blocks: Iterable[np.ndarray], k: int, n: int, *, max_support: float = math.inf
     ) -> "FrequencyTable":
-        """Table of validated (rows, k) uint64 blocks, equal to ``add`` per row, built with arrays.
+        """Table of validated (rows, k) uint64 blocks, equal to ``add`` per row.
 
         Blocks' distinct rows are merged into the table's once they outnumber them by more
-        than a block; a merge past ``max_support`` rows raises.  ``joint`` is built when read.
+        than a block; a merge past ``max_support`` rows raises.
         """
         parts = [(np.empty((0, k), np.uint64), np.empty(0, np.int64))]
         for block in chain(blocks, [None]):  # None marks the end: merge what is left
@@ -82,7 +94,7 @@ class FrequencyTable:
                         f"joint support exceeds the memory budget of {max_support} entries"
                     )
         table = cls(k, n)
-        table._arrays = rows, counts = parts[0]
+        table.rows, table.counts = rows, counts = parts[0]
         sums = (np.bincount(column.astype(np.intp), counts, minlength=n) for column in rows.T)
         table.marginals = [s.astype(np.int64).tolist() for s in sums]  # exact: m < 2^53
         table.m = int(counts.sum())
@@ -90,30 +102,16 @@ class FrequencyTable:
 
     @property
     def joint(self) -> dict[tuple[int, ...], int]:
-        if self._arrays is not None:
-            rows, counts = self._arrays
-            self._joint, self._arrays = dict(zip(map(tuple, rows.tolist()), counts.tolist())), None
-        return self._joint
-
-    def _joint_arrays(self) -> tuple[np.ndarray, np.ndarray]:
-        """The distinct items as a (support, k) uint64 array, and their counts."""
-        if self._arrays is None:
-            keys, values = list(self._joint), list(self._joint.values())
-            return np.array(keys, np.uint64).reshape(-1, self.k), np.array(values)
-        return self._arrays
+        return dict(zip(map(tuple, self.rows.tolist()), self.counts.tolist()))
 
     def add(self, item: tuple[int, ...], count: int = 1) -> None:
-        item = tuple(item)
-        if len(item) != self.k:
-            raise ValueError(f"expected a {self.k}-tuple, got arity {len(item)}")
-        for x in item:
-            if not (0 <= x < self.n):
-                raise ValueError(f"symbol {x} outside [0, {self.n})")
-        if count < 1:
-            raise ValueError("count must be positive")
-        self.joint[item] = self.joint.get(item, 0) + count
-        for i, x in enumerate(item):
-            self.marginals[i][x] += count
+        (block,) = tuple_blocks([item], self.k, self.n)
+        if not isinstance(count, (int, np.integer)) or not 0 < count < (1 << 53) - self.m:
+            raise ValueError("count must be a positive integer that keeps m below 2^53")
+        count = int(count)
+        self.rows, self.counts = merge_rows([(self.rows, self.counts), (block, np.array([count]))])
+        for marg, x in zip(self.marginals, block[0].tolist()):
+            marg[x] += count
         self.m += count
 
 
@@ -138,9 +136,8 @@ def exact_l2sq(table: FrequencyTable) -> Fraction:
         raise EmptyStreamError("frequency table is empty")
     m, k = table.m, table.k
     dtype = np.int64 if m ** (k + 1) < 1 << 63 else object
-    rows, counts = table._joint_arrays()
-    f, margs = counts.astype(dtype), [np.array(marg, dtype=dtype) for marg in table.marginals]
-    p = math.prod(marg[column] for column, marg in zip(rows.T, margs))
+    f, margs = table.counts.astype(dtype), [np.array(mg, dtype=dtype) for mg in table.marginals]
+    p = math.prod(marg[column] for column, marg in zip(table.rows.T, margs))
     s = m ** (k - 1)
     total = math.prod(int(marg @ marg) for marg in margs) + s * s * int(f @ f) - 2 * s * int(f @ p)
     return Fraction(total, m ** (2 * k))
@@ -156,12 +153,8 @@ def exact_y_from_table(table: FrequencyTable, hashes: tuple[SignHash, ...]) -> F
         raise EmptyStreamError("frequency table is empty")
     if len(hashes) != table.k:
         raise ValueError("hash tuple arity does not match the table")
-    t1 = 0
-    for item, f in table.joint.items():
-        sign = 1
-        for h, x in zip(hashes, item):
-            sign *= h(x)
-        t1 += f * sign
+    rows, counts = table.rows.tolist(), table.counts.tolist()
+    t1 = sum(f * math.prod(h(x) for h, x in zip(hashes, row)) for row, f in zip(rows, counts))
     margs = [
         sum(c * h(x) for x, c in enumerate(marg) if c)
         for h, marg in zip(hashes, table.marginals)
@@ -267,17 +260,15 @@ def exhaustive_moments(
         )
 
     if isinstance(source, FrequencyTable):
-        source = _deviation_vector(source)
-    weights = {tuple(p): Fraction(wgt) for p, wgt in source.items()}
-    scale = math.lcm(*(w.denominator for w in weights.values()))
-    tensor = np.zeros((n,) * k, dtype=object)
-    for p, wgt in weights.items():
-        if len(p) != k:
-            raise ValueError(f"expected {k}-tuples in the turnstile vector")
-        for x in p:
-            if not (0 <= x < n):
-                raise ValueError(f"symbol {x} outside [0, {n})")
-        tensor[p] = int(wgt * scale)
+        tensor, scale = _deviation_vector(source), source.m**k
+        g = math.gcd(scale, *tensor.flat)  # the grid of v / m^k in lowest terms
+        tensor, scale = tensor // g, scale // g
+    else:
+        weights = [Fraction(wgt) for wgt in source.values()]
+        scale = math.lcm(*(w.denominator for w in weights))
+        tensor = np.zeros((n,) * k, dtype=object)
+        rows = np.concatenate(list(tuple_blocks(source, k, n))).astype(np.intp)
+        tensor[tuple(rows.T)] = [int(w * scale) for w in weights]
     bound = max(1, int(np.abs(tensor).sum()))  # |sum_p v_p H(p)| <= sum_p |v_p|
 
     signs = all_seed_signs(spec, n)
@@ -300,16 +291,12 @@ def exhaustive_moments(
     return ExactMoments(expectation=e_y, variance=variance, ratio=ratio)
 
 
-def _deviation_vector(table: FrequencyTable) -> dict[tuple[int, ...], Fraction]:
-    """v / m^k over all of [n]^k, v_p = m^(k-1) f(p) - prod_i f_i(p_i)."""
-    m, k, joint = table.m, table.k, table.joint
-    return {
-        p: Fraction(
-            joint.get(p, 0) * m ** (k - 1) - math.prod(f[x] for f, x in zip(table.marginals, p)),
-            m**k,
-        )
-        for p in product(range(table.n), repeat=k)
-    }
+def _deviation_vector(table: FrequencyTable) -> np.ndarray:
+    """v over all of [n]^k as Python ints, v_p = m^(k-1) f(p) - prod_i f_i(p_i)."""
+    margs = [np.array(f, dtype=object) for f in table.marginals]
+    v = -functools.reduce(np.multiply.outer, margs)
+    v[tuple(table.rows.T.astype(np.intp))] += table.counts.astype(object) * table.m ** (table.k - 1)
+    return v
 
 
 def _numerator_slabs(signs: np.ndarray, tensor: np.ndarray):
@@ -328,26 +315,15 @@ def _numerator_slabs(signs: np.ndarray, tensor: np.ndarray):
 def _exact_square_sums(num: np.ndarray, bound: int) -> tuple[int, int]:
     """(sum of num^2, sum of num^4) as exact Python ints.
 
-    int64 chunks are sized so partial sums cannot overflow; arrays whose
-    fourth powers exceed int64 arrive as object dtype and are summed
-    directly.
+    An object array (Python ints) is summed in one run; an int64 array,
+    whose entries are at most ``bound`` in absolute value, in runs short
+    enough that no partial sum of fourth powers passes 2^62.
     """
     flat = num.reshape(-1)
-    if flat.dtype == object:
-        s1 = 0
-        s2 = 0
-        for v in flat.tolist():
-            v2 = v * v
-            s1 += v2
-            s2 += v2 * v2
-        return s1, s2
-    e4 = max(1, bound**4)
-    cap = max(1, (1 << 62) // e4)
-    s1 = 0
-    s2 = 0
-    for lo in range(0, flat.size, cap):
-        c = flat[lo : lo + cap]
-        c2 = c * c
+    run = flat.size if flat.dtype == object else max(1, (1 << 62) // bound**4)
+    s1 = s2 = 0
+    for lo in range(0, flat.size, run):
+        c2 = flat[lo : lo + run] ** 2
         s1 += int(c2.sum())
         s2 += int((c2 * c2).sum())
     return s1, s2

@@ -9,7 +9,7 @@ computed expectation, in exact arithmetic wherever the claim is exact:
   * enumerated Var[Y] against the (3^k - 1) E^2 bound,
   * pinned variance/expectation^2 ratios of the uniform vector,
   * merge/replay counter equality,
-  * exact-zero streams, and
+  * exact-zero streams (through the sketch, enumeration and a bank), and
   * table-vs-incremental agreement of Y.
 
 ``quick`` skips the k = 3 enumerations.  ``field_fault`` swaps in a
@@ -19,7 +19,6 @@ control can demonstrate the battery actually fails on a broken field.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import random
 from dataclasses import dataclass
@@ -27,11 +26,11 @@ from fractions import Fraction
 
 import numpy as np
 
+from .estimator import BankShape, EstimatorBank
 from .field import FieldSpec, field_mul, field_pow, is_irreducible
 from .hashing import SignHash, SignHashSeed
 from .oracle import (
     FrequencyTable,
-    all_seed_signs,
     exact_l2sq,
     exact_y_from_table,
     exhaustive_moments,
@@ -221,16 +220,19 @@ def run_selftest(quick: bool = False, field_fault: bool = False) -> list[CheckRe
                 "Y == 0 for all 256 seed pairings", zero_ok)
     )
 
+    # The stream visiting each cell of [n]^k once is independent: its
+    # enumerated moments and every cell of a bank over it are exactly 0.
     enum_ok = True
     for n, k, spec in ((2, 2, w2), (3, 2, w2), (4, 2, w2), (2, 3, w1)):
-        row = all_seed_signs(spec, n).astype(np.int64).sum(axis=1)
-        t1 = functools.reduce(np.multiply.outer, [row] * k)  # uniform joint: t1 factorises
-        u = t1 * (n**k) ** (k - 1) - t1 * (n ** (k - 1)) ** k  # each margin is n^(k-1) row
-        if np.any(u != 0):
+        grid = list(itertools.product(range(n), repeat=k))
+        moments = exhaustive_moments(FrequencyTable.from_stream(grid, k=k, n=n), spec=spec)
+        bank = EstimatorBank(SketchConfig(k=k, n=n, spec=spec), shape=BankShape(8, 2))
+        bank.ingest_many(grid)
+        if moments.expectation or moments.variance or np.any(bank.instance_values() != 0.0):
             enum_ok = False
     results.append(
         _result("zero-full-enumeration", enum_ok,
-                "U == 0 over every seed tuple", enum_ok)
+                "E[Y] == Var[Y] == 0 and every bank cell 0.0", enum_ok)
     )
 
     # Incremental sketch vs table recomputation, exact equality.

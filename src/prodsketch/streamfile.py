@@ -10,6 +10,8 @@ pipes through standard tools, and parses in one pass without seeking.
 per block of lines; a block it refuses is re-parsed line by line, so the
 accepted syntax and the line numbers of errors are those of one ``int()``
 per field.  ``write_stream`` writes such blocks, one string per block.
+``tuple_blocks`` turns Python tuples into the same blocks, with the same
+checks, for the bank and the frequency table.
 """
 
 from __future__ import annotations
@@ -47,6 +49,32 @@ def write_stream(
             fp.write("\n".join(map(",".join, names.tolist())) + "\n")
         count += len(block)
     return count
+
+
+def tuple_blocks(items: Iterable[tuple[int, ...]], k: int, n: int) -> Iterator[np.ndarray]:
+    """Yield ``items`` as validated ``(rows, k)`` uint64 blocks of up to ``_BLOCK_LINES`` rows.
+
+    Symbols must be integers (Python, numpy or bool) in ``[0, n)``; a block
+    with any other value raises ``ValueError`` before it is yielded.
+    """
+    items = iter(items)
+    while chunk := list(islice(items, _BLOCK_LINES)):
+        try:
+            block = np.asarray(chunk)
+        except ValueError:  # tuples of different lengths
+            raise ValueError(f"expected {k}-tuples") from None
+        if block.ndim != 2 or block.shape[1] != k:
+            raise ValueError(f"expected {k}-tuples")
+        if block.dtype.kind not in "biu":  # floats, strings, huge or mixed values
+            if not all(isinstance(x, (int, np.integer)) for a in chunk for x in a):
+                raise ValueError("symbols must be integers")
+            block = np.asarray(chunk, dtype=object)
+        del chunk  # so two chunks are never held at once (peak memory)
+        bad = (block < 0) | (block >= n)
+        if bad.any():
+            item = tuple(block[bad.any(axis=1)][0].tolist())
+            raise ValueError(f"symbol out of range [0, {n}) in item {item}")
+        yield block.astype(np.uint64, copy=False)
 
 
 def read_header(fp: IO[str]) -> tuple[dict[str, str], tuple[int, str] | None]:

@@ -1,5 +1,6 @@
 """Oracle correctness: exact distance, enumerated moments, dual-route checks."""
 
+import collections
 import itertools
 import math
 from fractions import Fraction
@@ -9,6 +10,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from prodsketch.estimator import BankShape, EstimatorBank
 from prodsketch.field import FieldSpec
 from prodsketch.hashing import SignHash, SignHashSeed
 from prodsketch.oracle import (
@@ -134,6 +136,47 @@ def test_frequency_table_invariants():
         t.add((0, 0, 0))
 
 
+def test_table_refuses_what_the_bank_refuses():
+    # The symbols test_non_integer_symbols_rejected feeds the bank, plus
+    # out-of-range and ragged items: the table raises ValueError on each,
+    # and a table that refuses an add is left as it was.
+    bank = EstimatorBank(SketchConfig(k=2, n=4, spec=W2), shape=BankShape(2, 1))
+    for item in [(1.5, 2), (np.float64(3.9), 1), ("1", "2"), (b"1", 2), (1, None),
+                 (0, 4), (-1, 0), (0, 0, 0), (1 << 70, 0)]:
+        with pytest.raises(ValueError):
+            bank.ingest_many([(0, 0), item])
+        with pytest.raises(ValueError):
+            FrequencyTable.from_stream([(0, 0), item], k=2, n=4)
+        table = FrequencyTable.from_stream([(1, 2), (1, 2)], k=2, n=4)
+        with pytest.raises(ValueError):
+            table.add(item)
+        assert (table.joint, table.m) == ({(1, 2): 2}, 2)
+        assert table.marginals == [[0, 2, 0, 0], [0, 0, 2, 0]]
+        assert exact_l2sq(table) == 0
+    assert bank.item_count == 0
+    # Python ints, numpy ints of any width and bools are integers.
+    items = [(1, 2), (np.int8(3), np.uint64(0)), (True, np.int64(2))]
+    table = FrequencyTable.from_stream(items, k=2, n=4)
+    assert table.joint == {(1, 2): 2, (3, 0): 1}
+    for item in items:
+        table.add(item)
+    assert table.joint == {(1, 2): 4, (3, 0): 2} and table.m == 6
+
+
+def test_add_is_exact_or_refused():
+    # Counts merge through float64 sums, exact below 2^53: a count that
+    # would take m there is refused, never rounded.
+    table = FrequencyTable(2, 2)
+    table.add((0, 1), (1 << 53) - 2)
+    table.add((0, 1))
+    assert table.joint == {(0, 1): (1 << 53) - 1} and table.m == (1 << 53) - 1
+    for item, count in [((0, 1), 1), ((1, 0), 1 << 60), ((1, 1), 0), ((1, 1), -1), ((1, 1), 1.0)]:
+        with pytest.raises(ValueError):
+            table.add(item, count)
+    assert table.joint == {(0, 1): (1 << 53) - 1} and table.m == (1 << 53) - 1
+    assert table.marginals == [[(1 << 53) - 1, 0], [0, (1 << 53) - 1]]
+
+
 def test_enumerated_moments_match_instance_bruteforce_w1_k2():
     # Dual route: the vectorized enumeration against per-seed SketchInstances.
     stream = [(0, 1), (1, 1), (0, 0), (1, 0), (0, 1), (1, 1), (1, 1)]
@@ -221,12 +264,10 @@ def test_refusals_come_before_any_expansion(monkeypatch):
     # A table past the width or k limit is refused from its k, n and m alone:
     # neither its counts nor the sign table may be read first.
     class Untouchable(FrequencyTable):
-        @property
-        def joint(self):
-            raise AssertionError("joint counts read before the refusal")
-
-        def _joint_arrays(self):
-            raise AssertionError("joint counts read before the refusal")
+        def __getattribute__(self, name):
+            if name in ("rows", "counts", "joint", "marginals"):
+                raise AssertionError("counts read before the refusal")
+            return super().__getattribute__(name)
 
     def no_signs(*args):
         raise AssertionError("sign table built before the refusal")
@@ -343,12 +384,14 @@ def test_from_blocks_equals_scalar_table(k, n, data):
     blocks = [np.array(items[lo:hi], dtype=np.uint64).reshape(-1, k)
               for lo, hi in zip(bounds, bounds[1:])]
     table = FrequencyTable.from_blocks(iter(blocks), k, n)
-    reference = FrequencyTable.from_stream(items, k=k, n=n)
-    assert exact_l2sq(table) == scalar_l2sq(reference) == exact_l2sq(reference)
-    assert (table.m, table.marginals) == (reference.m, reference.marginals)
-    assert table.joint == reference.joint  # builds the dict from the arrays
-    assert exact_l2sq(table) == scalar_l2sq(reference)
-    support = len(reference.joint)
+    # The reference is built outside FrequencyTable: from_stream shares its code.
+    joint = dict(collections.Counter(items))
+    marginals = [[sum(f for p, f in joint.items() if p[i] == x) for x in range(n)]
+                 for i in range(k)]
+    assert (table.m, table.marginals, table.joint) == (len(items), marginals, joint)
+    assert FrequencyTable.from_stream(items, k=k, n=n).joint == joint
+    assert exact_l2sq(table) == scalar_l2sq(table) == brute_l2sq(items, k, n)
+    support = len(joint)
     FrequencyTable.from_blocks(iter(blocks), k, n, max_support=support)
     with pytest.raises(ValueError, match=f"memory budget of {support - 1} entries"):
         FrequencyTable.from_blocks(iter(blocks), k, n, max_support=support - 1)

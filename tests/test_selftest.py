@@ -1,5 +1,7 @@
 """Self-test battery semantics: coverage, quick mode, fault injection."""
 
+from prodsketch import oracle
+from prodsketch.estimator import EstimatorBank
 from prodsketch.selftest import all_passed, battery_streams_k2, battery_streams_k3, run_selftest
 
 
@@ -36,3 +38,32 @@ def test_batteries_are_fixed_and_desk_sized():
     assert k2 == battery_streams_k2()  # deterministic
     k3 = battery_streams_k3()
     assert all(all(len(a) == 3 and 0 <= x < 2 for a in s for x in a) for s in k3)
+
+
+def _zero_check(results):
+    (check,) = [r for r in results if r.name == "zero-full-enumeration"]
+    return check.ok
+
+
+def test_zero_full_enumeration_fails_on_a_broken_deviation_vector(monkeypatch):
+    assert _zero_check(run_selftest(quick=True))
+    deviation = oracle._deviation_vector
+
+    def shifted(table):
+        v = deviation(table)
+        v.flat[0] += 1
+        return v
+
+    monkeypatch.setattr(oracle, "_deviation_vector", shifted)
+    assert not _zero_check(run_selftest(quick=True))
+
+
+def test_zero_full_enumeration_fails_on_a_broken_bank_marginal(monkeypatch):
+    add_rows = EstimatorBank._add_rows
+
+    def off_by_one(self, rows, counts):
+        add_rows(self, rows, counts)
+        self._marg[:, 0] += 1
+
+    monkeypatch.setattr(EstimatorBank, "_add_rows", off_by_one)
+    assert not _zero_check(run_selftest(quick=True))
