@@ -15,29 +15,22 @@ conventional constant for the two-dimensional case; for k != 2 it falls
 back to the derived formula.
 
 The bank stores counters in flat numpy int64 arrays (cells row-major by
-(group, index)).  ``ingest_blocks`` is the one ingest path: it takes
-(rows, k) uint64 arrays, such as ``streamfile.iter_blocks`` yields
-(``ingest_many`` gets them from ``streamfile.tuple_blocks``).  Every counter is linear
-in the stream's frequency vector, so a call keeps one exact histogram
-(distinct rows with their multiplicities) and adds it to the counters once,
-at the end of the call, or earlier whenever its support passes
-``_CHUNK_ITEMS`` rows or its item total would reach 2^53; a block of
-mostly distinct rows is added on its own instead of merged.  That is
-arithmetically identical to applying ``SketchInstance.update_item`` per
-item per cell; ``instance_view`` materializes any cell as a
-``SketchInstance`` for inspection.  Per flush and dimension,
-``batch_sign_eval`` fills one cells x distinct-symbols sign matrix, and
-both the joint counter and the marginal sums are computed from it, so no
-sign is evaluated twice and nothing is precomputed per symbol of the
-alphabet: building a bank only derives hash coefficients.  The joint
-counter sum_x f(x) prod_d h_d(x_d) factorises over dimensions: when the
-flush's symbol grid (the product of its per-dimension symbol counts) is at
-most ``_DENSE_GRID`` times its support, the flush is scattered into a
-dense histogram over that grid and contracted one dimension at a time;
-otherwise each (cell, row) sign product is gathered and summed.  Every
-partial sum of either path is bounded by the flush's item total, below
-2^53, so both are exact in float64 and give the same counters.  Ingestion
-is single-writer; estimation is read-only.
+(group, index)).  Every counter is linear in the stream's frequency vector,
+so ``ingest_blocks``, the one ingest path, adds each run of
+``streamfile.row_runs`` (an exact histogram of distinct rows) to the
+counters at once; ``ingest_many`` gets its blocks from
+``streamfile.tuple_blocks``.  That is arithmetically identical to
+``SketchInstance.update_item`` per item per cell, and ``instance_view``
+materializes any cell as a ``SketchInstance``.  Per run and dimension,
+``batch_sign_eval`` fills one cells x distinct-symbols sign matrix that
+both the joint counter and the marginal sums read; nothing is precomputed
+per symbol of the alphabet.  The joint counter sum_x f(x) prod_d h_d(x_d)
+factorises over dimensions: a run whose symbol grid is at most
+``_DENSE_GRID`` times its support is contracted as a dense histogram one
+dimension at a time; otherwise each (cell, row) sign product is gathered
+and summed.  Every partial sum is bounded by the run's item total, below
+2^53, so both paths are exact in float64.  Ingestion is single-writer;
+estimation is read-only.
 
 Finalize uses the same rule as ``SketchInstance.finalize``
 (``sketch.finalize_values``): U is computed with int64 arrays while
@@ -75,22 +68,19 @@ from .hashing import (
     derive_hashes,
 )
 from .sketch import EmptyStreamError, SketchConfig, SketchInstance, finalize_values
-from .streamfile import tuple_blocks
+from .streamfile import row_runs, tuple_blocks
 
 _MAGIC = b"PSKBANK1"
 _HEADER = struct.Struct("<8q")
 _SNAPSHOT_VERSION = 1
 
-# An ingest histogram is flushed once its support passes _CHUNK_ITEMS rows,
-# and before its item total reaches _EXACT_ITEMS, below which every float64
-# sum of a flush is exact.
+# An ingest run ends once its merged support passes _CHUNK_ITEMS rows.
 _CHUNK_ITEMS = 8192
-_EXACT_ITEMS = 1 << 53
-# Cap on the entries of a flush's sign matrices (summed over dimensions), of
+# Cap on the entries of a run's sign matrices (summed over dimensions), of
 # one joint-product slab and of one cell slab of a dense contraction's
 # partial sums; each is at most 32 MiB as float64.
 _WORKING_ENTRIES = 1 << 22
-# A flush whose symbol grid (the product over dimensions of its distinct
+# A run whose symbol grid (the product over dimensions of its distinct
 # symbol counts) has at most _DENSE_GRID cells per distinct row is
 # contracted as a dense histogram instead of row by row.
 _DENSE_GRID = 4
@@ -167,41 +157,13 @@ def derive_shape(
     return BankShape(s1=s1, s2=s2)
 
 
-def distinct_rows(block: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """First index, inverse and multiplicity of the distinct rows of a block.
-
-    ``block[first]`` are the distinct rows of the (rows, k) array, and row i
-    of the block is ``block[first][inverse[i]]``.  Rows are told apart by
-    mixed-radix codes over the per-column ranks, re-ranked below len(block)
-    whenever the radix would pass int64.
-    """
-    code, radix = np.zeros(len(block), dtype=np.int64), 1
-    for column in block.T:
-        syms, inverse = np.unique(column, return_inverse=True)
-        if radix * len(syms) >= 1 << 62:
-            code, radix = np.unique(code, return_inverse=True)[1], len(block)
-        code = code * len(syms) + inverse
-        radix *= len(syms)
-    _, first, inverse, counts = np.unique(
-        code, return_index=True, return_inverse=True, return_counts=True
-    )
-    return first, inverse, counts
-
-
-def merge_rows(parts: Iterable[tuple[np.ndarray, np.ndarray]]) -> tuple[np.ndarray, np.ndarray]:
-    """Distinct rows of (rows, counts) pairs with summed counts, exact while all sum below 2^53."""
-    rows, counts = map(np.concatenate, zip(*parts))
-    first, inverse, _ = distinct_rows(rows)
-    return rows[first], np.bincount(inverse, counts).astype(np.int64)
-
-
 def _exact_matvec(signs: np.ndarray, counts: np.ndarray) -> np.ndarray:
     """``signs @ counts`` for a +-1 matrix, through a float64 (BLAS) product.
 
     Every entry is bounded in absolute value by ``counts.sum()``, the items
-    of one flush, which ``ingest_blocks`` keeps below ``_EXACT_ITEMS`` =
-    2^53, so the float64 sums are exact.  (Only a single block of 2^53 rows
-    could pass it, and such a block does not fit in memory.)
+    of one run, which ``streamfile.row_runs`` keeps below 2^53, so the
+    float64 sums are exact.  (Only a single block of 2^53 rows could pass
+    it, and such a block does not fit in memory.)
     """
     return (signs.astype(np.float64) @ counts.astype(np.float64)).astype(np.int64)
 
@@ -249,47 +211,13 @@ class EstimatorBank:
     def ingest_blocks(self, blocks: Iterable[np.ndarray]) -> int:
         """Apply ``(rows, k)`` uint64 arrays of symbols; returns the item count.
 
-        Blocks are merged into one histogram of distinct rows, which is
-        added to the counters when the call ends, and before a block is
-        merged into it if its support has passed ``_CHUNK_ITEMS`` rows or
-        its item total would reach ``_EXACT_ITEMS``.  A block whose distinct
-        rows are more than three quarters of its rows is added on its own,
-        without the merge.  Blocks are checked before any of their items is
-        applied; blocks before a refused one stay ingested, also when the
-        iterator itself raises.
+        Each run of ``streamfile.row_runs`` is added to the counters; blocks
+        before a refused one stay ingested, also when the iterator raises.
         """
-        k, n = self.config.k, self.config.n
-        rows = np.empty((0, k), dtype=np.uint64)
-        counts = np.empty(0, dtype=np.int64)
-        total = 0
-        try:
-            for block in blocks:
-                if block.dtype != np.uint64 or block.ndim != 2 or block.shape[1] != k:
-                    raise ValueError(f"expected a (rows, {k}) uint64 array")
-                if len(block) and block.max() >= n:
-                    bad = block[(block >= n).any(axis=1)][0]
-                    raise ValueError(f"symbol out of range [0, {n}) in item {tuple(bad.tolist())}")
-                total += len(block)
-                first, _, block_counts = distinct_rows(block)
-                if 4 * len(first) > 3 * len(block):
-                    # Rows that barely repeat in their block seldom repeat
-                    # across blocks: merging them would only sort them again.
-                    self._add_rows(block[first], block_counts)
-                    continue
-                if len(rows) > _CHUNK_ITEMS or (
-                    len(rows) and counts.sum() + len(block) >= _EXACT_ITEMS
-                ):
-                    # Empty the buffer first, so a failed flush is never replayed.
-                    pending, rows, counts = (rows, counts), rows[:0], counts[:0]
-                    self._add_rows(*pending)
-                if len(rows):
-                    rows, counts = merge_rows([(rows, counts), (block[first], block_counts)])
-                else:
-                    rows, counts = block[first], block_counts
-        finally:
-            if len(rows):
-                self._add_rows(rows, counts)
-        return total
+        m0 = self._m
+        for rows, counts in row_runs(blocks, self.config.k, self.config.n, _CHUNK_ITEMS):
+            self._add_rows(rows, counts)
+        return self._m - m0
 
     def _add_rows(self, rows: np.ndarray, counts: np.ndarray) -> None:
         """Add distinct (rows, k) uint64 rows, each ``counts`` times, to every cell."""

@@ -15,8 +15,8 @@ v / m^k and a turnstile vector's Y is that of its own weights.
 
 A table's joint counts are sparse, its distinct rows with their counts
 (streams occupy few cells of [n]^k), while the per-dimension marginals are
-dense (alphabets are small).  Tuples enter a table only through
-``streamfile.tuple_blocks``, the path and checks of ``ingest_many``.
+dense (alphabets are small).  A table is built as the bank ingests: blocks
+through ``streamfile.row_runs``, tuples through ``streamfile.tuple_blocks``.
 Integer sums pick their dtype from a bound: int64 where it provably holds
 them, Python ints (object arrays) past it.
 """
@@ -27,16 +27,14 @@ import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain
 from typing import Iterable, Mapping
 
 import numpy as np
 
-from .estimator import distinct_rows, merge_rows
 from .field import FieldSpec
 from .hashing import SignHash, batch_sign_eval
 from .sketch import EmptyStreamError
-from .streamfile import tuple_blocks
+from .streamfile import merge_rows, row_runs, tuple_blocks
 
 ENUMERATION_BUDGET = 1 << 24
 _MAX_ENUM_WIDTH = 2
@@ -77,27 +75,20 @@ class FrequencyTable:
     def from_blocks(
         cls, blocks: Iterable[np.ndarray], k: int, n: int, *, max_support: float = math.inf
     ) -> "FrequencyTable":
-        """Table of validated (rows, k) uint64 blocks, equal to ``add`` per row.
+        """Table of (rows, k) uint64 blocks, the first run of ``streamfile.row_runs``.
 
-        Blocks' distinct rows are merged into the table's once they outnumber them by more
-        than a block; a merge past ``max_support`` rows raises.
+        A run past ``max_support`` rows raises, and so does a second run,
+        which only comes at 2^53 items.
         """
-        parts = [(np.empty((0, k), np.uint64), np.empty(0, np.int64))]
-        for block in chain(blocks, [None]):  # None marks the end: merge what is left
-            if block is not None:
-                first, _, counts = distinct_rows(block)
-                parts.append((block[first], counts))
-            if block is None or sum(len(c) for _, c in parts) > 2 * len(parts[0][1]) + len(block):
-                parts = [merge_rows(parts)]
-                if len(parts[0][1]) > max_support:
-                    raise ValueError(
-                        f"joint support exceeds the memory budget of {max_support} entries"
-                    )
-        table = cls(k, n)
-        table.rows, table.counts = rows, counts = parts[0]
-        sums = (np.bincount(column.astype(np.intp), counts, minlength=n) for column in rows.T)
+        table, runs = cls(k, n), row_runs(blocks, k, n, max_support)
+        table.rows, table.counts = next(runs, (table.rows, table.counts))
+        if len(table.counts) > max_support:
+            raise ValueError(f"joint support exceeds the memory budget of {max_support} entries")
+        if next(runs, None) is not None:
+            raise ValueError("a frequency table holds fewer than 2^53 items")
+        sums = (np.bincount(c.astype(np.intp), table.counts, minlength=n) for c in table.rows.T)
         table.marginals = [s.astype(np.int64).tolist() for s in sums]  # exact: m < 2^53
-        table.m = int(counts.sum())
+        table.m = int(table.counts.sum())
         return table
 
     @property
@@ -167,6 +158,8 @@ def exact_y_from_table(table: FrequencyTable, hashes: tuple[SignHash, ...]) -> F
 # Seed-space enumeration
 # ---------------------------------------------------------------------------
 
+# A plain dict, not an lru_cache: the benchmark clears it by this name to
+# measure enumeration with a cold table, and an lru_cache would stay warm.
 _sign_table_cache: dict[tuple[int, int, int], np.ndarray] = {}
 
 

@@ -12,6 +12,11 @@ accepted syntax and the line numbers of errors are those of one ``int()``
 per field.  ``write_stream`` writes such blocks, one string per block.
 ``tuple_blocks`` turns Python tuples into the same blocks, with the same
 checks, for the bank and the frequency table.
+
+``row_runs`` is the one way from blocks to counts: it checks each block
+and yields exact histograms of consecutive blocks, which
+``EstimatorBank.ingest_blocks`` adds to its counters and of which
+``FrequencyTable.from_blocks`` takes the one.
 """
 
 from __future__ import annotations
@@ -24,6 +29,9 @@ import numpy as np
 
 # Input lines per parsed block (the last block of a stream may be shorter).
 _BLOCK_LINES = 8192
+# A run ends before its item total reaches _EXACT_ITEMS, below which its
+# counts, and every float64 sum of them, are exact.
+_EXACT_ITEMS = 1 << 53
 
 
 class FormatError(ValueError):
@@ -75,6 +83,76 @@ def tuple_blocks(items: Iterable[tuple[int, ...]], k: int, n: int) -> Iterator[n
             item = tuple(block[bad.any(axis=1)][0].tolist())
             raise ValueError(f"symbol out of range [0, {n}) in item {item}")
         yield block.astype(np.uint64, copy=False)
+
+
+def distinct_rows(block: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """First index, inverse and multiplicity of the distinct rows of a block.
+
+    ``block[first]`` are the distinct rows of the (rows, k) array, and row i
+    of the block is ``block[first][inverse[i]]``.  Rows are told apart by
+    mixed-radix codes over the per-column ranks, re-ranked below len(block)
+    whenever the radix would pass int64.
+    """
+    code, radix = np.zeros(len(block), dtype=np.int64), 1
+    for column in block.T:
+        syms, inverse = np.unique(column, return_inverse=True)
+        if radix * len(syms) >= 1 << 62:
+            code, radix = np.unique(code, return_inverse=True)[1], len(block)
+        code = code * len(syms) + inverse
+        radix *= len(syms)
+    _, first, inverse, counts = np.unique(
+        code, return_index=True, return_inverse=True, return_counts=True
+    )
+    return first, inverse, counts
+
+
+def merge_rows(parts: list[tuple[np.ndarray, np.ndarray]]) -> tuple[np.ndarray, np.ndarray]:
+    """Distinct rows of (rows, counts) pairs with summed counts, exact while all sum below 2^53.
+
+    A lone pair is returned unchanged: its rows are taken to be distinct.
+    """
+    if len(parts) == 1:
+        return parts[0]
+    rows, counts = map(np.concatenate, zip(*parts))
+    first, inverse, _ = distinct_rows(rows)
+    return rows[first], np.bincount(inverse, counts).astype(np.int64)
+
+
+def row_runs(
+    blocks: Iterable[np.ndarray], k: int, n: int, max_rows: float
+) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Check (rows, k) uint64 blocks and yield their items as runs of (distinct rows, counts).
+
+    A block's distinct rows are merged into the run's once the unmerged ones
+    outnumber them by more than a block.  A run ends once its merged support
+    has passed ``max_rows`` (so it holds at most 2 * ``max_rows`` rows plus
+    two blocks), before its item total would reach ``_EXACT_ITEMS``, at the
+    end of ``blocks``, and when reading or checking a block raises: the
+    pending run is yielded, then the error raised again.
+    """
+    parts, merged, total = [], 0, 0
+    try:
+        for block in blocks:
+            if not isinstance(block, np.ndarray) or block.dtype != np.uint64 or block.shape[1:] != (k,):
+                raise ValueError(f"expected a (rows, {k}) uint64 array")
+            if len(block) and block.max() >= n:
+                bad = block[(block >= n).any(axis=1)][0]
+                raise ValueError(f"symbol out of range [0, {n}) in item {tuple(bad.tolist())}")
+            if total and (merged > max_rows or total + len(block) >= _EXACT_ITEMS):
+                yield merge_rows(parts)
+                parts, merged, total = [], 0, 0
+            first, _, counts = distinct_rows(block)
+            parts.append((block[first], counts))
+            total += len(block)
+            if sum(len(c) for _, c in parts) > 2 * merged + len(block):
+                parts = [merge_rows(parts)]
+                merged = len(parts[0][1])
+    except Exception:  # not GeneratorExit: a closed generator must not yield
+        if total:
+            yield merge_rows(parts)
+        raise
+    if total:
+        yield merge_rows(parts)
 
 
 def read_header(fp: IO[str]) -> tuple[dict[str, str], tuple[int, str] | None]:

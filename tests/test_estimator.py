@@ -296,17 +296,6 @@ def test_ingest_blocks_equals_ingest_many():
     assert a.counters_equal(b) and b.item_count == 500
 
 
-def test_ingest_blocks_validation():
-    bank = small_bank()
-    for block in [np.array([[0, 4]], dtype=np.uint64),  # symbol >= n
-                  np.array([[0, 1]], dtype=np.int64),  # not uint64
-                  np.array([[0, 1, 2]], dtype=np.uint64),  # arity
-                  np.array([0, 1], dtype=np.uint64)]:  # not (rows, k)
-        with pytest.raises(ValueError):
-            bank.ingest_blocks([np.zeros((2, 2), dtype=np.uint64), block])
-    assert bank.item_count == 2 * 4  # blocks before a refused one stay ingested
-
-
 def test_exact_matvec_is_exact_at_chunk_scale():
     rng = np.random.default_rng(3)
     signs = (1 - 2 * rng.integers(0, 2, size=(64, 300))).astype(np.int8)
@@ -428,7 +417,7 @@ def test_flush_limits_keep_counters_exact(monkeypatch, limit):
     config = SketchConfig(k=3, n=16, spec=W4)
     whole = small_bank(4, config=config)
     whole.ingest_blocks([arr])
-    monkeypatch.setattr(estimator, "_EXACT_ITEMS", limit)
+    monkeypatch.setattr(streamfile, "_EXACT_ITEMS", limit)
     monkeypatch.setattr(estimator, "_CHUNK_ITEMS", limit)
     by_blocks, by_tuples = small_bank(4, config=config), small_bank(4, config=config)
     assert by_blocks.ingest_blocks([arr[:7], arr[7:7], arr[7:250], arr[250:]]) == 400
@@ -437,62 +426,91 @@ def test_flush_limits_keep_counters_exact(monkeypatch, limit):
 
 
 def _spy_add_rows(monkeypatch, fail_first=False):
-    """Record the support of every ``_add_rows`` call; optionally make the
-    first call raise after it has updated the counters."""
-    flushes = []
+    """Record the rows and counts of every ``_add_rows`` call; optionally
+    make the first call raise after it has updated the counters."""
+    runs = []
     add_rows = EstimatorBank._add_rows
 
     def spy(self, rows, counts):
-        flushes.append(len(rows))
+        runs.append((rows.copy(), counts.copy()))
         add_rows(self, rows, counts)
-        if fail_first and len(flushes) == 1:
-            raise RuntimeError("flush interrupted")
+        if fail_first and len(runs) == 1:
+            raise RuntimeError("run interrupted")
 
     monkeypatch.setattr(EstimatorBank, "_add_rows", spy)
-    return flushes
+    return runs
 
 
 def test_histogram_support_stays_bounded(monkeypatch):
-    # A stream of ever new rows, each repeated within its block, is flushed
-    # once the support passes the limit, so the buffer (and each merge's
-    # sort) stays small.
-    flushes = _spy_add_rows(monkeypatch)
+    # A stream of ever new rows, each repeated within its block, is cut
+    # into runs once the merged support passes the limit.  A run holds the
+    # merged rows (at most the limit), the unmerged ones (at most the
+    # merged plus one block) and the last block's distinct rows.
+    runs = _spy_add_rows(monkeypatch)
     monkeypatch.setattr(estimator, "_CHUNK_ITEMS", 4)
     config = SketchConfig(k=2, n=16, spec=W4)
     arr = np.array([(x, y) for x in range(16) for y in range(2)], dtype=np.uint64)
     bank = small_bank(config=config)
     blocks = [np.repeat(arr[lo : lo + 3], 2, axis=0) for lo in range(0, 32, 3)]
     assert bank.ingest_blocks(blocks) == 64
-    assert sum(flushes) == 32 and max(flushes) <= 4 + 3 and len(flushes) >= 32 // 7
-
-
-def test_distinct_block_skips_the_merge(monkeypatch):
-    # A block of mostly distinct rows (7 of 8) is added on its own; the
-    # histogram of the repeating blocks around it is flushed once, at the end.
-    flushes = _spy_add_rows(monkeypatch)
-    config = SketchConfig(k=2, n=16, spec=W4)
-    repeats = np.array([(1, 2)] * 5 + [(3, 4)] * 3, dtype=np.uint64)
-    distinct = np.array([(x, x) for x in range(7)] + [(0, 0)], dtype=np.uint64)
-    bank, want = small_bank(config=config), small_bank(config=config)
-    assert bank.ingest_blocks([repeats, distinct, repeats]) == 24
-    assert flushes == [7, 2]
-    want.ingest_blocks([np.concatenate([repeats, distinct, repeats])])
-    assert bank.counters_equal(want)
+    supports = [len(rows) for rows, _ in runs]
+    assert sum(supports) == 32 and max(supports) <= 2 * 4 + 6 + 3
+    assert all(s > 4 for s in supports[:-1])  # only the last run ends short of the limit
 
 
 def test_failed_flush_is_not_replayed(monkeypatch):
-    # A flush that raises after touching the counters must not be added
-    # again by the flush at the end of the call.
-    flushes = _spy_add_rows(monkeypatch, fail_first=True)
+    # A run whose ``_add_rows`` raises after touching the counters ends the
+    # call: it is not added again, and no later run is read.
+    runs = _spy_add_rows(monkeypatch, fail_first=True)
     monkeypatch.setattr(estimator, "_CHUNK_ITEMS", 1)
     config = SketchConfig(k=2, n=16, spec=W4)
-    blocks = [np.array([(v, v)] * 2, dtype=np.uint64) for v in range(3)]
+    blocks = [np.array([(v, v)] * 2, dtype=np.uint64) for v in range(5)]
     bank, want = small_bank(config=config), small_bank(config=config)
-    with pytest.raises(RuntimeError, match="flush interrupted"):
+    with pytest.raises(RuntimeError, match="run interrupted"):
         bank.ingest_blocks(blocks)
-    assert flushes == [2]
-    want.ingest_many([(0, 0), (0, 0), (1, 1), (1, 1)])
-    assert bank.item_count == 4 and bank.counters_equal(want)
+    monkeypatch.undo()
+    assert len(runs) == 1
+    want._add_rows(*runs[0])
+    assert bank.item_count == want.item_count < 10 and bank.counters_equal(want)
+
+
+def test_exact_item_limit_splits_runs(monkeypatch):
+    # Runs end before their item total reaches the limit: the bank adds
+    # each one and stays exact, and a table, which is one run, refuses.
+    runs = _spy_add_rows(monkeypatch)
+    monkeypatch.setattr(streamfile, "_EXACT_ITEMS", 10)
+    stream = list(generate(GenSpec(n=4, k=2, m=40, lam=0.5, rng_seed=2)))
+    arr = np.array(stream, dtype=np.uint64)
+    blocks = [arr[lo : lo + 4] for lo in range(0, 40, 4)]
+    bank, want = small_bank(), small_bank()
+    assert bank.ingest_blocks(blocks) == 40
+    assert all(counts.sum() < 10 for _, counts in runs)
+    monkeypatch.undo()
+    want.ingest_blocks([arr])
+    assert bank.item_count == 40 and bank.counters_equal(want)
+    monkeypatch.setattr(streamfile, "_EXACT_ITEMS", 10)
+    with pytest.raises(ValueError, match="2\\^53"):
+        FrequencyTable.from_blocks(blocks, 2, 4)
+
+
+@pytest.mark.parametrize("block", [
+    np.array([[9, 0], [1, 1]], dtype=np.uint64),  # symbol >= n
+    np.array([[1.5, 0], [1, 1]]),  # float64
+    np.array([[0, 1]], dtype=np.int64),  # not uint64
+    np.array([[0, 1, 2]], dtype=np.uint64),  # arity
+    np.array([0, 1], dtype=np.uint64),  # not (rows, k)
+    [[0, 1], [1, 1]],  # not an array
+    None,
+], ids=["out-of-range", "float64", "int64", "arity", "one-dimensional", "list", "none"])
+def test_bank_and_table_refuse_the_same_blocks(block):
+    good = np.zeros((2, 2), dtype=np.uint64)
+    bank = small_bank()
+    with pytest.raises(ValueError) as by_bank:
+        bank.ingest_blocks([good, block])
+    with pytest.raises(ValueError) as by_table:
+        FrequencyTable.from_blocks([good, block], 2, 4)
+    assert str(by_bank.value) == str(by_table.value)
+    assert bank.item_count == 2  # the block before the refused one stays ingested
 
 
 def test_iterator_error_keeps_earlier_blocks(monkeypatch):
@@ -536,7 +554,7 @@ def test_buffered_ingest_matches_scalar_instances(case):
     blocks = [arr[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
     bank = EstimatorBank(config, shape=shape, master_seed=seed)
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(estimator, "_EXACT_ITEMS", exact_items)
+        mp.setattr(streamfile, "_EXACT_ITEMS", exact_items)
         mp.setattr(estimator, "_CHUNK_ITEMS", chunk_items)
         assert bank.ingest_blocks(blocks) == len(items)
     for g in range(shape.s2):

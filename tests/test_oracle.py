@@ -10,9 +10,10 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from prodsketch import oracle
 from prodsketch.estimator import BankShape, EstimatorBank
 from prodsketch.field import FieldSpec
-from prodsketch.hashing import SignHash, SignHashSeed
+from prodsketch.hashing import SignHash, SignHashSeed, batch_sign_eval
 from prodsketch.oracle import (
     EnumerationBudgetError,
     FrequencyTable,
@@ -286,6 +287,18 @@ def test_refusals_come_before_any_expansion(monkeypatch):
     budget.m = 1
     with pytest.raises(EnumerationBudgetError, match="budget"):
         exhaustive_moments(budget, spec=W2, budget=(1 << 24) - 1)
+
+
+def test_cleared_sign_table_cache_is_built_again(monkeypatch):
+    # The benchmark clears the cache by name to time a cold enumeration.
+    built = []
+    monkeypatch.setattr(oracle, "batch_sign_eval",
+                        lambda *args: built.append(args) or batch_sign_eval(*args))
+    oracle._sign_table_cache.clear()
+    table = oracle.all_seed_signs(W1, 2)
+    assert oracle.all_seed_signs(W1, 2) is table and len(built) == 1
+    oracle._sign_table_cache.clear()
+    assert np.array_equal(oracle.all_seed_signs(W1, 2), table) and len(built) == 2
 
 
 # Every w = 1 hash on [2] as a lookup of its scalar evaluations, so the loop

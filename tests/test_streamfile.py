@@ -213,3 +213,13 @@ def test_blocks_match_per_line_reference(lines, header, k, n, block_lines, newli
     with mock.patch.object(streamfile, "_BLOCK_LINES", block_lines):
         got = outcome(lambda: read_rows(io.StringIO(text), k=k, n=n))
     assert got == want
+
+
+def test_closed_runs_end_without_yielding():
+    # A consumer that stops, or raises, closes the generator at a yield: it
+    # must end there, not yield the run it was holding again.
+    block = np.array([[0, 1], [1, 0]], dtype=np.uint64)
+    runs = streamfile.row_runs(iter([block] * 3), 2, 4, max_rows=0)
+    rows, counts = next(runs)
+    assert rows.tolist() == [[0, 1], [1, 0]] and counts.tolist() == [2, 2]
+    runs.close()
