@@ -376,9 +376,13 @@ class EstimatorBank:
         ms = np.unique(body[:, -1])
         if len(ms) != 1:
             raise ValueError("snapshot cells disagree on the item count")
+        counters, m = body[:, :-1], int(ms[0])
+        # Each counter sums m signs: it lies in [-m, m] and has m's parity.
+        if m < 0 or (counters < -m).any() or (counters > m).any() or ((counters ^ m) & 1).any():
+            raise ValueError("snapshot counters are not sums of m signs")
         bank._t1 = body[:, 0].astype(np.int64)
         bank._marg = body[:, 1:-1].astype(np.int64)
-        bank._m = int(ms[0])
+        bank._m = m
         return bank
 
     @classmethod

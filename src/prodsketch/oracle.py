@@ -34,6 +34,7 @@ import numpy as np
 from .field import FieldSpec
 from .hashing import SignHash, batch_sign_eval
 from .sketch import EmptyStreamError
+from . import streamfile
 from .streamfile import merge_rows, row_runs, tuple_blocks
 
 ENUMERATION_BUDGET = 1 << 24
@@ -48,13 +49,13 @@ class EnumerationBudgetError(ValueError):
 class FrequencyTable:
     """Exact joint and marginal counts of a tuple stream, held as arrays.
 
-    ``rows`` are the distinct items as a (support, k) uint64 array and
-    ``counts`` their int64 multiplicities; ``marginals`` are per-dimension
-    lists of counts and ``m`` is the item total.  Counts are merged with
-    ``merge_rows``, exact while ``m`` stays below 2^53, so ``add`` refuses
+    ``rows`` are the distinct items as a (support, k) uint64 array,
+    ``counts`` their int64 multiplicities and ``m`` the item total, the
+    only counts a table holds; ``marginals`` are summed from them when read,
+    a (k, n) int64 array.  Counts are merged with ``merge_rows``, exact while
+    ``m`` stays below ``streamfile._EXACT_ITEMS`` (2^53), so ``add`` refuses
     a count that would reach it; each ``add`` sorts the whole support, so
     large tables are built with ``from_stream`` or ``from_blocks``.
-    ``joint`` is a dict built from the arrays when read.
     """
 
     def __init__(self, k: int, n: int) -> None:
@@ -64,7 +65,6 @@ class FrequencyTable:
         self.n = n
         self.rows = np.empty((0, k), np.uint64)
         self.counts = np.empty(0, np.int64)
-        self.marginals = [[0] * n for _ in range(k)]
         self.m = 0
 
     @classmethod
@@ -86,23 +86,20 @@ class FrequencyTable:
             raise ValueError(f"joint support exceeds the memory budget of {max_support} entries")
         if next(runs, None) is not None:
             raise ValueError("a frequency table holds fewer than 2^53 items")
-        sums = (np.bincount(c.astype(np.intp), table.counts, minlength=n) for c in table.rows.T)
-        table.marginals = [s.astype(np.int64).tolist() for s in sums]  # exact: m < 2^53
         table.m = int(table.counts.sum())
         return table
 
     @property
-    def joint(self) -> dict[tuple[int, ...], int]:
-        return dict(zip(map(tuple, self.rows.tolist()), self.counts.tolist()))
+    def marginals(self) -> np.ndarray:
+        sums = [np.bincount(c.astype(np.intp), self.counts, minlength=self.n) for c in self.rows.T]
+        return np.array(sums, dtype=np.int64)  # exact: m < 2^53
 
     def add(self, item: tuple[int, ...], count: int = 1) -> None:
         (block,) = tuple_blocks([item], self.k, self.n)
-        if not isinstance(count, (int, np.integer)) or not 0 < count < (1 << 53) - self.m:
+        if not isinstance(count, (int, np.integer)) or not 0 < count < streamfile._EXACT_ITEMS - self.m:
             raise ValueError("count must be a positive integer that keeps m below 2^53")
         count = int(count)
         self.rows, self.counts = merge_rows([(self.rows, self.counts), (block, np.array([count]))])
-        for marg, x in zip(self.marginals, block[0].tolist()):
-            marg[x] += count
         self.m += count
 
 
@@ -127,7 +124,7 @@ def exact_l2sq(table: FrequencyTable) -> Fraction:
         raise EmptyStreamError("frequency table is empty")
     m, k = table.m, table.k
     dtype = np.int64 if m ** (k + 1) < 1 << 63 else object
-    f, margs = table.counts.astype(dtype), [np.array(mg, dtype=dtype) for mg in table.marginals]
+    f, margs = table.counts.astype(dtype), table.marginals.astype(dtype)
     p = math.prod(marg[column] for column, marg in zip(table.rows.T, margs))
     s = m ** (k - 1)
     total = math.prod(int(marg @ marg) for marg in margs) + s * s * int(f @ f) - 2 * s * int(f @ p)
@@ -148,7 +145,7 @@ def exact_y_from_table(table: FrequencyTable, hashes: tuple[SignHash, ...]) -> F
     t1 = sum(f * math.prod(h(x) for h, x in zip(hashes, row)) for row, f in zip(rows, counts))
     margs = [
         sum(c * h(x) for x, c in enumerate(marg) if c)
-        for h, marg in zip(hashes, table.marginals)
+        for h, marg in zip(hashes, table.marginals.tolist())
     ]
     u = t1 * table.m ** (table.k - 1) - math.prod(margs)
     return Fraction(u * u, table.m ** (2 * table.k))
@@ -286,8 +283,7 @@ def exhaustive_moments(
 
 def _deviation_vector(table: FrequencyTable) -> np.ndarray:
     """v over all of [n]^k as Python ints, v_p = m^(k-1) f(p) - prod_i f_i(p_i)."""
-    margs = [np.array(f, dtype=object) for f in table.marginals]
-    v = -functools.reduce(np.multiply.outer, margs)
+    v = -functools.reduce(np.multiply.outer, table.marginals.astype(object))
     v[tuple(table.rows.T.astype(np.intp))] += table.counts.astype(object) * table.m ** (table.k - 1)
     return v
 

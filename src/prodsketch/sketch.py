@@ -125,13 +125,6 @@ class SketchInstance:
     def counters(self) -> tuple[int, tuple[int, ...], int]:
         return (self.t1, tuple(self.marginal_sums), self.m)
 
-    def copy(self) -> "SketchInstance":
-        dup = SketchInstance(self.config, self.hashes)
-        dup.t1 = self.t1
-        dup.marginal_sums = list(self.marginal_sums)
-        dup.m = self.m
-        return dup
-
 
 def merge_sketches(a: SketchInstance, b: SketchInstance) -> SketchInstance:
     """Counter-wise sum; equals sketching the concatenated stream.
@@ -143,9 +136,8 @@ def merge_sketches(a: SketchInstance, b: SketchInstance) -> SketchInstance:
         raise ValueError("cannot merge sketches with different configurations")
     if a.hashes != b.hashes:
         raise ValueError("cannot merge sketches with different hash seeds")
-    out = a.copy()
-    out.t1 += b.t1
-    for i in range(out.config.k):
-        out.marginal_sums[i] += b.marginal_sums[i]
-    out.m += b.m
+    out = SketchInstance(a.config, a.hashes)
+    out.t1 = a.t1 + b.t1
+    out.marginal_sums = [x + y for x, y in zip(a.marginal_sums, b.marginal_sums)]
+    out.m = a.m + b.m
     return out

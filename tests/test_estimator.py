@@ -229,6 +229,39 @@ def test_snapshot_loader_survives_truncation_and_bit_flips():
         flipped = bytearray(blob)
         flipped[bit // 8] ^= 1 << (bit % 8)
         _loads_or_value_error(bytes(flipped))
+    # Bit 0 of a t1 or marginal counter is its parity, which m fixes.
+    body_start, k = len(estimator._MAGIC) + estimator._HEADER.size, bank.config.k
+    for cell in range(2 * 2):
+        for counter in range(k + 1):  # t1 and the marginals; m is last
+            flipped = bytearray(blob)
+            flipped[body_start + 8 * (cell * (k + 2) + counter)] ^= 1
+            with pytest.raises(ValueError, match="sums of m signs"):
+                EstimatorBank.from_snapshot_bytes(bytes(flipped))
+
+
+def test_snapshot_loader_refuses_impossible_counters():
+    # Every counter is a sum of m signs, so -m <= c <= m and c = m (mod 2).
+    bank = small_bank(5, s1=2, s2=1)
+    bank.ingest_many([(0, 1), (3, 2), (1, 1)])
+    blob = bank.snapshot_bytes()
+    head, body = len(estimator._MAGIC) + estimator._HEADER.size, np.frombuffer(blob, "<i8")
+    body = body[head // 8 :].reshape(2, 4)
+
+    def crafted(t1=None, m=None):
+        cells = body.copy()
+        if t1 is not None:
+            cells[:, 0] = t1
+        if m is not None:
+            cells[:, -1] = m
+        return blob[:head] + cells.tobytes()
+
+    assert EstimatorBank.from_snapshot_bytes(crafted()).counters_equal(bank)
+    for data in [crafted(t1=-3, m=-3), crafted(m=-3), crafted(t1=5), crafted(t1=2),
+                 crafted(t1=-(1 << 63)), crafted(t1=10**6)]:
+        with pytest.raises(ValueError, match="sums of m signs"):
+            EstimatorBank.from_snapshot_bytes(data)
+    merged = merge_banks(bank, bank)
+    assert EstimatorBank.from_snapshot_bytes(merged.snapshot_bytes()).counters_equal(merged)
 
 
 @settings(max_examples=300, deadline=None)
@@ -491,6 +524,13 @@ def test_exact_item_limit_splits_runs(monkeypatch):
     monkeypatch.setattr(streamfile, "_EXACT_ITEMS", 10)
     with pytest.raises(ValueError, match="2\\^53"):
         FrequencyTable.from_blocks(blocks, 2, 4)
+    # add reads the same limit: m may reach 9 but not 10.
+    table = FrequencyTable(2, 4)
+    table.add((0, 1), 8)
+    with pytest.raises(ValueError, match="2\\^53"):
+        table.add((0, 1), 2)
+    table.add((0, 1))
+    assert table.m == 9
 
 
 @pytest.mark.parametrize("block", [

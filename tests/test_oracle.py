@@ -29,6 +29,11 @@ W1 = FieldSpec(1)
 W2 = FieldSpec(2)
 
 
+def joint(table):
+    """The table's joint counts as a dict from k-tuples to counts."""
+    return dict(zip(map(tuple, table.rows.tolist()), table.counts.tolist()))
+
+
 def brute_l2sq(stream, k, n):
     """Independent oracle: the definition, a dense loop over all of [n]^k."""
     m = len(stream)
@@ -50,11 +55,11 @@ def brute_l2sq(stream, k, n):
 
 def scalar_l2sq(table):
     """The distance from the table one joint cell at a time, in Python ints."""
-    m, k = table.m, table.k
-    total = math.prod(sum(c * c for c in marg) for marg in table.marginals)
+    m, k, margs = table.m, table.k, table.marginals.tolist()
+    total = math.prod(sum(c * c for c in marg) for marg in margs)
     scale = m ** (k - 1)
-    for item, f in table.joint.items():
-        p = math.prod(table.marginals[i][x] for i, x in enumerate(item))
+    for item, f in joint(table).items():
+        p = math.prod(margs[i][x] for i, x in enumerate(item))
         d = f * scale - p
         total += d * d - p * p
     return Fraction(total, m ** (2 * k))
@@ -124,12 +129,12 @@ def test_duplicating_the_stream_preserves_l2sq(stream, copies):
 def test_frequency_table_invariants():
     stream = list(generate(GenSpec(n=4, k=2, m=50, lam=0.5, rng_seed=6)))
     t = FrequencyTable.from_stream(stream, k=2, n=4)
-    assert sum(t.joint.values()) == t.m == 50
+    assert sum(joint(t).values()) == t.m == 50
     for i in range(2):
-        assert sum(t.marginals[i]) == t.m
+        assert sum(t.marginals.tolist()[i]) == t.m
         for x in range(4):
-            assert t.marginals[i][x] == sum(
-                f for item, f in t.joint.items() if item[i] == x
+            assert t.marginals.tolist()[i][x] == sum(
+                f for item, f in joint(t).items() if item[i] == x
             )
     with pytest.raises(ValueError):
         t.add((9, 0))
@@ -151,17 +156,17 @@ def test_table_refuses_what_the_bank_refuses():
         table = FrequencyTable.from_stream([(1, 2), (1, 2)], k=2, n=4)
         with pytest.raises(ValueError):
             table.add(item)
-        assert (table.joint, table.m) == ({(1, 2): 2}, 2)
-        assert table.marginals == [[0, 2, 0, 0], [0, 0, 2, 0]]
+        assert (joint(table), table.m) == ({(1, 2): 2}, 2)
+        assert table.marginals.tolist() == [[0, 2, 0, 0], [0, 0, 2, 0]]
         assert exact_l2sq(table) == 0
     assert bank.item_count == 0
     # Python ints, numpy ints of any width and bools are integers.
     items = [(1, 2), (np.int8(3), np.uint64(0)), (True, np.int64(2))]
     table = FrequencyTable.from_stream(items, k=2, n=4)
-    assert table.joint == {(1, 2): 2, (3, 0): 1}
+    assert joint(table) == {(1, 2): 2, (3, 0): 1}
     for item in items:
         table.add(item)
-    assert table.joint == {(1, 2): 4, (3, 0): 2} and table.m == 6
+    assert joint(table) == {(1, 2): 4, (3, 0): 2} and table.m == 6
 
 
 def test_add_is_exact_or_refused():
@@ -170,12 +175,12 @@ def test_add_is_exact_or_refused():
     table = FrequencyTable(2, 2)
     table.add((0, 1), (1 << 53) - 2)
     table.add((0, 1))
-    assert table.joint == {(0, 1): (1 << 53) - 1} and table.m == (1 << 53) - 1
+    assert joint(table) == {(0, 1): (1 << 53) - 1} and table.m == (1 << 53) - 1
     for item, count in [((0, 1), 1), ((1, 0), 1 << 60), ((1, 1), 0), ((1, 1), -1), ((1, 1), 1.0)]:
         with pytest.raises(ValueError):
             table.add(item, count)
-    assert table.joint == {(0, 1): (1 << 53) - 1} and table.m == (1 << 53) - 1
-    assert table.marginals == [[(1 << 53) - 1, 0], [0, (1 << 53) - 1]]
+    assert joint(table) == {(0, 1): (1 << 53) - 1} and table.m == (1 << 53) - 1
+    assert table.marginals.tolist() == [[(1 << 53) - 1, 0], [0, (1 << 53) - 1]]
 
 
 def test_enumerated_moments_match_instance_bruteforce_w1_k2():
@@ -398,16 +403,23 @@ def test_from_blocks_equals_scalar_table(k, n, data):
               for lo, hi in zip(bounds, bounds[1:])]
     table = FrequencyTable.from_blocks(iter(blocks), k, n)
     # The reference is built outside FrequencyTable: from_stream shares its code.
-    joint = dict(collections.Counter(items))
-    marginals = [[sum(f for p, f in joint.items() if p[i] == x) for x in range(n)]
+    counts = dict(collections.Counter(items))
+    marginals = [[sum(f for p, f in counts.items() if p[i] == x) for x in range(n)]
                  for i in range(k)]
-    assert (table.m, table.marginals, table.joint) == (len(items), marginals, joint)
-    assert FrequencyTable.from_stream(items, k=k, n=n).joint == joint
+    assert (table.m, table.marginals.tolist(), joint(table)) == (len(items), marginals, counts)
+    assert table.marginals.dtype == np.int64
+    assert joint(FrequencyTable.from_stream(items, k=k, n=n)) == counts
     assert exact_l2sq(table) == scalar_l2sq(table) == brute_l2sq(items, k, n)
-    support = len(joint)
+    support = len(counts)
     FrequencyTable.from_blocks(iter(blocks), k, n, max_support=support)
     with pytest.raises(ValueError, match=f"memory budget of {support - 1} entries"):
         FrequencyTable.from_blocks(iter(blocks), k, n, max_support=support - 1)
+    # One more add: the marginals read afterwards count the new item too.
+    extra = data.draw(st.tuples(*[st.integers(0, n - 1)] * k))
+    table.add(extra)
+    items.append(extra)
+    marginals = [[sum(1 for p in items if p[i] == x) for x in range(n)] for i in range(k)]
+    assert (table.m, table.marginals.tolist()) == (len(items), marginals)
 
 
 @settings(max_examples=150, deadline=None)
@@ -428,10 +440,10 @@ def test_exact_l2sq_equals_scalar_formula_at_any_count(k, n, counts, data):
 
 def brute_table_l2sq(table):
     """The definition over all of [n]^k, from the table's counts."""
-    m, total = table.m, Fraction(0)
+    m, total, margs, counts = table.m, Fraction(0), table.marginals.tolist(), joint(table)
     for omega in itertools.product(range(table.n), repeat=table.k):
-        prod = math.prod(Fraction(table.marginals[i][x], m) for i, x in enumerate(omega))
-        total += (Fraction(table.joint.get(omega, 0), m) - prod) ** 2
+        prod = math.prod(Fraction(margs[i][x], m) for i, x in enumerate(omega))
+        total += (Fraction(counts.get(omega, 0), m) - prod) ** 2
     return total
 
 
