@@ -9,58 +9,33 @@ probability 1 - delta.  An exact oracle (frequency tables plus full seed
 enumeration) verifies the estimator's moment guarantees at desk scale.
 """
 
-from .estimator import (
-    AccuracyParams,
-    BankShape,
-    Estimate,
-    EstimatorBank,
-    StateSize,
-    derive_shape,
-    merge_banks,
-)
-from .field import REDUCTION_POLYNOMIALS, SUPPORTED_WIDTHS, FieldSpec, field_mul
-from .hashing import SignHash, SignHashSeed, sign_hash_eval
-from .oracle import (
-    EnumerationBudgetError,
-    ExactMoments,
-    FrequencyTable,
-    exact_l2sq,
-    exact_y_from_table,
-    exhaustive_moments,
-    seed_uniformity_census,
-)
-from .sketch import EmptyStreamError, SketchConfig, SketchInstance, merge_sketches
-from .streamgen import GenSpec, generate, generate_range
-
 __version__ = "0.1.0"
 
-__all__ = [
-    "AccuracyParams",
-    "BankShape",
-    "EmptyStreamError",
-    "EnumerationBudgetError",
-    "Estimate",
-    "EstimatorBank",
-    "ExactMoments",
-    "FieldSpec",
-    "FrequencyTable",
-    "GenSpec",
-    "REDUCTION_POLYNOMIALS",
-    "SUPPORTED_WIDTHS",
-    "SignHash",
-    "SignHashSeed",
-    "SketchConfig",
-    "SketchInstance",
-    "StateSize",
-    "derive_shape",
-    "exact_l2sq",
-    "exact_y_from_table",
-    "exhaustive_moments",
-    "field_mul",
-    "generate",
-    "generate_range",
-    "merge_banks",
-    "merge_sketches",
-    "seed_uniformity_census",
-    "sign_hash_eval",
-]
+# Each public name and the submodule it comes from.  A bare ``import
+# prodsketch`` loads none of them; a name's submodule is imported on its
+# first use (PEP 562), so a CLI child loads only the code it runs.
+_MODULE_OF = {
+    name: module
+    for module, names in {
+        "estimator": ("AccuracyParams", "BankShape", "Estimate", "EstimatorBank", "StateSize",
+                      "derive_shape", "merge_banks"),
+        "field": ("REDUCTION_POLYNOMIALS", "SUPPORTED_WIDTHS", "FieldSpec", "field_mul"),
+        "hashing": ("SignHash", "SignHashSeed", "sign_hash_eval"),
+        "oracle": ("EnumerationBudgetError", "ExactMoments", "FrequencyTable", "exact_l2sq",
+                   "exact_y_from_table", "exhaustive_moments", "seed_uniformity_census"),
+        "sketch": ("EmptyStreamError", "SketchConfig", "SketchInstance", "merge_sketches"),
+        "streamgen": ("GenSpec", "generate", "generate_range"),
+    }.items()
+    for name in names
+}
+
+__all__ = sorted(_MODULE_OF)
+
+
+def __getattr__(name: str):
+    if name not in _MODULE_OF:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    # ``from .<module> import <name>``, which ``-X importtime`` reports (import_module is not)
+    value = getattr(__import__(_MODULE_OF[name], globals(), None, (name,), 1), name)
+    globals()[name] = value
+    return value

@@ -16,13 +16,19 @@ import math
 import sys
 import time
 
-from .estimator import AccuracyParams, EstimatorBank, StateSize, derive_shape
-from .field import SUPPORTED_WIDTHS, FieldSpec
-from .oracle import FrequencyTable, exact_l2sq
-from .selftest import all_passed, run_selftest
-from .sketch import SketchConfig
 from .streamfile import iter_blocks, read_header, write_stream
-from .streamgen import GenSpec, generate_blocks
+
+# The names each subcommand loads on first use, and their modules, so a
+# child imports only the code its subcommand runs.  They are bound as
+# attributes of this module, where the subcommands look them up, so a name
+# patched here is the one that runs.
+_LAZY = {
+    "AccuracyParams": "estimator", "EstimatorBank": "estimator", "StateSize": "estimator",
+    "derive_shape": "estimator", "SUPPORTED_WIDTHS": "field", "FieldSpec": "field",
+    "SketchConfig": "sketch", "FrequencyTable": "oracle", "exact_l2sq": "oracle",
+    "GenSpec": "streamgen", "generate_blocks": "streamgen",
+    "all_passed": "selftest", "run_selftest": "selftest",
+}
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -30,6 +36,22 @@ EXIT_DATA = 2
 EXIT_SELFTEST = 3
 
 REPORT_VERSION = 1
+
+
+def __getattr__(name: str):
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    # ``from .<module> import <name>``, which ``-X importtime`` reports (import_module is not)
+    value = getattr(__import__(_LAZY[name], globals(), None, (name,), 1), name)
+    globals()[name] = value
+    return value
+
+
+def _load(*modules: str) -> None:
+    """Bind the ``_LAZY`` names of these modules that are not bound (or patched) yet."""
+    for name, module in _LAZY.items():
+        if module in modules and name not in globals():
+            __getattr__(name)
 
 
 def _print_report(**fields) -> None:
@@ -41,6 +63,7 @@ def _print_report(**fields) -> None:
 
 def smallest_width(n: int) -> int:
     """Smallest supported field width whose domain holds [0, n)."""
+    _load("field")
     for w in SUPPORTED_WIDTHS:
         if n <= (1 << w):
             return w
@@ -140,6 +163,7 @@ def _header_int(header: dict[str, str], key: str) -> int | None:
 
 
 def cmd_estimate(args) -> int:
+    _load("estimator", "field", "sketch")
     try:
         params = AccuracyParams(epsilon=args.epsilon, delta=args.delta)
     except ValueError as exc:
@@ -184,6 +208,7 @@ def cmd_estimate(args) -> int:
 
 
 def cmd_exact(args) -> int:
+    _load("oracle")
     with _open_input(args.input) as fp:
         header, first = read_header(fp)
         k, n = _resolve_dims(args, header)
@@ -206,6 +231,7 @@ def cmd_exact(args) -> int:
 
 
 def cmd_gen(args) -> int:
+    _load("streamgen")
     spec = GenSpec(n=args.n, k=args.k, m=args.m, lam=args.lam, rng_seed=args.rng_seed)
     header = spec.header()
     if args.out == "-":
@@ -219,6 +245,7 @@ def cmd_gen(args) -> int:
 
 
 def cmd_selftest(args) -> int:
+    _load("selftest")
     results = run_selftest(quick=args.quick, field_fault=args.inject_field_fault)
     width = max(len(r.name) for r in results)
     for r in results:

@@ -54,7 +54,6 @@ import copy
 import math
 import struct
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Iterable
 
 import numpy as np
@@ -145,14 +144,13 @@ def derive_shape(
 ) -> BankShape:
     """Grid shape meeting the (1 +- eps, delta) guarantee for k dimensions.
 
-    The ceilings are evaluated in exact rational arithmetic (s1) and with a
-    1e-12 slack (s2) so boundary cases like delta = e^-2 -> s2 = 4 do not
-    depend on libm rounding.
+    The ceilings are evaluated in exact integer arithmetic (s1, as c * q^2 / p^2
+    for eps = p / q) and with a 1e-12 slack (s2) so boundary cases like
+    delta = e^-2 -> s2 = 4 do not depend on libm rounding.
     """
-    if paper_constants and k == 2:
-        s1 = math.ceil(Fraction(72) / Fraction(params.epsilon) ** 2)
-    else:
-        s1 = math.ceil(Fraction(8 * (3**k - 1)) / Fraction(params.epsilon) ** 2)
+    c = 72 if paper_constants and k == 2 else 8 * (3**k - 1)
+    p, q = params.epsilon.as_integer_ratio()
+    s1 = -(-c * q * q // (p * p))
     s2 = max(1, math.ceil(2.0 * math.log(1.0 / params.delta) - 1e-12))
     return BankShape(s1=s1, s2=s2)
 

@@ -37,9 +37,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .field import FieldElement, FieldSpec, field_mul, field_mul_vec
-from .rng import word_at, words_at
+from .rng import MAX_DIMS, word_at, words_at
 
-MAX_DIMS = 256
 MAX_GROUP = 1 << 22
 MAX_INDEX = 1 << 32
 

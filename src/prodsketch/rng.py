@@ -13,6 +13,10 @@ import numpy as np
 
 MASK64 = (1 << 64) - 1
 
+# Tuple arity: a seed counter gives a dimension 8 bits (hashing), and
+# streams are generated up to the same arity.
+MAX_DIMS = 256
+
 # Weyl increment and finalizer constants of SplitMix64 (Steele et al.).
 GAMMA = 0x9E3779B97F4A7C15
 _MIX1 = 0xBF58476D1CE4E5B9

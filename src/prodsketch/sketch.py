@@ -22,12 +22,14 @@ bank cell with equal counters finalize to the same bits.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from math import prod
-from typing import Iterable, Iterator
+from typing import TYPE_CHECKING, Iterable, Iterator
 
 from .field import FieldSpec
 from .hashing import MAX_DIMS, SignHash, derive_hashes
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 
 class EmptyStreamError(ValueError):
@@ -119,6 +121,8 @@ class SketchInstance:
 
     def finalize_exact(self) -> Fraction:
         """Same value as :meth:`finalize`, as an exact rational."""
+        from fractions import Fraction  # kept off an estimate child's imports
+
         u = self._unnormalized()
         return Fraction(u * u, self.m ** (2 * self.config.k))
 

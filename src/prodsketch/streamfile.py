@@ -90,16 +90,20 @@ def distinct_rows(block: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray
 
     ``block[first]`` are the distinct rows of the (rows, k) array, and row i
     of the block is ``block[first][inverse[i]]``.  Rows are told apart by
-    mixed-radix codes over the per-column ranks, re-ranked below len(block)
-    whenever the radix would pass int64.
+    mixed-radix codes with the symbols as digits, so one sort ranks them in
+    row order.  Where the radix would pass int64, a column's symbols are
+    replaced by their ranks, and if that is not enough the codes are too.
     """
     code, radix = np.zeros(len(block), dtype=np.int64), 1
     for column in block.T:
-        syms, inverse = np.unique(column, return_inverse=True)
-        if radix * len(syms) >= 1 << 62:
-            code, radix = np.unique(code, return_inverse=True)[1], len(block)
-        code = code * len(syms) + inverse
-        radix *= len(syms)
+        base = int(column.max(initial=0)) + 1
+        if radix * base >= 1 << 62:
+            syms, column = np.unique(column, return_inverse=True)
+            base = len(syms)
+            if radix * base >= 1 << 62:
+                code, radix = np.unique(code, return_inverse=True)[1], len(block)
+        code = code * base + column.astype(np.int64)
+        radix *= base
     _, first, inverse, counts = np.unique(
         code, return_index=True, return_inverse=True, return_counts=True
     )

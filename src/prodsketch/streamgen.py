@@ -25,8 +25,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .hashing import MAX_DIMS
-from .rng import word_at, words_at
+from .rng import MAX_DIMS, word_at, words_at
 from .streamfile import _BLOCK_LINES
 
 GENERATOR_ID = "splitmix64ctr/1"

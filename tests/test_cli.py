@@ -6,6 +6,7 @@ import subprocess
 import sys
 from fractions import Fraction
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -269,6 +270,35 @@ def test_estimate_memory_budget_refusal(capsys, monkeypatch):
     # k = 7 at eps = 0.2 stays under the default budget.
     size = StateSize.of(derive_shape(AccuracyParams(0.2, 0.1), 7), 7)
     assert size.counters + size.seeds <= 1 << 27
+
+
+
+def test_patched_module_attributes_are_what_subcommands_call(stream_file, capsys, monkeypatch):
+    # A subcommand looks its functions up on the cli module at each call,
+    # also the first, so a name patched there (as a tracer does) is the one
+    # that runs.  The lazily bound names are unbound first, so the first-use
+    # path is the one tested.
+    calls = []
+
+    def spy(name):
+        real = getattr(cli, name)
+
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return real(*args, **kwargs)
+        return wrapper
+
+    for name in ("exact_l2sq", "run_selftest"):
+        monkeypatch.delitem(vars(cli), name, raising=False)
+    for name in ("exact_l2sq", "write_stream"):
+        monkeypatch.setattr(cli, name, spy(name))
+    failing = SimpleNamespace(name="patched", ok=False, expected=0, actual=1)
+    monkeypatch.setattr(cli, "run_selftest", lambda **kwargs: [failing])
+    assert run(capsys, "exact", "--input", str(stream_file))[0] == EXIT_OK
+    assert run(capsys, "gen", "--n", "4", "--k", "2", "--m", "3", "--out", "-")[0] == EXIT_OK
+    assert calls == ["exact_l2sq", "write_stream"]
+    code, out, _ = run(capsys, "selftest", "--quick")
+    assert code == EXIT_SELFTEST and "FAIL patched" in out
 
 
 def cli_child(*argv, text):

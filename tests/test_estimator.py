@@ -2,10 +2,11 @@
 
 import io
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from prodsketch import estimator, streamfile
@@ -18,6 +19,7 @@ from prodsketch.estimator import (
     merge_banks,
 )
 from prodsketch.field import SUPPORTED_WIDTHS, FieldSpec
+from prodsketch.hashing import MAX_INDEX
 from prodsketch.oracle import FrequencyTable, exact_y_from_table
 from prodsketch.sketch import EmptyStreamError, SketchConfig, SketchInstance
 from prodsketch.streamfile import FormatError
@@ -39,6 +41,27 @@ def test_derive_shape_constants():
     assert derive_shape(AccuracyParams(0.2, 0.1), 3) == BankShape(5200, 5)
     # paper-constants mode is defined only at k=2; elsewhere it derives
     assert derive_shape(AccuracyParams(0.2, 0.1), 3, paper_constants=True) == BankShape(5200, 5)
+
+
+@settings(max_examples=300, deadline=None)
+@given(epsilon=st.sampled_from([1.0, 0.5, 0.25, 2.0**-10])
+       | st.floats(min_value=0.0, max_value=1.0, exclude_min=True),
+       k=st.integers(1, 8), paper_constants=st.booleans())
+@example(epsilon=1.0, k=2, paper_constants=True)
+@example(epsilon=0.5, k=1, paper_constants=False)
+@example(epsilon=0.25, k=3, paper_constants=True)
+@example(epsilon=2.0**-10, k=2, paper_constants=True)
+@example(epsilon=2.0**-10, k=8, paper_constants=False)  # past MAX_INDEX
+def test_derive_shape_integer_ceiling_matches_fraction(epsilon, k, paper_constants):
+    # derive_shape's integer ceiling is ceil(c / eps^2) in exact rationals.
+    c = 72 if paper_constants and k == 2 else 8 * (3**k - 1)
+    want = math.ceil(Fraction(c) / Fraction(epsilon) ** 2)
+    params = AccuracyParams(epsilon, 0.5)
+    if want > MAX_INDEX:
+        with pytest.raises(ValueError):
+            derive_shape(params, k, paper_constants=paper_constants)
+    else:
+        assert derive_shape(params, k, paper_constants=paper_constants).s1 == want
 
 
 def test_accuracy_params_validation():

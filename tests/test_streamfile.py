@@ -223,3 +223,27 @@ def test_closed_runs_end_without_yielding():
     rows, counts = next(runs)
     assert rows.tolist() == [[0, 1], [1, 0]] and counts.tolist() == [2, 2]
     runs.close()
+
+
+@pytest.mark.parametrize("n, k, rows", [
+    (4, 2, 5000),  # small alphabet: symbols as digits, one sort
+    (1 << 16, 3, 20000),
+    (1 << 32, 2, 3000),  # the second column's radix passes 2^62: ranked
+    (1 << 63, 3, 3000),  # every column past the first ranked
+    (1 << 64, 2, 1000),  # full-width symbols
+    (4, 40, 3000),  # ranked columns still pass 2^62: the codes are ranked
+    (1 << 16, 5, 1),  # a one-row block
+    (4, 3, 0),
+])
+def test_distinct_rows_matches_numpy_unique(n, k, rows):
+    rng = np.random.default_rng(n % 1009 + k + rows)
+    block = rng.integers(0, n, size=(rows, k), dtype=np.uint64, endpoint=False)
+    block[rows // 2:] = block[: rows - rows // 2]  # repeated rows
+    if rows > 2:
+        block[1] = n - 1  # the widest radix in every column
+    first, inverse, counts = streamfile.distinct_rows(block)
+    _, want_first, want_inverse, want_counts = np.unique(
+        block, axis=0, return_index=True, return_inverse=True, return_counts=True)
+    assert first.tolist() == want_first.tolist()
+    assert inverse.tolist() == want_inverse.reshape(-1).tolist()
+    assert counts.tolist() == want_counts.tolist()
