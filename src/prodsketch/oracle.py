@@ -2,11 +2,13 @@
 
 Everything here is computed in exact arithmetic.  Counts are integers,
 scaled so that the only division is the final one into a ``Fraction``;
-moment enumeration visits every seed tuple of the hash family, so the
+moment enumeration sums over every seed tuple of the hash family, so the
 verified expectation/variance statements carry zero statistical or
-floating-point slack.  The price is a hard budget: enumeration is only
-permitted for field width <= 2 and k <= 3, and at most 2^24 seed tuples;
-larger configurations are rejected rather than sampled.
+floating-point slack.  It evaluates every seed's signs on [n] and groups
+the seeds by that sign row, on which alone a seed's Y depends.  The price
+is a hard budget: enumeration is only permitted for field width <= 2 and
+k <= 3, and at most 2^24 seed tuples; larger configurations are rejected
+rather than sampled.
 
 Enumeration runs on one vector.  The estimator's cell value is
 U = t1 m^(k-1) - prod_i marg_i = sum_p H(p) v_p with the deviation vector
@@ -259,20 +261,16 @@ def exhaustive_moments(
         tensor = np.zeros((n,) * k, dtype=object)
         rows = np.concatenate(list(tuple_blocks(source, k, n))).astype(np.intp)
         tensor[tuple(rows.T)] = [int(w * scale) for w in weights]
-    bound = max(1, int(np.abs(tensor).sum()))  # |sum_p v_p H(p)| <= sum_p |v_p|
-
-    signs = all_seed_signs(spec, n)
-    if bound**4 < (1 << 61):
-        signs, tensor = signs.astype(np.int64), tensor.astype(np.int64)
-    else:
-        signs = signs.astype(object)
-
-    s1_sum = 0
-    s2_sum = 0
-    for num in _numerator_slabs(signs, tensor):
-        a, b = _exact_square_sums(num, bound)
-        s1_sum += a
-        s2_sum += b
+    # Y depends on a seed only through its sign row on [n]: contract v against
+    # the distinct rows one dimension at a time and weight each row tuple by
+    # the number of seed tuples that share it.
+    signs, mult = np.unique(all_seed_signs(spec, n), axis=0, return_counts=True)
+    num, signs = tensor, signs.astype(object)
+    for _ in range(k):
+        num = np.tensordot(num, signs, axes=([0], [1]))
+    weight = functools.reduce(np.multiply.outer, [mult.astype(object)] * k)
+    num2 = num * num
+    s1_sum, s2_sum = int((weight * num2).sum()), int((weight * num2 * num2).sum())
 
     e_y = Fraction(s1_sum, tuples * scale**2)
     e_y2 = Fraction(s2_sum, tuples * scale**4)
@@ -286,33 +284,3 @@ def _deviation_vector(table: FrequencyTable) -> np.ndarray:
     v = -functools.reduce(np.multiply.outer, table.marginals.astype(object))
     v[tuple(table.rows.T.astype(np.intp))] += table.counts.astype(object) * table.m ** (table.k - 1)
     return v
-
-
-def _numerator_slabs(signs: np.ndarray, tensor: np.ndarray):
-    """Yield sum_p v_p H(p) over every seed tuple, in slabs of 64 first-axis seeds.
-
-    Dimensions 2..k are contracted against the sign table one at a time,
-    each appending its seed axis; the first is contracted per slab.
-    """
-    partial = tensor
-    for _ in range(tensor.ndim - 1):
-        partial = np.tensordot(partial, signs, axes=([1], [1]))
-    for lo in range(0, signs.shape[0], 64):
-        yield np.tensordot(signs[lo : lo + 64], partial, axes=([1], [0]))
-
-
-def _exact_square_sums(num: np.ndarray, bound: int) -> tuple[int, int]:
-    """(sum of num^2, sum of num^4) as exact Python ints.
-
-    An object array (Python ints) is summed in one run; an int64 array,
-    whose entries are at most ``bound`` in absolute value, in runs short
-    enough that no partial sum of fourth powers passes 2^62.
-    """
-    flat = num.reshape(-1)
-    run = flat.size if flat.dtype == object else max(1, (1 << 62) // bound**4)
-    s1 = s2 = 0
-    for lo in range(0, flat.size, run):
-        c2 = flat[lo : lo + run] ** 2
-        s1 += int(c2.sum())
-        s2 += int((c2 * c2).sum())
-    return s1, s2

@@ -3,7 +3,9 @@
 import collections
 import itertools
 import math
+import tracemalloc
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -321,8 +323,8 @@ def per_tuple_moments(y_of, k):
     return e_y, sum((y * y for y in ys), Fraction(0)) / len(ys) - e_y * e_y
 
 
-# Counts and weights past about 2^15 put the enumeration's L1 bound^4 past
-# 2^61, so the object-dtype path is held to the loop as well as the int64 one.
+# Counts and weights up to 10^6 put the fourth powers summed by the
+# enumeration far past 2^63, so its sums must stay exact Python ints.
 _COUNTS = st.lists(st.integers(0, 3) | st.integers(0, 10**6), min_size=8, max_size=8)
 _WEIGHTS = st.lists(
     st.integers(-(10**6), 10**6) | st.fractions(-(10**6), 10**6, max_denominator=1000),
@@ -360,6 +362,78 @@ def test_enumeration_matches_per_seed_vector_loop(k, n, weights):
 
     fast = exhaustive_moments(vec, spec=W1, k=k, n=n)
     assert (fast.expectation, fast.variance) == per_tuple_moments(direct_y, k)
+
+
+def seed_table_moments(vector, scale):
+    """E[Y] and Var[Y] of Y = (sum_p vector_p H(p) / scale)^2 at w = 2, k <= 2.
+
+    Y is summed over every one of the 256^k seed tuples, straight from the
+    full (256, n) sign table, with no grouping of seeds.
+    """
+    signs = oracle.all_seed_signs(W2, vector.shape[0]).astype(object)
+    num = signs @ vector
+    if vector.ndim == 2:
+        num = num @ signs.T
+    num2, tuples = num * num, 256**vector.ndim
+    e_y = Fraction(int(num2.sum()), tuples * scale**2)
+    return e_y, Fraction(int((num2 * num2).sum()), tuples * scale**4) - e_y * e_y
+
+
+def test_w2_enumeration_matches_every_seed_tuple():
+    from prodsketch.selftest import battery_streams_k2
+
+    for stream in battery_streams_k2():
+        m, counts = len(stream), collections.Counter(stream)
+        f1, f2 = (collections.Counter(column) for column in zip(*stream))
+        v = np.array([[m * counts[a, b] - f1[a] * f2[b] for b in range(4)] for a in range(4)],
+                     dtype=object)
+        fast = exhaustive_moments(FrequencyTable.from_stream(stream, k=2, n=4), spec=W2)
+        assert (fast.expectation, fast.variance) == seed_table_moments(v, m**2)
+    # Weights past 2^15: fourth powers of the numerators pass 2^63.
+    big = {(0, 0): 3**20, (1, 2): 7 - (1 << 40), (3, 3): 40_000, (2, 1): Fraction(-65_537, 3)}
+    grid = np.zeros((4, 4), dtype=object)
+    for p, w in big.items():
+        grid[p] = int(w * 3)
+    # The same weights at k = 1 (their first symbols are distinct) and at k = 2.
+    for vec, v in (({p[:1]: w for p, w in big.items()}, grid.sum(1)), (big, grid)):
+        fast = exhaustive_moments(vec, spec=W2, k=v.ndim, n=4)
+        assert (fast.expectation, fast.variance) == seed_table_moments(v, 3)
+
+
+def test_a_flipped_seed_sign_is_caught(monkeypatch):
+    # Negative control: one wrong sign (seed 0, symbol 2) must change E[Y] on
+    # some battery table.  Swapping the rows of seeds that differ only in c0
+    # would not: those rows are negations of each other and Y is even in them.
+    from prodsketch.selftest import battery_streams_k2
+
+    flipped = oracle.all_seed_signs(W2, 4).copy()
+    flipped[0, 2] *= -1
+    monkeypatch.setattr(oracle, "all_seed_signs", lambda spec, n: flipped)
+    tables = [FrequencyTable.from_stream(s, k=2, n=4) for s in battery_streams_k2()]
+    assert any(exhaustive_moments(t, spec=W2).expectation != exact_l2sq(t) for t in tables)
+
+
+@settings(max_examples=20, deadline=None)
+@given(k=st.integers(1, 3), n=st.integers(1, 4), weights=_WEIGHTS)
+def test_negating_the_sign_table_leaves_the_moments(k, n, weights):
+    # Y is even in each dimension's sign, so negating every seed's row is invisible.
+    vec = dict(zip(itertools.product(range(n), repeat=k), weights))
+    moments, negated = exhaustive_moments(vec, spec=W2, k=k, n=n), -oracle.all_seed_signs(W2, n)
+    with mock.patch.object(oracle, "all_seed_signs", lambda spec, n: negated):
+        assert exhaustive_moments(vec, spec=W2, k=k, n=n) == moments
+
+
+def test_full_budget_enumeration_stays_small():
+    from prodsketch.selftest import uniform_vector
+
+    oracle.all_seed_signs(W2, 4)  # the cached sign table is not counted
+    tracemalloc.start()
+    try:
+        exhaustive_moments(uniform_vector(4, 3), spec=W2, k=3, n=4)  # 2^24 seed tuples
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 << 20
 
 
 def test_census_patterns_and_marginalization():
