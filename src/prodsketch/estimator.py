@@ -27,10 +27,11 @@ both the joint counter and the marginal sums read; nothing is precomputed
 per symbol of the alphabet.  The joint counter sum_x f(x) prod_d h_d(x_d)
 factorises over dimensions: a run whose symbol grid is at most
 ``_DENSE_GRID`` times its support is contracted as a dense histogram one
-dimension at a time; otherwise each (cell, row) sign product is gathered
-and summed.  Every partial sum is bounded by the run's item total, below
-2^53, so both paths are exact in float64.  Ingestion is single-writer;
-estimation is read-only.
+dimension at a time, in slabs of cells whose partial sums hold about
+``hashing.SLAB_ENTRIES`` entries; otherwise each (cell, row) sign product
+is gathered and summed.  Every partial sum is bounded by the run's item
+total, below 2^53, so both paths are exact in float64 in any slab order.
+Ingestion is single-writer; estimation is read-only.
 
 Finalize uses the same rule as ``SketchInstance.finalize``
 (``sketch.finalize_values``): U is computed with int64 arrays while
@@ -62,6 +63,7 @@ from .field import FieldSpec
 from .hashing import (
     MAX_GROUP,
     MAX_INDEX,
+    SLAB_ENTRIES,
     batch_sign_eval,
     derive_coefficients_batch,
     derive_hashes,
@@ -75,9 +77,9 @@ _SNAPSHOT_VERSION = 1
 
 # An ingest run ends once its merged support passes _CHUNK_ITEMS rows.
 _CHUNK_ITEMS = 8192
-# Cap on the entries of a run's sign matrices (summed over dimensions), of
-# one joint-product slab and of one cell slab of a dense contraction's
-# partial sums; each is at most 32 MiB as float64.
+# Cap on the entries of a run's sign matrices (summed over dimensions) and
+# of one joint-product slab; each is at most 32 MiB as float64.  A dense
+# contraction's partial sums are slabbed by hashing.SLAB_ENTRIES instead.
 _WORKING_ENTRIES = 1 << 22
 # A run whose symbol grid (the product over dimensions of its distinct
 # symbol counts) has at most _DENSE_GRID cells per distinct row is
@@ -242,7 +244,7 @@ class EstimatorBank:
             # with one GEMM and each earlier one with a batched matvec.
             hist = np.bincount(np.ravel_multi_index(idx, grid), counts, size)
             hist = hist.reshape(-1, grid[-1]).T
-            slab = max(1, _WORKING_ENTRIES // hist.shape[1])
+            slab = max(1, SLAB_ENTRIES // hist.shape[1])
             for lo in range(0, cells, slab):
                 sl = slice(lo, lo + slab)
                 part = signs[-1][sl].astype(np.float64) @ hist
@@ -371,10 +373,9 @@ class EstimatorBank:
             shape=BankShape(s1=s1, s2=s2),
             master_seed=master_seed,
         )
-        ms = np.unique(body[:, -1])
-        if len(ms) != 1:
+        counters, m = body[:, :-1], int(body[0, -1])
+        if (body[:, -1] != m).any():
             raise ValueError("snapshot cells disagree on the item count")
-        counters, m = body[:, :-1], int(ms[0])
         # Each counter sums m signs: it lies in [-m, m] and has m's parity.
         if m < 0 or (counters < -m).any() or (counters > m).any() or ((counters ^ m) & 1).any():
             raise ValueError("snapshot counters are not sums of m signs")

@@ -41,6 +41,9 @@ from .rng import MAX_DIMS, word_at, words_at
 
 MAX_GROUP = 1 << 22
 MAX_INDEX = 1 << 32
+# Entries of one cache-sized slab (512 KiB of uint64 or float64) of a pass over
+# the whole bank: coefficient derivation and the estimator's dense contraction.
+SLAB_ENTRIES = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -146,15 +149,18 @@ def derive_hashes(
 def derive_coefficients_batch(
     master_seed: int, groups: int, indexes: int, k: int, spec: FieldSpec
 ) -> np.ndarray:
-    """Coefficient array of shape (groups*indexes, k, 4), row-major cells."""
-    g = np.arange(groups, dtype=np.uint64)[:, None, None, None]
-    j = np.arange(indexes, dtype=np.uint64)[None, :, None, None]
-    d = np.arange(k, dtype=np.uint64)[None, None, :, None]
-    c = np.arange(4, dtype=np.uint64)[None, None, None, :]
-    counters = (((g << np.uint64(32)) | j) << np.uint64(10)) | (d << np.uint64(2)) | c
-    words = words_at(master_seed, counters.reshape(-1))
-    coefs = words & np.uint64(spec.mask)
-    return coefs.reshape(groups * indexes, k, 4)
+    """Coefficients (groups*indexes, k, 4), row-major cells; counted and mixed slab by slab."""
+    out = np.empty((groups * indexes, k, 4), dtype=np.uint64)
+    dim_coef = np.arange(4 * k, dtype=np.uint64).reshape(k, 4)  # (dim << 2) | c
+    step = max(1, SLAB_ENTRIES // (4 * k))
+    for lo in range(0, len(out), step):
+        slab = out[lo : lo + step]
+        g, j = np.divmod(np.arange(lo, lo + len(slab), dtype=np.uint64), np.uint64(indexes))
+        cell = ((g << np.uint64(32)) | j) << np.uint64(10)
+        np.bitwise_or(cell[:, None, None], dim_coef, out=slab)
+        words_at(master_seed, slab, out=slab)
+        slab &= np.uint64(spec.mask)
+    return out
 
 
 def batch_sign_eval(coefs: np.ndarray, xs: np.ndarray, spec: FieldSpec) -> np.ndarray:

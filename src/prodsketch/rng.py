@@ -36,11 +36,18 @@ def word_at(seed: int, index: int) -> int:
     return mix64((seed + ((index + 1) * GAMMA)) & MASK64)
 
 
-def words_at(seed: int | np.ndarray, indices: np.ndarray) -> np.ndarray:
-    """Vectorized :func:`word_at`; ``seed`` is an int or a uint64 array broadcast to ``indices``."""
+def words_at(seed: int | np.ndarray, indices: np.ndarray, out=None) -> np.ndarray:
+    """Vectorized :func:`word_at`; ``seed`` is an int or a uint64 array broadcast to ``indices``.
+
+    Mixes in place in ``out``, a uint64 array of the result's shape (it may be ``indices``).
+    """
     with np.errstate(over="ignore"):
-        z = (np.asarray(indices, dtype=np.uint64) + np.uint64(1)) * np.uint64(GAMMA)
+        z = np.add(np.asarray(indices, dtype=np.uint64), np.uint64(1), out=out)
+        z *= np.uint64(GAMMA)
         z += np.uint64(seed & MASK64)
-        z = (z ^ (z >> np.uint64(30))) * np.uint64(_MIX1)
-        z = (z ^ (z >> np.uint64(27))) * np.uint64(_MIX2)
-        return z ^ (z >> np.uint64(31))
+        z ^= z >> np.uint64(30)
+        z *= np.uint64(_MIX1)
+        z ^= z >> np.uint64(27)
+        z *= np.uint64(_MIX2)
+        z ^= z >> np.uint64(31)
+        return z

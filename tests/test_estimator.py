@@ -2,6 +2,7 @@
 
 import io
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -19,7 +20,7 @@ from prodsketch.estimator import (
     merge_banks,
 )
 from prodsketch.field import SUPPORTED_WIDTHS, FieldSpec
-from prodsketch.hashing import MAX_INDEX
+from prodsketch.hashing import MAX_INDEX, SLAB_ENTRIES
 from prodsketch.oracle import FrequencyTable, exact_y_from_table
 from prodsketch.sketch import EmptyStreamError, SketchConfig, SketchInstance
 from prodsketch.streamfile import FormatError
@@ -287,6 +288,22 @@ def test_snapshot_loader_refuses_impossible_counters():
     assert EstimatorBank.from_snapshot_bytes(merged.snapshot_bytes()).counters_equal(merged)
 
 
+def test_snapshot_loader_refuses_disagreeing_item_counts():
+    # Every cell records the same m.  Raising one cell's copy by 2 keeps all
+    # its counters in range and of the right parity, so only that check can
+    # refuse it, whichever cell it is, the first included.
+    bank = small_bank(5, s1=3, s2=2)
+    bank.ingest_many([(0, 1), (3, 2), (1, 1)])
+    blob = bank.snapshot_bytes()
+    head = len(estimator._MAGIC) + estimator._HEADER.size
+    cells = np.frombuffer(blob[head:], "<i8").reshape(6, 4)
+    for cell in (0, 2, 5):
+        crafted = cells.copy()
+        crafted[cell, -1] += 2
+        with pytest.raises(ValueError, match="disagree on the item count"):
+            EstimatorBank.from_snapshot_bytes(blob[:head] + crafted.tobytes())
+
+
 @settings(max_examples=300, deadline=None)
 @given(data=st.one_of(
     st.binary(max_size=200),
@@ -413,15 +430,19 @@ def test_full_width_symbols_match_scalar_instances():
 
 def test_working_set_cap_splits_chunks_exactly(monkeypatch):
     # A cap of one entry splits every chunk down to single items and every
-    # joint product into one-row slabs; the counters must not change.
+    # joint product into one-row slabs; the dense contraction of a single row
+    # then takes SLAB_ENTRIES cells per slab: one cell, or 4 + 4 + 4 + 3 of
+    # the 15.  The counters must not change.
     items = list(generate(GenSpec(n=16, k=3, m=300, lam=0.4, rng_seed=4)))
     config = SketchConfig(k=3, n=16, spec=W4)
     whole = small_bank(3, s1=5, s2=3, config=config)
     whole.ingest_many(items)
     monkeypatch.setattr(estimator, "_WORKING_ENTRIES", 1)
-    split = small_bank(3, s1=5, s2=3, config=config)
-    split.ingest_many(items)
-    assert split.counters_equal(whole) and split.item_count == 300
+    for slab in (1, 4, SLAB_ENTRIES):
+        monkeypatch.setattr(estimator, "SLAB_ENTRIES", slab)
+        split = small_bank(3, s1=5, s2=3, config=config)
+        split.ingest_many(items)
+        assert split.counters_equal(whole) and split.item_count == 300, slab
 
 
 def test_negative_and_oversized_symbols_rejected():
@@ -649,7 +670,8 @@ def _flush_cases(draw):
             np.array(rows, dtype=np.uint64), np.array(counts, dtype=np.int64))
 
 
-def _add_rows_by_both_paths(config, shape, seed, rows, counts, working=1 << 22):
+def _add_rows_by_both_paths(config, shape, seed, rows, counts, working=1 << 22,
+                            slab=SLAB_ENTRIES):
     """Banks after one ``_add_rows`` call forced onto the row path and the dense path."""
     banks = []
     for grid in (0, 1 << 64):
@@ -657,22 +679,49 @@ def _add_rows_by_both_paths(config, shape, seed, rows, counts, working=1 << 22):
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(estimator, "_DENSE_GRID", grid)
             mp.setattr(estimator, "_WORKING_ENTRIES", working)
+            mp.setattr(estimator, "SLAB_ENTRIES", slab)
             bank._add_rows(rows, counts)
         banks.append(bank)
     return banks
 
 
 @settings(max_examples=80, deadline=None)
-@given(_flush_cases(), st.sampled_from(["one", "fit", "default"]))
-def test_dense_and_row_contractions_agree(case, working):
-    # "one" halves every flush down to single rows and contracts one cell
-    # per slab; "fit" keeps the flush whole but slabs the cells whenever the
-    # partial sums outgrow the sign matrices.
+@given(_flush_cases(), st.sampled_from(["one", "fit", "default"]),
+       st.sampled_from(["one", "ragged", "default"]))
+def test_dense_and_row_contractions_agree(case, working, slab):
+    # Working "one" halves every flush down to single rows; "fit" keeps the
+    # flush whole.  Slab "one" contracts one cell per slab; "ragged" sizes the
+    # whole flush's cell slabs to a bit over half the cells, so from three
+    # cells on the last slab is shorter.
     config, shape, seed, rows, counts = case
     symbols = sum(len(np.unique(column)) for column in rows.T)
     entries = {"one": 1, "fit": shape.cells * symbols, "default": 1 << 22}[working]
-    by_rows, dense = _add_rows_by_both_paths(config, shape, seed, rows, counts, entries)
+    partials = math.prod(len(np.unique(column)) for column in rows.T[:-1])
+    slab_entries = {"one": 1, "ragged": partials * (shape.cells // 2 + 1),
+                    "default": SLAB_ENTRIES}[slab]
+    by_rows, dense = _add_rows_by_both_paths(config, shape, seed, rows, counts, entries,
+                                             slab_entries)
     assert by_rows.counters_equal(dense) and dense.item_count == counts.sum()
+
+
+def test_dense_contraction_stays_within_a_few_slabs():
+    # A full [8]^3 run at the acceptance shape's 26,000 cells: the float64
+    # partial sums are slabbed, never a cells x 64 array at once.
+    config = SketchConfig(k=3, n=8, spec=W4)
+    rows = np.array([(a, b, c) for a in range(8) for b in range(8) for c in range(8)],
+                    dtype=np.uint64)
+    counts = np.arange(1, len(rows) + 1, dtype=np.int64)
+    bank = EstimatorBank(config, shape=BankShape(5200, 5), master_seed=3)
+    tracemalloc.start()
+    try:
+        bank._add_rows(rows, counts)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 << 20
+    view = bank.instance_view(4, 5199)
+    assert view.t1 == sum(int(c) * math.prod(h(int(x)) for h, x in zip(view.hashes, row))
+                          for row, c in zip(rows, counts))
 
 
 def test_dense_contraction_is_exact_below_2_53():

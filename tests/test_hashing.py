@@ -1,11 +1,13 @@
 """Sign-hash family: exact 4-wise uniformity, derivation, scalar/batch parity."""
 
 import itertools
+import tracemalloc
 from collections import Counter
 
 import numpy as np
 import pytest
 
+from prodsketch import hashing
 from prodsketch.field import SUPPORTED_WIDTHS, FieldSpec, is_irreducible
 from prodsketch.hashing import (
     SignHash,
@@ -117,6 +119,33 @@ def test_batch_matches_scalar_across_widths():
         assert table.dtype == np.int8 and table.shape == (3, len(xs))
         for dim, h in enumerate(hashes):
             assert [h(int(x)) for x in xs] == table[dim].tolist(), width
+
+
+def test_batch_coefficients_match_scalar_derivation_across_slabs(monkeypatch):
+    # 3 x 5 cells of 2 x 4 words; 32-word slabs hold 4 cells, so the cells
+    # span 4 slabs, the last one of 3 cells, and slabs cross group borders.
+    # A 1-word slab still fills one whole cell at a time.
+    seed = (1 << 64) - 12345
+    for slab in (32, 1):
+        monkeypatch.setattr(hashing, "SLAB_ENTRIES", slab)
+        for width in SUPPORTED_WIDTHS:
+            spec = FieldSpec(width)
+            coefs = derive_coefficients_batch(seed, 3, 5, 2, spec)
+            assert coefs.shape == (15, 2, 4) and coefs.dtype == np.uint64
+            for cell, row in enumerate(coefs.tolist()):
+                hashes = derive_hashes(seed, 2, spec, group=cell // 5, index=cell % 5)
+                assert row == [list(h.seed.as_tuple()) for h in hashes], (slab, width, cell)
+
+
+def test_batch_coefficients_stay_within_a_slab_of_their_output():
+    # The acceptance shape: 26,000 cells of 3 x 4 words, a 2.5 MB output.
+    tracemalloc.start()
+    try:
+        coefs = derive_coefficients_batch(5, 5, 5200, 3, FieldSpec(4))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= coefs.nbytes + (1 << 20)
 
 
 @pytest.mark.parametrize("width,poly", [(8, 0x101), (16, 0x1FFFF), (64, (1 << 64) | 0b11)])
