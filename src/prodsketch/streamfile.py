@@ -6,10 +6,12 @@ Every following non-empty line is one item: k comma-separated 0-based
 integers.  The format is line-oriented on purpose: it diffs cleanly,
 pipes through standard tools, and parses in one pass without seeking.
 
-``iter_blocks`` reads the items as uint64 arrays, one ``np.loadtxt`` call
-per block of lines; a block it refuses is re-parsed line by line, so the
-accepted syntax and the line numbers of errors are those of one ``int()``
-per field.  ``write_stream`` writes such blocks, one string per block.
+``iter_blocks`` reads the text in 64 KiB slabs and parses each block of
+lines into a uint64 array in one numpy pass over its bytes; a block that is
+not strictly digits, commas and newlines, or has a symbol >= n, is re-parsed
+line by line, so the accepted syntax and the line numbers of errors are
+those of one ``int()`` per field.  ``write_stream`` writes such blocks, one
+string per block.
 ``tuple_blocks`` turns Python tuples into the same blocks, with the same
 checks, for the bank and the frequency table.
 
@@ -21,7 +23,6 @@ and yields exact histograms of consecutive blocks, which
 
 from __future__ import annotations
 
-import warnings
 from itertools import islice
 from typing import IO, Iterable, Iterator, Mapping
 
@@ -29,6 +30,12 @@ import numpy as np
 
 # Input lines per parsed block (the last block of a stream may be shorter).
 _BLOCK_LINES = 8192
+# Characters per read of the input.  Reads are not aligned to blocks; this
+# bounds the text held past a block (1 MiB raised a piped RSS by half).
+_CHUNK_CHARS = 1 << 16
+# distinct_rows counts codes by one bincount, not a sort, when their grid
+# has at most this many codes per row of the block.
+_GRID_PER_ROW = 4
 # A run ends before its item total reaches _EXACT_ITEMS, below which its
 # counts, and every float64 sum of them, are exact.
 _EXACT_ITEMS = 1 << 53
@@ -90,9 +97,10 @@ def distinct_rows(block: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray
 
     ``block[first]`` are the distinct rows of the (rows, k) array, and row i
     of the block is ``block[first][inverse[i]]``.  Rows are told apart by
-    mixed-radix codes with the symbols as digits, so one sort ranks them in
-    row order.  Where the radix would pass int64, a column's symbols are
-    replaced by their ranks, and if that is not enough the codes are too.
+    mixed-radix codes with the symbols as digits, so code order is row
+    order: a small grid of codes is counted with one bincount, a larger one
+    ranked by one sort.  Where the radix would pass int64, a column's symbols
+    are replaced by their ranks, and if that is not enough the codes are too.
     """
     code, radix = np.zeros(len(block), dtype=np.int64), 1
     for column in block.T:
@@ -104,6 +112,13 @@ def distinct_rows(block: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray
                 code, radix = np.unique(code, return_inverse=True)[1], len(block)
         code = code * base + column.astype(np.int64)
         radix *= base
+    if radix <= _GRID_PER_ROW * len(block):  # a small grid: no sort
+        counts, first = np.bincount(code, minlength=radix), np.full(radix, len(block))
+        rank = np.empty(radix, dtype=np.int64)
+        np.minimum.at(first, code, np.arange(len(block)))
+        present = np.flatnonzero(counts > 0)
+        rank[present] = np.arange(len(present))  # a code's place among the present ones
+        return first[present], rank[code], counts[present]
     _, first, inverse, counts = np.unique(
         code, return_index=True, return_inverse=True, return_counts=True
     )
@@ -190,44 +205,41 @@ def iter_blocks(
 
     Each block is a validated ``(rows, k)`` uint64 array covering up to
     ``_BLOCK_LINES`` consecutive input lines; blank lines are skipped and
-    every symbol lies in ``[0, n)``.  The input is read exactly once.
+    every symbol lies in ``[0, n)``.  The input is read exactly once,
+    ``_CHUNK_CHARS`` characters at a time; the text past a block's last line
+    is carried to the next, so every block covers the same lines.
     """
     if not (k >= 1 and 1 <= n <= 1 << 64):
         raise ValueError("k must be >= 1 and n must lie in [1, 2^64]")
     if first is None:
         return
     line_no, line = first
-    lines = [line]
+    text = (line + "\n").encode("utf-8", "surrogatepass")
+    newlines = np.array([len(text) - 1])  # the offsets of the held text's newlines
     while True:
-        lines.extend(islice(fp, _BLOCK_LINES - len(lines)))
-        if not lines:
+        while len(newlines) < _BLOCK_LINES and (chunk := fp.read(_CHUNK_CHARS)):
+            data = chunk.encode("utf-8", "surrogatepass")
+            found = np.flatnonzero(np.frombuffer(data, np.uint8) == 10) + len(text)
+            text, newlines = text + data, np.concatenate((newlines, found))
+        if not text:
             return
-        block = _parse_block(lines, line_no, k, n)
-        line_no += len(lines)
-        lines = []  # so no block's text is held while the next is read
+        cut = int(newlines[_BLOCK_LINES - 1]) + 1 if len(newlines) >= _BLOCK_LINES else len(text)
+        block = _parse_block(text[:cut], line_no, k, n)
+        line_no, text, newlines = line_no + _BLOCK_LINES, text[cut:], newlines[_BLOCK_LINES:] - cut
         if len(block):
             yield block
 
 
-def _parse_block(lines: list[str], line_no: int, k: int, n: int) -> np.ndarray:
-    """Parse lines ``line_no, line_no + 1, ...`` in one vectorised call.
+def _parse_block(data: bytes, line_no: int, k: int, n: int) -> np.ndarray:
+    """Parse lines ``line_no, line_no + 1, ...`` of UTF-8 ``data`` by ``_canonical``.
 
-    ``np.loadtxt`` accepts a subset of what ``int()`` accepts and gives the
-    same values; whatever it refuses (or a symbol >= n) is re-parsed line by
-    line so the accepted syntax and every ``FormatError`` stay those of
-    ``_parse_line``.
+    A block it refuses, or with a symbol >= n, is parsed by ``_parse_line``, line by line.
     """
-    try:
-        with warnings.catch_warnings():
-            # An all-blank block is no data, not a warning.
-            warnings.simplefilter("ignore", UserWarning)
-            arr = np.loadtxt(lines, delimiter=",", dtype=np.uint64, ndmin=2, comments=None)
-        if arr.shape[1] == k and arr.max() < n:
-            return arr
-    except (ValueError, OverflowError):  # also the max of an all-blank block
-        pass
+    values = _canonical(np.frombuffer(data if data.endswith(b"\n") else data + b"\n", np.uint8), k)
+    if values is not None and values.max() < n:
+        return values.reshape(-1, k)
     items = []
-    for offset, raw in enumerate(lines):
+    for offset, raw in enumerate(data.decode("utf-8", "surrogatepass").split("\n")):
         stripped = raw.strip()
         if not stripped:
             continue
@@ -235,6 +247,29 @@ def _parse_block(lines: list[str], line_no: int, k: int, n: int) -> np.ndarray:
             raise FormatError(line_no + offset, "header line after data")
         items.append(_parse_line(line_no + offset, stripped, k, n))
     return np.array(items, dtype=np.uint64).reshape(-1, k)
+
+
+def _canonical(buf: np.ndarray, k: int) -> np.ndarray | None:
+    """The symbols of newline-ended lines of k comma-joined fields of 1-19 digits, else None."""
+    digits = buf - np.uint8(48)
+    is_end = digits > 9  # the bytes after the fields, and any other non-digit
+    if len(buf) % 2 == 0 and (is_end.view("<u2") == 256).all():  # digit, end, digit, ...
+        seps, values = buf[1::2], digits[::2].astype(np.uint64)  # one-digit fields
+    else:
+        ends = np.flatnonzero(is_end)
+        spans, seps = np.diff(ends, prepend=-1), buf[ends]  # a span is a field and its end
+        if spans.min() < 2 or spans.max() > 20:
+            return None
+        values = digits[ends - 1].astype(np.uint64)
+        for back in range(2, int(spans.max())):  # the digits worth 10^(back - 1)
+            column = digits[ends - back]
+            column[spans <= back] = 0  # shorter fields
+            values += column * np.uint64(10 ** (back - 1))
+    rows = len(seps) // k  # a newline ends every k-th field, a comma each other one
+    if len(seps) == rows * k and (seps[k - 1::k] == 10).all():
+        if np.count_nonzero(seps == 44) == len(seps) - rows:
+            return values
+    return None
 
 
 def _parse_line(line_no: int, line: str, k: int, n: int) -> tuple[int, ...]:

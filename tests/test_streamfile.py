@@ -1,6 +1,8 @@
 """Stream text format: round-trips, header parsing, block parsing, error line numbers."""
 
 import io
+import math
+import tracemalloc
 import warnings
 from unittest import mock
 
@@ -15,7 +17,9 @@ from prodsketch.streamfile import (
     FormatError,
     _parse_line,
     iter_blocks,
+    merge_rows,
     read_header,
+    row_runs,
     write_stream,
 )
 from prodsketch.streamgen import GenSpec, generate, generate_blocks
@@ -215,6 +219,119 @@ def test_blocks_match_per_line_reference(lines, header, k, n, block_lines, newli
     assert got == want
 
 
+# -- differential property: slab reader against a line-by-line reference --------
+
+def reference_blocks(text, k, n, block_lines):
+    """Blocks of ``block_lines`` lines parsed one line at a time, and the first error."""
+    buf = io.StringIO(text)
+    _, first = read_header(buf)
+    blocks, rows, start = [], [], first and first[0]
+    try:
+        for line_no, raw in ([first, *enumerate(buf, start=first[0] + 1)] if first else []):
+            if line_no - start == block_lines:
+                blocks, rows, start = blocks + [rows] * bool(rows), [], line_no
+            stripped = raw.strip()
+            if not stripped:
+                continue
+            if stripped.startswith("#"):
+                raise FormatError(line_no, "header line after data")
+            rows.append(_parse_line(line_no, stripped, k, n))
+    except FormatError as exc:
+        return blocks, (exc.line_no, str(exc))
+    return blocks + [rows] * bool(rows), None
+
+
+def parsed_blocks(text, k, n):
+    """What ``iter_blocks`` yields for ``text`` before its first error, and that error."""
+    buf = io.StringIO(text)
+    blocks = []
+    try:
+        for block in iter_blocks(buf, read_header(buf)[1], k=k, n=n):
+            assert block.dtype == np.uint64 and block.shape == (len(block), k)
+            blocks.append([tuple(row) for row in block.tolist()])
+    except FormatError as exc:
+        return blocks, (exc.line_no, str(exc))
+    return blocks, None
+
+
+def canonical_lines(k, n):
+    """Lines of k digit fields, some zero-padded to 20 digits, symbols up to n and 2^64 - 1."""
+    top = (1 << 64) - 1
+    symbol = st.one_of(st.integers(0, n), st.sampled_from([n - 1, n, top]))
+    field = st.tuples(symbol, st.integers(0, 20)).map(lambda p: str(p[0]).zfill(p[1]))
+    return st.lists(field, min_size=k, max_size=k).map(",".join)
+
+
+# Lines (or fields) that the vectorised pass refuses and the per-line path reads or
+# reports; the last three have a canonical two-field layout but the wrong separator.
+_ODD = [" 2", "+1", "1_0", "1,", ",1", "", " ", "\t", "0 ", "1\r", "\u0663", "# k=2",
+        "1.0", "3;1", "2 1"]
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    k=st.integers(1, 3),
+    n=st.sampled_from([1, 4, 10, 1000, 1 << 63, 1 << 64]),
+    block_lines=st.integers(1, 5),
+    chunk=st.one_of(st.integers(1, 12), st.integers(13, 80), st.just(1 << 16)),
+    newline=st.sampled_from(["\n", "\r\n"]),
+    header=st.booleans(),
+    data=st.data(),
+)
+def test_slab_reader_matches_line_by_line_blocks(k, n, block_lines, chunk, newline, header, data):
+    lines = data.draw(st.lists(canonical_lines(k, n), max_size=40))
+    # Odd lines on both sides of a block boundary and at random places; with
+    # chunks of a few characters every line also straddles a chunk boundary.
+    boundary = data.draw(st.integers(1, 5)) * block_lines
+    for at in [boundary - 1, boundary] + data.draw(st.lists(st.integers(0, 40), max_size=3)):
+        if data.draw(st.booleans()):
+            odd = data.draw(st.sampled_from(_ODD))
+            if data.draw(st.booleans()) and at < len(lines):  # as one field of a line
+                fields = lines[at].split(",")
+                fields[data.draw(st.integers(0, len(fields) - 1))] = odd
+                lines[at] = ",".join(fields)
+            else:
+                lines.insert(min(at, len(lines)), odd)
+    text = ("# k=2\n# n=4\n" if header else "") + newline.join(lines) + data.draw(
+        st.sampled_from(["", newline]))
+    want = reference_blocks(text, k, n, block_lines)
+    with mock.patch.object(streamfile, "_BLOCK_LINES", block_lines), \
+            mock.patch.object(streamfile, "_CHUNK_CHARS", chunk):
+        got = parsed_blocks(text, k, n)
+    assert got == want
+
+
+def test_canonical_blocks_skip_the_per_line_path():
+    # Canonical text over several blocks and reads never reaches _parse_line,
+    # with fields of mixed widths or all of one digit.
+    rows = [(i % 7, (i * 13) % 1000, 10**18 + i) for i in range(3 * _BLOCK_LINES + 5)]
+    digits = [(i % 10, (i // 10) % 10) for i in range(2 * _BLOCK_LINES + 3)]
+    with mock.patch.object(streamfile, "_parse_line", side_effect=AssertionError):
+        text = "".join(f"{a},{b:05d},{c}\n" for a, b, c in rows)
+        assert read_rows(io.StringIO(text), k=3, n=1 << 64) == rows
+        text = "".join(f"{a},{b}\n" for a, b in digits)
+        assert read_rows(io.StringIO(text), k=2, n=10) == digits
+
+
+def test_slab_reader_memory_stays_within_a_few_blocks():
+    # A 300k-item n = 4, k = 2 stream, the shape of a piped estimate: the
+    # reader holds a 64 KiB read and a block, about 0.9 MiB with its parse.
+    # 1 MiB reads peak at about 10 MiB here and raised that estimate's peak
+    # RSS from 32 to 50 MB.
+    rows = np.random.default_rng(0).integers(0, 4, size=(300_000, 2))
+    buf = io.StringIO("".join(f"{a},{b}\n" for a, b in rows.tolist()))
+    tracemalloc.start()
+    try:
+        _, first = read_header(buf)
+        runs = row_runs(iter_blocks(buf, first, k=2, n=4), 2, 4, max_rows=_BLOCK_LINES)
+        total = sum(int(counts.sum()) for _, counts in runs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert total == len(rows)
+    assert peak <= 2 << 20
+
+
 def test_closed_runs_end_without_yielding():
     # A consumer that stops, or raises, closes the generator at a yield: it
     # must end there, not yield the run it was holding again.
@@ -225,8 +342,12 @@ def test_closed_runs_end_without_yielding():
     runs.close()
 
 
+# The widest n whose n x n grid distinct_rows counts by bincount in a 1000-row block.
+_EDGE = math.isqrt(streamfile._GRID_PER_ROW * 1000)
+
+
 @pytest.mark.parametrize("n, k, rows", [
-    (4, 2, 5000),  # small alphabet: symbols as digits, one sort
+    (4, 2, 5000),  # small alphabet: symbols as digits, counted
     (1 << 16, 3, 20000),
     (1 << 32, 2, 3000),  # the second column's radix passes 2^62: ranked
     (1 << 63, 3, 3000),  # every column past the first ranked
@@ -234,6 +355,10 @@ def test_closed_runs_end_without_yielding():
     (4, 40, 3000),  # ranked columns still pass 2^62: the codes are ranked
     (1 << 16, 5, 1),  # a one-row block
     (4, 3, 0),
+    (_EDGE, 2, 1000),  # the grid just inside the bincount branch
+    (_EDGE + 1, 2, 1000),  # just past it: sorted
+    (1, 3, 100),  # one code
+    (1, 2, 0),  # an empty block at a one-code grid
 ])
 def test_distinct_rows_matches_numpy_unique(n, k, rows):
     rng = np.random.default_rng(n % 1009 + k + rows)
@@ -241,9 +366,28 @@ def test_distinct_rows_matches_numpy_unique(n, k, rows):
     block[rows // 2:] = block[: rows - rows // 2]  # repeated rows
     if rows > 2:
         block[1] = n - 1  # the widest radix in every column
+        block[-1, 0] = n - 1  # the first column's top digit in a row of its own
     first, inverse, counts = streamfile.distinct_rows(block)
     _, want_first, want_inverse, want_counts = np.unique(
         block, axis=0, return_index=True, return_inverse=True, return_counts=True)
     assert first.tolist() == want_first.tolist()
     assert inverse.tolist() == want_inverse.reshape(-1).tolist()
     assert counts.tolist() == want_counts.tolist()
+
+
+@pytest.mark.parametrize("n", [_EDGE, _EDGE + 1])  # 1000 rows: counted, then sorted
+def test_merge_rows_matches_numpy_unique(n):
+    rng = np.random.default_rng(n)
+    parts = []
+    for size in (400, 350, 250):
+        rows = rng.integers(0, n, size=(size, 2), dtype=np.uint64, endpoint=False)
+        rows[0] = n - 1
+        parts.append((rows, rng.integers(1, 1 << 40, size=size)))
+    rows, counts = merge_rows(parts)
+    everything = np.concatenate([r for r, _ in parts])
+    want_rows, inverse = np.unique(everything, axis=0, return_inverse=True)
+    want_counts = np.bincount(inverse.reshape(-1), np.concatenate([c for _, c in parts]))
+    order = np.lexsort(rows.T[::-1])
+    assert rows[order].tolist() == want_rows.tolist()
+    assert counts[order].tolist() == want_counts.astype(np.int64).tolist()
+    assert counts.dtype == np.int64
