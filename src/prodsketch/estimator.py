@@ -33,10 +33,14 @@ is gathered and summed.  Every partial sum is bounded by the run's item
 total, below 2^53, so both paths are exact in float64 in any slab order.
 Ingestion is single-writer; estimation is read-only.
 
+The bank's hash words (``hashing.derive_coefficients_batch``, packed) are
+derived once, at the first ingest; constructing, loading, merging,
+estimating and saving a bank never derive them.
+
 Finalize uses the same rule as ``SketchInstance.finalize``
-(``sketch.finalize_values``): U is computed with int64 arrays while
-m^k < 2^62 and with Python ints past that, and every cell's Y is the
-correctly rounded float of (U/m^k)^2.
+(``sketch.finalize_values``), ``hashing.SLAB_ENTRIES`` cells at a time: U
+is computed with int64 arrays while m^k < 2^62 and with Python ints past
+that, and every cell's Y is the correctly rounded float of (U/m^k)^2.
 
 Snapshot format (version 1, little-endian):
 
@@ -47,6 +51,7 @@ Snapshot format (version 1, little-endian):
            t1, marginal_sums[0..k-1], m
 
 Round-trips are bit-exact; hash seeds are re-derived from master_seed.
+``save`` writes the header and then the body slab by slab.
 """
 
 from __future__ import annotations
@@ -55,6 +60,7 @@ import copy
 import math
 import struct
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable
 
 import numpy as np
@@ -198,8 +204,12 @@ class EstimatorBank:
         self._t1 = np.zeros(cells, dtype=np.int64)
         self._marg = np.zeros((cells, k), dtype=np.int64)
         self._m = 0
-        self._coefs = derive_coefficients_batch(
-            self.master_seed, shape.s2, shape.s1, k, config.spec
+
+    @cached_property
+    def _words(self) -> np.ndarray:
+        """Packed hash words (cells, k, ceil(4w/64)), derived at the first ingest."""
+        return derive_coefficients_batch(
+            self.master_seed, self.shape.s2, self.shape.s1, self.config.k, self.config.spec
         )
 
     # -- ingestion ----------------------------------------------------------
@@ -231,7 +241,7 @@ class EstimatorBank:
 
         signs = []
         for dim, (syms, inverse) in enumerate(uniques):
-            matrix = batch_sign_eval(self._coefs[:, dim, :], syms, self.config.spec)
+            matrix = batch_sign_eval(self._words[:, dim], syms, self.config.spec)
             self._marg[:, dim] += _exact_matvec(matrix, np.bincount(inverse, counts))
             signs.append(matrix)
 
@@ -272,17 +282,20 @@ class EstimatorBank:
         """Per-instance Y as float64, shape (s2, s1).
 
         Each value is ``finalize_values`` of the cell's U, bit-identical to
-        ``SketchInstance.finalize`` on the same cell.
+        ``SketchInstance.finalize`` on the same cell.  U is computed in int64
+        while m^k < 2^62 and in Python ints past that, ``SLAB_ENTRIES`` cells
+        at a time.
         """
         if self._m == 0:
             raise EmptyStreamError("cannot estimate from an empty stream")
         k, m = self.config.k, self._m
         dtype = np.int64 if m**k < 1 << 62 else object  # |U| <= 2 m^k
-        t1, marg = self._t1.astype(dtype), self._marg.astype(dtype)
-        u_values = (t1 * m ** (k - 1) - marg.prod(axis=1)).tolist()
-        y = np.fromiter(
-            finalize_values(u_values, m, k), dtype=np.float64, count=len(u_values)
-        )
+        y = np.empty(self.shape.cells, dtype=np.float64)
+        for lo in range(0, len(y), SLAB_ENTRIES):
+            sl = slice(lo, lo + SLAB_ENTRIES)
+            t1 = self._t1[sl].astype(dtype, copy=False)
+            marg = self._marg[sl].astype(dtype, copy=False)
+            y[sl] = finalize_values(t1 * m ** (k - 1) - marg.prod(axis=1), m, k)
         return y.reshape(self.shape.s2, self.shape.s1)
 
     def estimate(self) -> Estimate:
@@ -324,11 +337,12 @@ class EstimatorBank:
 
     # -- snapshots -----------------------------------------------------------
 
-    def snapshot_bytes(self) -> bytes:
+    def _snapshot_parts(self):
+        """Magic and header, then the body in slabs of about ``SLAB_ENTRIES`` words."""
         if self.config.n >= 1 << 63:
             raise ValueError("snapshot v1 stores n as int64; alphabet size too large")
         seed_signed = struct.unpack("<q", struct.pack("<Q", self.master_seed))[0]
-        header = _HEADER.pack(
+        yield _MAGIC + _HEADER.pack(
             _SNAPSHOT_VERSION,
             self.config.k,
             self.config.n,
@@ -338,16 +352,26 @@ class EstimatorBank:
             seed_signed,
             0,
         )
-        body = np.empty((self.shape.cells, self.config.k + 2), dtype="<i8")
-        body[:, 0] = self._t1
-        body[:, 1:-1] = self._marg
-        body[:, -1] = self._m
-        return _MAGIC + header + body.tobytes()
+        step = max(1, SLAB_ENTRIES // (self.config.k + 2))
+        for lo in range(0, self.shape.cells, step):
+            t1 = self._t1[lo : lo + step]
+            body = np.empty((len(t1), self.config.k + 2), dtype="<i8")
+            body[:, 0] = t1
+            body[:, 1:-1] = self._marg[lo : lo + step]
+            body[:, -1] = self._m
+            yield body
+
+    def snapshot_bytes(self) -> bytes:
+        return b"".join(self._snapshot_parts())
 
     def save(self, path) -> None:
-        data = self.snapshot_bytes()
+        """Write the snapshot slab by slab, without building it in memory."""
+        parts = self._snapshot_parts()
+        head = next(parts)  # refuses an unsupported bank before the file is opened
         with open(path, "wb") as fp:
-            fp.write(data)
+            fp.write(head)
+            for body in parts:
+                fp.write(body)
 
     @classmethod
     def from_snapshot_bytes(cls, data: bytes) -> "EstimatorBank":
@@ -394,9 +418,9 @@ def merge_banks(a: EstimatorBank, b: EstimatorBank) -> EstimatorBank:
     """Cell-wise counter sum; equals ingesting the concatenated stream."""
     if a.config != b.config or a.shape != b.shape or a.master_seed != b.master_seed:
         raise ValueError("banks differ in configuration, shape or master seed")
-    # The checks above prove that a's hash coefficients are the merged
-    # bank's: a shallow copy shares them (nothing mutates them) instead of
-    # deriving them again.
+    # The checks above prove that a's hash words are the merged bank's: a
+    # shallow copy shares them, if a has derived them (nothing mutates
+    # them), instead of deriving them again.
     out = copy.copy(a)
     out._t1 = a._t1 + b._t1
     out._marg = a._marg + b._marg

@@ -16,8 +16,11 @@ w-bit mask ``L(y)`` that depends on the symbol alone, so
 
     h(y) = (-1)^(c0 ^ par(c1 & L(y)) ^ par(c2 & L(y^2)) ^ par(c3 & L(y^3)))
 
-Masks are built once per distinct symbol; each (hash, symbol) pair then
-costs ANDs and popcounts, with no field multiplication.
+Both sides are packed the same way into ceil(4w/64) uint64 words (one word
+for w <= 16): a hash as its coefficients (``pack_words``), a symbol as its
+masks ``(1, L(y), L(y^2), L(y^3))``.  Masks are built once per distinct
+symbol; each (hash, symbol) pair then costs one AND and popcount per word,
+with no field multiplication.
 
 Seed derivation is counter-mode SplitMix64.  Coefficient ``c`` of dimension
 ``dim`` of the hash tuple for bank cell ``(group, index)`` uses the counter
@@ -27,7 +30,8 @@ Seed derivation is counter-mode SplitMix64.  Coefficient ``c`` of dimension
 so counters never collide for ``group < 2^22``, ``index < 2^32``,
 ``dim < 256`` and seeds of an instance do not depend on the bank shape
 (growing a bank never re-seeds existing cells).  Module-level hash tuples
-are cell ``(0, 0)``.
+are cell ``(0, 0)``.  ``derive_coefficients_batch`` derives a whole bank's packed words at once,
+bit-identical to packing ``derive_hashes`` cell by cell.
 """
 
 from __future__ import annotations
@@ -149,46 +153,67 @@ def derive_hashes(
 def derive_coefficients_batch(
     master_seed: int, groups: int, indexes: int, k: int, spec: FieldSpec
 ) -> np.ndarray:
-    """Coefficients (groups*indexes, k, 4), row-major cells; counted and mixed slab by slab."""
-    out = np.empty((groups * indexes, k, 4), dtype=np.uint64)
+    """Packed hash words (groups*indexes, k, ceil(4w/64)), row-major cells.
+
+    Each cell's coefficients are counted and mixed in a slab buffer of at
+    most ``SLAB_ENTRIES`` words, then packed into the output by
+    :func:`pack_words`; the buffer holds ``min(slab, cells)`` cells.
+    """
+    cells = groups * indexes
+    out = np.empty((cells, k, -(-4 * spec.width // 64)), dtype=np.uint64)
     dim_coef = np.arange(4 * k, dtype=np.uint64).reshape(k, 4)  # (dim << 2) | c
     step = max(1, SLAB_ENTRIES // (4 * k))
-    for lo in range(0, len(out), step):
-        slab = out[lo : lo + step]
+    buf = np.empty((min(step, cells), k, 4), dtype=np.uint64)
+    for lo in range(0, cells, step):
+        slab = buf[: min(step, cells - lo)]
         g, j = np.divmod(np.arange(lo, lo + len(slab), dtype=np.uint64), np.uint64(indexes))
         cell = ((g << np.uint64(32)) | j) << np.uint64(10)
         np.bitwise_or(cell[:, None, None], dim_coef, out=slab)
         words_at(master_seed, slab, out=slab)
         slab &= np.uint64(spec.mask)
+        out[lo : lo + len(slab)] = pack_words(slab, spec.width)
     return out
 
 
-def batch_sign_eval(coefs: np.ndarray, xs: np.ndarray, spec: FieldSpec) -> np.ndarray:
+def pack_words(fields: np.ndarray, width: int) -> np.ndarray:
+    """Pack the four w-bit fields of the last axis into ceil(4w/64) uint64 words.
+
+    The first field takes the lowest bits.  Every supported width divides 64, so no field straddles two words.  For
+    w <= 16 the one word of coefficients (c0, c1, c2, c3) is the seed
+    ``c0 | c1 << w | c2 << 2w | c3 << 3w``.
+    """
+    fields = np.asarray(fields, dtype=np.uint64)
+    out = np.zeros(fields.shape[:-1] + (-(-4 * width // 64),), dtype=np.uint64)
+    for j in range(4):
+        word, shift = divmod(j * width, 64)
+        out[..., word] |= fields[..., j] << np.uint64(shift)
+    return out
+
+
+def batch_sign_eval(words: np.ndarray, xs: np.ndarray, spec: FieldSpec) -> np.ndarray:
     """Signs of many hashes at many points, bit-identical to :func:`sign_hash_eval`.
 
-    ``coefs`` has shape (..., 4) with the last axis (c0, c1, c2, c3);
-    ``xs`` is a 1-D array of symbols.  Returns int8 signs of shape
-    (..., len(xs)).
+    ``words`` has shape (..., ceil(4w/64)): each hash's coefficients
+    (c0, c1, c2, c3) packed by :func:`pack_words`.  ``xs`` is a 1-D array of
+    symbols.  Returns int8 signs of shape (..., len(xs)).
 
     The low bit of ``c * y`` is GF(2)-linear in ``c``, so it equals
     ``parity(c & L(y))`` where bit ``i`` of the mask ``L(y)`` is the low bit
     of ``x^i * y``.  The sign bit of ``p(y)`` is therefore the parity of
     ``(c0, c1, c2, c3) & (1, L(y), L(y^2), L(y^3))``: the masks are built once
-    per symbol, and each (hash, symbol) pair then costs a few ANDs and
-    popcounts.  Both sides are packed into whole uint64 words (one word for
-    w <= 16).  The identity holds in GF(2)[x]/(f) for any f of degree w.
+    per symbol and packed the same way as the hash, and each (hash, symbol)
+    pair then costs one AND and popcount per word.  The identity holds in
+    GF(2)[x]/(f) for any f of degree w.
     """
-    w = spec.width
-    coefs = np.asarray(coefs, dtype=np.uint64)
+    words = np.asarray(words, dtype=np.uint64)
     xs = np.asarray(xs, dtype=np.uint64)
     x2 = field_mul_vec(xs, xs, spec)
     x3 = field_mul_vec(x2, xs, spec)
-    masks = _lowbit_masks(np.stack([xs, x2, x3]), spec)
-    hash_words = _pack_words([coefs[..., j] for j in range(4)], w)
-    symbol_words = _pack_words([np.ones_like(xs), *masks], w)
-    parity = np.zeros(coefs.shape[:-1] + xs.shape, dtype=np.uint8)
-    for hw, sw in zip(hash_words, symbol_words):
-        parity ^= np.bitwise_count(hw[..., None] & sw)
+    masks = _lowbit_masks(np.stack([xs, x2, x3], axis=-1), spec)
+    symbol_words = pack_words(np.column_stack([np.ones_like(xs), masks]), spec.width)
+    parity = np.zeros(words.shape[:-1] + xs.shape, dtype=np.uint8)
+    for p in range(words.shape[-1]):
+        parity ^= np.bitwise_count(words[..., p, None] & symbol_words[:, p])
     return 1 - 2 * (parity & 1).view(np.int8)
 
 
@@ -208,15 +233,3 @@ def _lowbit_masks(ys: np.ndarray, spec: FieldSpec) -> np.ndarray:
         out |= (t & one) << np.uint64(i)
         t = ((t << one) & mask) ^ (((t >> top) & one) * low)
     return out
-
-
-def _pack_words(parts: list[np.ndarray], width: int) -> list[np.ndarray]:
-    """Concatenate four w-bit fields into as few uint64 words as hold them."""
-    per_word = max(1, 64 // width)
-    words = []
-    for lo in range(0, len(parts), per_word):
-        word = parts[lo]
-        for j, part in enumerate(parts[lo + 1 : lo + per_word], start=1):
-            word = word | (part << np.uint64(j * width))
-        words.append(word)
-    return words

@@ -177,13 +177,9 @@ def all_seed_signs(spec: FieldSpec, n: int) -> np.ndarray:
     key = (spec.width, spec.reduction_polynomial, n)
     cached = _sign_table_cache.get(key)
     if cached is None:
-        w = spec.width
-        seeds = np.arange(1 << (4 * w), dtype=np.uint64)
-        coefs = np.stack(
-            [(seeds >> np.uint64(j * w)) & np.uint64(spec.mask) for j in range(4)],
-            axis=1,
-        )
-        cached = batch_sign_eval(coefs, np.arange(n, dtype=np.uint64), spec)
+        # For w <= 16 a seed is its own packed hash word (hashing.pack_words).
+        seeds = np.arange(1 << (4 * spec.width), dtype=np.uint64)
+        cached = batch_sign_eval(seeds[:, None], np.arange(n, dtype=np.uint64), spec)
         cached.setflags(write=False)
         _sign_table_cache[key] = cached
     return cached

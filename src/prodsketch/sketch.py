@@ -14,16 +14,24 @@ keeps merge/replay bit-exact.  Python integers are used throughout, so there
 is no overflow cliff; counters themselves are bounded by m.
 
 Finalize rule.  :func:`finalize_values` is the one place that turns U into a
-float: ``U*U / m^(2k)`` in Python int true division, which is correctly
-rounded (the same float as the exact rational), so a scalar instance and a
-bank cell with equal counters finalize to the same bits.
+float, for a bank's cells and a scalar instance alike, and always returns
+the correctly rounded float of the exact rational ``U*U / m^(2k)``, so a
+scalar instance and a bank cell with equal counters finalize to the same
+bits.  While m^k < 2^52, U and m^k are exact in float64 and U/m^k is
+squared in double-double arithmetic (Dekker's TwoProduct, as numpy has no
+fused multiply-add); its error is below 2^-100 of Y, so the rounded result
+is kept unless it lies within 2^-90 of Y of a rounding midpoint.  Those
+cells, every exact tie among them, and every cell once m^k >= 2^52, take
+Python int true division, which is correctly rounded.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from math import prod
-from typing import TYPE_CHECKING, Iterable, Iterator
+from typing import TYPE_CHECKING
+
+import numpy as np
 
 from .field import FieldSpec
 from .hashing import MAX_DIMS, SignHash, derive_hashes
@@ -55,10 +63,54 @@ class SketchConfig:
             )
 
 
-def finalize_values(u_values: Iterable[int], m: int, k: int) -> Iterator[float]:
-    """``Y = (U / m^k)^2`` for each unnormalized ``U``, correctly rounded."""
+# Below this, m^k and every |U| <= 2 m^k are exact in float64.
+_FLOAT_EXACT = 1 << 52
+# A double-double square is within 2^-100 of Y; one that lies further than
+# this fraction of Y from a rounding midpoint rounds as Y does.
+_MIDPOINT_MARGIN = 2.0**-90
+_SPLITTER = float((1 << 27) + 1)
+
+
+def _two_product(a, b):
+    """``(p, e)`` with ``p = fl(a*b)`` and ``p + e = a*b`` exactly (Dekker)."""
+    p = a * b
+    a_hi = _SPLITTER * a
+    a_hi = a_hi - (a_hi - a)
+    b_hi = _SPLITTER * b
+    b_hi = b_hi - (b_hi - b)
+    a_lo, b_lo = a - a_hi, b - b_hi
+    return p, ((a_hi * b_hi - p) + a_hi * b_lo + a_lo * b_hi) + a_lo * b_lo
+
+
+def _exact_values(u: np.ndarray, m: int, k: int) -> np.ndarray:
     denominator = m ** (2 * k)
-    return (u * u / denominator for u in u_values)
+    return np.fromiter((v * v / denominator for v in u.tolist()), np.float64, len(u))
+
+
+def finalize_values(u: np.ndarray, m: int, k: int) -> np.ndarray:
+    """``Y = (U / m^k)^2`` as float64 for each unnormalized ``U``, correctly rounded.
+
+    ``u`` is a 1-D integer array: int64, or object holding Python ints.
+    """
+    d = m**k
+    if d >= _FLOAT_EXACT:
+        return _exact_values(u, m, k)
+    uf, df = u.astype(np.float64), float(d)
+    q = uf / df
+    p, e = _two_product(q, df)
+    q_lo = ((uf - p) - e) / df  # U - q*d, exact for q = fl(U/d)
+    s, t = _two_product(q, q)
+    c = t + 2.0 * q * q_lo
+    y = s + c
+    b = y - s
+    err = (s - (y - b)) + (c - b)  # y + err = s + c exactly (TwoSum)
+    # The gap below y is the smaller one, so both midpoints lie at least
+    # half of it away.
+    half_gap = (y - np.nextafter(y, 0.0)) / 2
+    near = ~(np.abs(err) < half_gap - _MIDPOINT_MARGIN * y) & (uf != 0)
+    if near.any():
+        y[near] = _exact_values(u[near], m, k)
+    return y
 
 
 class SketchInstance:
@@ -117,7 +169,8 @@ class SketchInstance:
 
     def finalize(self) -> float:
         """Y = (t1/m - prod marg/m)^2 as a correctly rounded float."""
-        return next(finalize_values([self._unnormalized()], self.m, self.config.k))
+        u = np.array([self._unnormalized()], dtype=object)
+        return float(finalize_values(u, self.m, self.config.k)[0])
 
     def finalize_exact(self) -> Fraction:
         """Same value as :meth:`finalize`, as an exact rational."""

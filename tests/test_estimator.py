@@ -10,7 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from prodsketch import estimator, streamfile
+from prodsketch import estimator, sketch, streamfile
 from prodsketch.estimator import (
     AccuracyParams,
     BankShape,
@@ -332,6 +332,98 @@ def test_snapshot_file_roundtrip(tmp_path):
     path = tmp_path / "bank.snap"
     bank.save(path)
     assert EstimatorBank.load(path).counters_equal(bank)
+
+
+def _refuse_derivation(*args):
+    raise AssertionError("derived hash words")
+
+
+def test_load_merge_estimate_and_save_never_derive(monkeypatch, tmp_path):
+    # Only ingest reads hash words; a bank built to be loaded, merged,
+    # estimated or saved never derives them.
+    stream = list(generate(GenSpec(n=4, k=2, m=200, lam=0.3, rng_seed=4)))
+    left, right = small_bank(8), small_bank(8)
+    left.ingest_many(stream[:90])
+    right.ingest_many(stream[90:])
+    left.save(tmp_path / "left.bin")
+    right.save(tmp_path / "right.bin")
+    monkeypatch.setattr(estimator, "derive_coefficients_batch", _refuse_derivation)
+    merged = merge_banks(EstimatorBank.load(tmp_path / "left.bin"),
+                         EstimatorBank.load(tmp_path / "right.bin"))
+    assert merged.estimate() == merge_banks(left, right).estimate()
+    merged.save(tmp_path / "merged.bin")
+    assert (tmp_path / "merged.bin").read_bytes() == merged.snapshot_bytes()
+    assert merged.instance_view(1, 2).finalize() == merged.instance_values()[1, 2]
+    assert "_words" not in vars(merged)
+
+
+def test_multi_run_ingest_derives_once(monkeypatch):
+    # Hash words depend on the bank alone: however many runs and ingest
+    # calls a stream takes, they are derived (and packed) once.
+    derived = []
+    derive = estimator.derive_coefficients_batch
+    monkeypatch.setattr(estimator, "derive_coefficients_batch",
+                        lambda *args: derived.append(args) or derive(*args))
+    monkeypatch.setattr(estimator, "_CHUNK_ITEMS", 8)
+    runs = []
+    add_rows = EstimatorBank._add_rows
+    monkeypatch.setattr(EstimatorBank, "_add_rows",
+                        lambda self, *args: runs.append(1) or add_rows(self, *args))
+    config = SketchConfig(k=2, n=64, spec=FieldSpec(8))
+    stream = list(generate(GenSpec(n=64, k=2, m=300, lam=0.3, rng_seed=6)))
+    blocks = np.split(np.array(stream, dtype=np.uint64), 15)
+    bank = small_bank(6, config=config)
+    assert not derived
+    bank.ingest_blocks(blocks[:7])
+    bank.ingest_blocks(blocks[7:])
+    assert len(derived) == 1 and len(runs) >= 4
+    whole = small_bank(6, config=config)
+    whole.ingest_many(stream)
+    assert whole.counters_equal(bank)
+
+
+def test_slabbed_finalize_past_2_52_stays_within_one_slab(monkeypatch):
+    # m^k >= 2^62: U goes through Python ints, SLAB_ENTRIES cells at a time,
+    # so finalize holds the bank's counters and output plus one slab, not
+    # one Python int per counter.
+    slab = 1024
+    monkeypatch.setattr(estimator, "SLAB_ENTRIES", slab)
+    config = SketchConfig(k=3, n=4, spec=W2)
+    bank = EstimatorBank(config, shape=BankShape(10_000, 2), master_seed=1)
+    m = (1 << 21) + 1
+    rng = np.random.default_rng(2)
+    bank._m = m
+    bank._t1[:] = 2 * rng.integers(-(m // 2), m // 2, bank.shape.cells) + 1
+    bank._marg[:] = 2 * rng.integers(-(m // 2), m // 2, bank._marg.shape) + 1
+    counters = bank._t1.nbytes + bank._marg.nbytes
+    tracemalloc.start()
+    try:
+        values = bank.instance_values()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= counters + slab * (config.k + 1) * 128
+    for flat in (0, slab - 1, slab, bank.shape.cells - 1):
+        g, j = divmod(flat, bank.shape.s1)
+        assert values[g, j] == bank.instance_view(g, j).finalize()
+        u = int(bank._t1[flat]) * m**2 - math.prod(int(v) for v in bank._marg[flat])
+        assert values[g, j] == float(Fraction(u * u, m**6))
+
+
+def test_acceptance_shape_finalizes_every_cell_in_float64(monkeypatch):
+    # n=8, k=3, m=5*10^4, eps=0.2, delta=0.1: m^k < 2^52, and no cell of the
+    # 26,000 lies near enough a rounding midpoint to need Python ints.
+    taken = []
+    exact = sketch._exact_values
+    monkeypatch.setattr(sketch, "_exact_values",
+                        lambda u, m, k: taken.append(len(u)) or exact(u, m, k))
+    config = SketchConfig(k=3, n=8, spec=W4)
+    bank = EstimatorBank(config, params=AccuracyParams(0.2, 0.1), master_seed=1)
+    bank.ingest_many(generate(GenSpec(n=8, k=3, m=50_000, lam=0.5, rng_seed=20260810)))
+    values = bank.instance_values()
+    assert values.size == 26_000 and not taken
+    for g, j in ((0, 0), (4, 5199), (2, 1234)):
+        assert values[g, j] == float(bank.instance_view(g, j).finalize_exact())
 
 
 def test_snapshot_rejects_garbage():

@@ -16,6 +16,7 @@ from prodsketch.hashing import (
     coefficient_counter,
     derive_coefficients_batch,
     derive_hashes,
+    pack_words,
     sign_hash_eval,
 )
 
@@ -109,43 +110,57 @@ def _symbols_across_field(spec, rng, count=40):
     return np.array(sorted({0, 1, top, *randoms, *highs}), dtype=np.uint64)
 
 
+def _packed(hashes, width):
+    """The scalar derivation's coefficients, packed as the batch path packs them."""
+    return pack_words(np.array([h.seed.as_tuple() for h in hashes], dtype=np.uint64), width)
+
+
 def test_batch_matches_scalar_across_widths():
     for width in SUPPORTED_WIDTHS:
         spec = FieldSpec(width)
         hashes = derive_hashes(12345, 3, spec)
-        coefs = derive_coefficients_batch(12345, 1, 1, 3, spec)[0]
+        words = derive_coefficients_batch(12345, 1, 1, 3, spec)[0]
+        assert np.array_equal(words, _packed(hashes, width))
         xs = _symbols_across_field(spec, np.random.default_rng(width))
-        table = batch_sign_eval(coefs, xs, spec)
+        table = batch_sign_eval(words, xs, spec)
         assert table.dtype == np.int8 and table.shape == (3, len(xs))
         for dim, h in enumerate(hashes):
             assert [h(int(x)) for x in xs] == table[dim].tolist(), width
 
 
 def test_batch_coefficients_match_scalar_derivation_across_slabs(monkeypatch):
-    # 3 x 5 cells of 2 x 4 words; 32-word slabs hold 4 cells, so the cells
-    # span 4 slabs, the last one of 3 cells, and slabs cross group borders.
-    # A 1-word slab still fills one whole cell at a time.
+    # 3 x 5 cells of 2 x 4 coefficients; 32-word slabs hold 4 cells, so the
+    # cells span 4 slabs, the last one of 3 cells, and slabs cross group
+    # borders.  A 1-word slab still fills one whole cell at a time.  Each
+    # cell's packed words are ceil(4w/64) per dimension, one for w <= 16.
     seed = (1 << 64) - 12345
     for slab in (32, 1):
         monkeypatch.setattr(hashing, "SLAB_ENTRIES", slab)
         for width in SUPPORTED_WIDTHS:
             spec = FieldSpec(width)
-            coefs = derive_coefficients_batch(seed, 3, 5, 2, spec)
-            assert coefs.shape == (15, 2, 4) and coefs.dtype == np.uint64
-            for cell, row in enumerate(coefs.tolist()):
+            words = derive_coefficients_batch(seed, 3, 5, 2, spec)
+            assert words.shape == (15, 2, -(-4 * width // 64)) and words.dtype == np.uint64
+            for cell, row in enumerate(words):
                 hashes = derive_hashes(seed, 2, spec, group=cell // 5, index=cell % 5)
-                assert row == [list(h.seed.as_tuple()) for h in hashes], (slab, width, cell)
+                assert np.array_equal(row, _packed(hashes, width)), (slab, width, cell)
 
 
 def test_batch_coefficients_stay_within_a_slab_of_their_output():
-    # The acceptance shape: 26,000 cells of 3 x 4 words, a 2.5 MB output.
-    tracemalloc.start()
-    try:
-        coefs = derive_coefficients_batch(5, 5, 5200, 3, FieldSpec(4))
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= coefs.nbytes + (1 << 20)
+    # The acceptance shape: 26,000 cells of 3 packed words, a 624 kB output;
+    # the (cells, k, 4) coefficients would be 2.5 MB.  Besides the output,
+    # derivation holds its slab buffer, a mixing temporary of its size and
+    # smaller packing temporaries.  The buffer holds SLAB_ENTRIES words, or
+    # the whole bank if that is smaller: 160 cells of 2 x 4 take 10 KiB.
+    for groups, indexes, k, width in ((5, 5200, 3, 4), (2, 80, 2, 2)):
+        tracemalloc.start()
+        try:
+            words = derive_coefficients_batch(5, groups, indexes, k, FieldSpec(width))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert words.shape == (groups * indexes, k, 1)
+        buffer = 8 * min(hashing.SLAB_ENTRIES, groups * indexes * k * 4)
+        assert peak <= words.nbytes + 3 * buffer + (32 << 10), (groups, indexes)
 
 
 @pytest.mark.parametrize("width,poly", [(8, 0x101), (16, 0x1FFFF), (64, (1 << 64) | 0b11)])
@@ -159,7 +174,7 @@ def test_batch_matches_scalar_on_reducible_polynomial(width, poly):
     words = rng.integers(0, 1 << 63, size=(16, 4), dtype=np.uint64)
     coefs = words ^ (words << np.uint64(1))
     coefs &= np.uint64(spec.mask)
-    table = batch_sign_eval(coefs, xs, spec)
+    table = batch_sign_eval(pack_words(coefs, width), xs, spec)
     for row, c in zip(table, coefs.tolist()):
         h = SignHash(spec, SignHashSeed(*c), spec.order)
         assert [sign_hash_eval(h, int(x)) for x in xs] == row.tolist()

@@ -296,6 +296,16 @@ def test_refusals_come_before_any_expansion(monkeypatch):
         exhaustive_moments(budget, spec=W2, budget=(1 << 24) - 1)
 
 
+def test_sign_table_row_is_its_seeds_hash():
+    # Row s holds the hash of SignHashSeed.from_int(s): for w <= 16 a seed is
+    # its own packed hash word.  Moments cannot see this, since they are
+    # invariant under any permutation of the seeds.
+    for spec, n in ((W1, 2), (W2, 4)):
+        want = [[SignHash(spec, SignHashSeed.from_int(s, spec.width), n)(x) for x in range(n)]
+                for s in range(1 << (4 * spec.width))]
+        assert oracle.all_seed_signs(spec, n).tolist() == want
+
+
 def test_cleared_sign_table_cache_is_built_again(monkeypatch):
     # The benchmark clears the cache by name to time a cold enumeration.
     built = []

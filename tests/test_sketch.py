@@ -3,10 +3,12 @@
 import itertools
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from prodsketch import sketch
 from prodsketch.field import FieldSpec
 from prodsketch.hashing import SignHash, SignHashSeed, derive_hashes
 from prodsketch.sketch import (
@@ -123,13 +125,71 @@ def _big_u_m_k(draw):
     return draw(st.integers(-bound, bound)), m, k
 
 
+def _rounded(u, m, k):
+    return float(Fraction(u * u, m ** (2 * k))).hex()
+
+
 @settings(max_examples=200, deadline=None)
 @given(_big_u_m_k())
 def test_finalize_values_is_the_rounded_rational(case):
     # Int true division rounds correctly, so it matches the exact rational's
     # float well past the int64 range the bank's fast path covers.
     u, m, k = case
-    assert next(finalize_values([u], m, k)).hex() == float(Fraction(u * u, m ** (2 * k))).hex()
+    assert finalize_values(np.array([u], dtype=object), m, k)[0].hex() == _rounded(u, m, k)
+
+
+@st.composite
+def _float_exact_case(draw):
+    k = draw(st.integers(1, 8))
+    top = round(2 ** (52 / k))
+    while top**k >= 1 << 52:
+        top -= 1
+    m = draw(st.integers(1, top))  # m^k < 2^52: the double-double path
+    bound = 2 * m**k
+    return draw(st.lists(st.integers(-bound, bound), min_size=1, max_size=20)), m, k
+
+
+@settings(max_examples=300, deadline=None)
+@given(_float_exact_case())
+def test_double_double_finalize_is_the_rounded_rational(case):
+    us, m, k = case
+    got = finalize_values(np.array(us, dtype=np.int64), m, k)
+    assert [y.hex() for y in got.tolist()] == [_rounded(u, m, k) for u in us]
+
+
+def _exact_path_cells(monkeypatch):
+    """Patch the exact finalize to record how many cells it is given."""
+    taken = []
+    exact = sketch._exact_values
+    monkeypatch.setattr(sketch, "_exact_values",
+                        lambda u, m, k: taken.append(len(u)) or exact(u, m, k))
+    return taken
+
+
+def test_exact_ties_take_the_exact_path(monkeypatch):
+    # m = 2^17, k = 3: Y = U^2 / 2^102, and an odd U in [2^27 - 2001, 2^27)
+    # has an odd 54-bit square, a tie halfway between two floats.
+    taken = _exact_path_cells(monkeypatch)
+    us = np.arange((1 << 27) - 2001, 1 << 27, 2, dtype=np.int64)
+    got = finalize_values(us, 1 << 17, 3)
+    assert sum(taken) == len(us) == 1001
+    assert [y.hex() for y in got.tolist()] == [_rounded(u, 1 << 17, 3) for u in us.tolist()]
+
+
+@pytest.mark.parametrize("m,k,vector", [
+    ((1 << 52) - 1, 1, True), (1 << 52, 1, False),
+    ((1 << 13) - 1, 4, True), (1 << 13, 4, False),
+])
+def test_float_exact_handover_at_2_52(monkeypatch, m, k, vector):
+    # Below m^k = 2^52 the cells stay on the vector path; from 2^52 on
+    # every cell takes the Python-int path.
+    taken = _exact_path_cells(monkeypatch)
+    rng = np.random.default_rng(m)
+    bound = 2 * m**k
+    us = [bound, -bound, 0, 1, -1, *(int(v) for v in rng.integers(-bound, bound, 200))]
+    got = finalize_values(np.array(us, dtype=np.int64), m, k)
+    assert [y.hex() for y in got.tolist()] == [_rounded(u, m, k) for u in us]
+    assert sum(taken) < len(us) / 10 if vector else sum(taken) == len(us)
 
 
 @settings(max_examples=60, deadline=None)
