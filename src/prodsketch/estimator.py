@@ -21,16 +21,17 @@ so ``ingest_blocks``, the one ingest path, adds each run of
 counters at once; ``ingest_many`` gets its blocks from
 ``streamfile.tuple_blocks``.  That is arithmetically identical to
 ``SketchInstance.update_item`` per item per cell, and ``instance_view``
-materializes any cell as a ``SketchInstance``.  Per run and dimension,
-``batch_sign_eval`` fills one cells x distinct-symbols sign matrix that
-both the joint counter and the marginal sums read; nothing is precomputed
-per symbol of the alphabet.  The joint counter sum_x f(x) prod_d h_d(x_d)
-factorises over dimensions: a run whose symbol grid is at most
-``_DENSE_GRID`` times its support is contracted as a dense histogram one
-dimension at a time, in slabs of cells whose partial sums hold about
-``hashing.SLAB_ENTRIES`` entries; otherwise each (cell, row) sign product
-is gathered and summed.  Every partial sum is bounded by the run's item
-total, below 2^53, so both paths are exact in float64 in any slab order.
+materializes any cell as a ``SketchInstance``.  Per run, ``symbol_words``
+packs each dimension's distinct symbols once; then, per slab of cells
+sized by ``_WORKING_ENTRIES`` and per dimension, ``batch_sign_eval`` fills
+one sign matrix that both the joint counter and the marginal sums read.
+The joint counter sum_x f(x) prod_d h_d(x_d) factorises over dimensions:
+a run whose symbol grid is at most ``_DENSE_GRID`` times its support is
+contracted as a dense histogram one dimension at a time, in sub-slabs
+whose partial sums hold about ``hashing.SLAB_ENTRIES`` entries; otherwise
+each (cell, row) sign product is gathered and summed.  Every partial sum
+is bounded by the run's item total, below 2^53, so both paths are exact in
+float64 in any slab order.
 Ingestion is single-writer; estimation is read-only.
 
 The bank's hash words (``hashing.derive_coefficients_batch``, packed) are
@@ -73,6 +74,7 @@ from .hashing import (
     batch_sign_eval,
     derive_coefficients_batch,
     derive_hashes,
+    symbol_words,
 )
 from .sketch import EmptyStreamError, SketchConfig, SketchInstance, finalize_values
 from .streamfile import row_runs, tuple_blocks
@@ -83,9 +85,10 @@ _SNAPSHOT_VERSION = 1
 
 # An ingest run ends once its merged support passes _CHUNK_ITEMS rows.
 _CHUNK_ITEMS = 8192
-# Cap on the entries of a run's sign matrices (summed over dimensions) and
-# of one joint-product slab; each is at most 32 MiB as float64.  A dense
-# contraction's partial sums are slabbed by hashing.SLAB_ENTRIES instead.
+# Cap on the entries of one cell slab of an ingest run: its int8 sign
+# matrices (summed over dimensions) and, on the row path, its float64 sign
+# product with every row at 8 entries a pair: at most 4 MiB.  A dense
+# contraction's partial sums are sub-slabbed by hashing.SLAB_ENTRIES.
 _WORKING_ENTRIES = 1 << 22
 # A run whose symbol grid (the product over dimensions of its distinct
 # symbol counts) has at most _DENSE_GRID cells per distinct row is
@@ -231,45 +234,38 @@ class EstimatorBank:
 
     def _add_rows(self, rows: np.ndarray, counts: np.ndarray) -> None:
         """Add distinct (rows, k) uint64 rows, each ``counts`` times, to every cell."""
-        cells = self.shape.cells
-        uniques = [np.unique(column, return_inverse=True) for column in rows.T]
-        if len(rows) > 1 and cells * sum(len(syms) for syms, _ in uniques) > _WORKING_ENTRIES:
-            half = len(rows) // 2
-            self._add_rows(rows[:half], counts[:half])
-            self._add_rows(rows[half:], counts[half:])
-            return
-
-        signs = []
-        for dim, (syms, inverse) in enumerate(uniques):
-            matrix = batch_sign_eval(self._words[:, dim], syms, self.config.spec)
-            self._marg[:, dim] += _exact_matvec(matrix, np.bincount(inverse, counts))
-            signs.append(matrix)
-
-        idx = [inverse for _, inverse in uniques]
-        grid = [len(syms) for syms, _ in uniques]
-        size = math.prod(grid)
+        syms, idx = zip(*(np.unique(column, return_inverse=True) for column in rows.T))
+        masks = [symbol_words(s, self.config.spec) for s in syms]
+        tallies = [np.bincount(inverse, counts) for inverse in idx]
+        grid = [len(s) for s in syms]
+        size, hist = math.prod(grid), None
         if size <= _DENSE_GRID * len(rows):
             # t1 = sum_x f(x) prod_d h_d(x_d) factorises over dimensions:
             # contract the dense histogram one dimension at a time, the last
             # with one GEMM and each earlier one with a batched matvec.
             hist = np.bincount(np.ravel_multi_index(idx, grid), counts, size)
             hist = hist.reshape(-1, grid[-1]).T
-            slab = max(1, SLAB_ENTRIES // hist.shape[1])
-            for lo in range(0, cells, slab):
-                sl = slice(lo, lo + slab)
-                part = signs[-1][sl].astype(np.float64) @ hist
+        # The row path also holds each (cell, row) product as float64: 8 entries.
+        slab = max(1, _WORKING_ENTRIES // (sum(grid) + 8 * len(rows) * (hist is None)))
+        for lo in range(0, self.shape.cells, slab):
+            sl = slice(lo, lo + slab)
+            signs = [batch_sign_eval(self._words[sl, dim], m) for dim, m in enumerate(masks)]
+            for dim, (matrix, tally) in enumerate(zip(signs, tallies)):
+                self._marg[sl, dim] += _exact_matvec(matrix, tally)
+            t1 = self._t1[sl]
+            if hist is None:
+                prod = signs[0][:, idx[0]]
+                for matrix, inverse in zip(signs[1:], idx[1:]):
+                    prod *= matrix[:, inverse]
+                t1 += _exact_matvec(prod, counts)
+                continue
+            step = max(1, SLAB_ENTRIES // hist.shape[1])
+            for a in range(0, len(t1), step):
+                part = signs[-1][a : a + step].astype(np.float64) @ hist
                 for matrix in signs[-2::-1]:
                     part = part.reshape(len(part), -1, matrix.shape[1]) @ (
-                        matrix[sl, :, None].astype(np.float64))
-                self._t1[sl] += part.reshape(-1).astype(np.int64)
-        else:
-            slab = max(1, _WORKING_ENTRIES // cells)
-            for lo in range(0, len(rows), slab):
-                sl = slice(lo, lo + slab)
-                prod = signs[0][:, idx[0][sl]]
-                for matrix, inverse in zip(signs[1:], idx[1:]):
-                    prod = prod * matrix[:, inverse[sl]]
-                self._t1 += _exact_matvec(prod, counts[sl])
+                        matrix[a : a + step, :, None].astype(np.float64))
+                t1[a : a + step] += part.reshape(-1).astype(np.int64)
         self._m += int(counts.sum())
 
     # -- estimation ---------------------------------------------------------

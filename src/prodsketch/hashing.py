@@ -10,17 +10,18 @@ of seeds.  Independence is exact, not approximate, which is what lets the
 oracle verify moment bounds with zero tolerance by enumerating seeds.
 
 Evaluation.  ``sign_hash_eval`` is the scalar reference (Horner's rule).
-``batch_sign_eval`` is the only vectorised evaluator: because the low bit of
-``c * y`` is GF(2)-linear in ``c``, it equals ``parity(c & L(y))`` for a
-w-bit mask ``L(y)`` that depends on the symbol alone, so
+The vectorised path rests on the low bit of ``c * y`` being GF(2)-linear in
+``c``: it equals ``parity(c & L(y))``, where bit ``i`` of the w-bit mask
+``L(y)`` is the low bit of ``x^i * y``, so
 
     h(y) = (-1)^(c0 ^ par(c1 & L(y)) ^ par(c2 & L(y^2)) ^ par(c3 & L(y^3)))
 
-Both sides are packed the same way into ceil(4w/64) uint64 words (one word
-for w <= 16): a hash as its coefficients (``pack_words``), a symbol as its
-masks ``(1, L(y), L(y^2), L(y^3))``.  Masks are built once per distinct
-symbol; each (hash, symbol) pair then costs one AND and popcount per word,
-with no field multiplication.
+in GF(2)[x]/(f) for any f of degree w.  Both sides are packed the same way
+into ceil(4w/64) uint64 words (one word for w <= 16): a hash as its
+coefficients (``pack_words``), a symbol as its masks ``(1, L(y), L(y^2),
+L(y^3))`` (``symbol_words``, built once per distinct symbol).
+``batch_sign_eval`` then costs one AND and popcount per word for each
+(hash, symbol) pair, with no field multiplication.
 
 Seed derivation is counter-mode SplitMix64.  Coefficient ``c`` of dimension
 ``dim`` of the hash tuple for bank cell ``(group, index)`` uses the counter
@@ -190,30 +191,25 @@ def pack_words(fields: np.ndarray, width: int) -> np.ndarray:
     return out
 
 
-def batch_sign_eval(words: np.ndarray, xs: np.ndarray, spec: FieldSpec) -> np.ndarray:
-    """Signs of many hashes at many points, bit-identical to :func:`sign_hash_eval`.
-
-    ``words`` has shape (..., ceil(4w/64)): each hash's coefficients
-    (c0, c1, c2, c3) packed by :func:`pack_words`.  ``xs`` is a 1-D array of
-    symbols.  Returns int8 signs of shape (..., len(xs)).
-
-    The low bit of ``c * y`` is GF(2)-linear in ``c``, so it equals
-    ``parity(c & L(y))`` where bit ``i`` of the mask ``L(y)`` is the low bit
-    of ``x^i * y``.  The sign bit of ``p(y)`` is therefore the parity of
-    ``(c0, c1, c2, c3) & (1, L(y), L(y^2), L(y^3))``: the masks are built once
-    per symbol and packed the same way as the hash, and each (hash, symbol)
-    pair then costs one AND and popcount per word.  The identity holds in
-    GF(2)[x]/(f) for any f of degree w.
-    """
-    words = np.asarray(words, dtype=np.uint64)
+def symbol_words(xs: np.ndarray, spec: FieldSpec) -> np.ndarray:
+    """Packed masks ``(1, L(y), L(y^2), L(y^3))`` of 1-D ``xs``, shape (len(xs), ceil(4w/64))."""
     xs = np.asarray(xs, dtype=np.uint64)
     x2 = field_mul_vec(xs, xs, spec)
     x3 = field_mul_vec(x2, xs, spec)
     masks = _lowbit_masks(np.stack([xs, x2, x3], axis=-1), spec)
-    symbol_words = pack_words(np.column_stack([np.ones_like(xs), masks]), spec.width)
-    parity = np.zeros(words.shape[:-1] + xs.shape, dtype=np.uint8)
+    return pack_words(np.column_stack([np.ones_like(xs), masks]), spec.width)
+
+
+def batch_sign_eval(words: np.ndarray, masks: np.ndarray) -> np.ndarray:
+    """Signs of many hashes at many symbols, bit-identical to :func:`sign_hash_eval`.
+
+    ``words`` (..., ceil(4w/64)) packs each hash's coefficients by
+    :func:`pack_words`, ``masks`` each symbol's masks by :func:`symbol_words`.
+    Returns int8 signs of shape (..., len(masks)).
+    """
+    parity = np.zeros(words.shape[:-1] + masks.shape[:1], dtype=np.uint8)
     for p in range(words.shape[-1]):
-        parity ^= np.bitwise_count(words[..., p, None] & symbol_words[:, p])
+        parity ^= np.bitwise_count(words[..., p, None] & masks[:, p])
     return 1 - 2 * (parity & 1).view(np.int8)
 
 

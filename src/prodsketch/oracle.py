@@ -34,7 +34,7 @@ from typing import Iterable, Mapping
 import numpy as np
 
 from .field import FieldSpec
-from .hashing import SignHash, batch_sign_eval
+from .hashing import SignHash, batch_sign_eval, symbol_words
 from .sketch import EmptyStreamError
 from . import streamfile
 from .streamfile import merge_rows, row_runs, tuple_blocks
@@ -179,7 +179,7 @@ def all_seed_signs(spec: FieldSpec, n: int) -> np.ndarray:
     if cached is None:
         # For w <= 16 a seed is its own packed hash word (hashing.pack_words).
         seeds = np.arange(1 << (4 * spec.width), dtype=np.uint64)
-        cached = batch_sign_eval(seeds[:, None], np.arange(n, dtype=np.uint64), spec)
+        cached = batch_sign_eval(seeds[:, None], symbol_words(np.arange(n), spec))
         cached.setflags(write=False)
         _sign_table_cache[key] = cached
     return cached

@@ -521,20 +521,23 @@ def test_full_width_symbols_match_scalar_instances():
 
 
 def test_working_set_cap_splits_chunks_exactly(monkeypatch):
-    # A cap of one entry splits every chunk down to single items and every
-    # joint product into one-row slabs; the dense contraction of a single row
-    # then takes SLAB_ENTRIES cells per slab: one cell, or 4 + 4 + 4 + 3 of
-    # the 15.  The counters must not change.
-    items = list(generate(GenSpec(n=16, k=3, m=300, lam=0.4, rng_seed=4)))
-    config = SketchConfig(k=3, n=16, spec=W4)
-    whole = small_bank(3, s1=5, s2=3, config=config)
-    whole.ingest_many(items)
-    monkeypatch.setattr(estimator, "_WORKING_ENTRIES", 1)
-    for slab in (1, 4, SLAB_ENTRIES):
-        monkeypatch.setattr(estimator, "SLAB_ENTRIES", slab)
-        split = small_bank(3, s1=5, s2=3, config=config)
-        split.ingest_many(items)
-        assert split.counters_equal(whole) and split.item_count == 300, slab
+    # A cap of one entry puts every cell of a run in a slab of its own, on
+    # the row path ([16]^3, 300 items) and on the dense one ([4]^3).  Under
+    # the default cap all 15 cells share one slab, and a dense run of 16
+    # partial sums per cell is contracted in sub-slabs of SLAB_ENTRIES // 16
+    # cells: one cell, or 4 + 4 + 4 + 3.  The counters must not change.
+    for n in (16, 4):
+        items = list(generate(GenSpec(n=n, k=3, m=300, lam=0.4, rng_seed=4)))
+        config = SketchConfig(k=3, n=n, spec=W4)
+        whole = small_bank(3, s1=5, s2=3, config=config)
+        whole.ingest_many(items)
+        for cap, slab in ((1, SLAB_ENTRIES), (1 << 22, 16), (1 << 22, 64)):
+            monkeypatch.setattr(estimator, "_WORKING_ENTRIES", cap)
+            monkeypatch.setattr(estimator, "SLAB_ENTRIES", slab)
+            split = small_bank(3, s1=5, s2=3, config=config)
+            split.ingest_many(items)
+            assert split.counters_equal(whole) and split.item_count == 300, (n, cap, slab)
+        monkeypatch.undo()
 
 
 def test_negative_and_oversized_symbols_rejected():
@@ -764,7 +767,11 @@ def _flush_cases(draw):
 
 def _add_rows_by_both_paths(config, shape, seed, rows, counts, working=1 << 22,
                             slab=SLAB_ENTRIES):
-    """Banks after one ``_add_rows`` call forced onto the row path and the dense path."""
+    """Banks after one ``_add_rows`` call forced onto the row path and the dense path.
+
+    ``working`` caps the entries of a cell slab, ``slab`` the partial sums
+    of a dense sub-slab.
+    """
     banks = []
     for grid in (0, 1 << 64):
         bank = EstimatorBank(config, shape=shape, master_seed=seed)
@@ -781,10 +788,11 @@ def _add_rows_by_both_paths(config, shape, seed, rows, counts, working=1 << 22,
 @given(_flush_cases(), st.sampled_from(["one", "fit", "default"]),
        st.sampled_from(["one", "ragged", "default"]))
 def test_dense_and_row_contractions_agree(case, working, slab):
-    # Working "one" halves every flush down to single rows; "fit" keeps the
-    # flush whole.  Slab "one" contracts one cell per slab; "ragged" sizes the
-    # whole flush's cell slabs to a bit over half the cells, so from three
-    # cells on the last slab is shorter.
+    # Working "one" puts one cell in every slab; "fit" holds every cell's
+    # sign matrices, so a dense flush is one slab (a row flush, which also
+    # counts its row product, may take several).  Slab "one" contracts one
+    # cell per dense sub-slab; "ragged" sizes the sub-slabs to a bit over
+    # half the cells, so from three cells in a slab the last is shorter.
     config, shape, seed, rows, counts = case
     symbols = sum(len(np.unique(column)) for column in rows.T)
     entries = {"one": 1, "fit": shape.cells * symbols, "default": 1 << 22}[working]
@@ -814,6 +822,32 @@ def test_dense_contraction_stays_within_a_few_slabs():
     view = bank.instance_view(4, 5199)
     assert view.t1 == sum(int(c) * math.prod(h(int(x)) for h, x in zip(view.hashes, row))
                           for row, c in zip(rows, counts))
+
+
+def test_large_bank_adds_a_run_in_one_pass(monkeypatch):
+    # 26,000 cells over [256]^3: every part of a run's rows sees nearly all
+    # 256 symbols per dimension, so splitting the rows would not shrink the
+    # sign matrices.  The run stays one call that builds each dimension's
+    # masks once and walks the cells in slabs of a few MiB.
+    config = SketchConfig(k=3, n=256, spec=FieldSpec(8))
+    block = np.random.default_rng(8).integers(0, 256, size=(2000, 3), dtype=np.uint64)
+    runs, built = _spy_add_rows(monkeypatch), []
+    build = estimator.symbol_words
+    monkeypatch.setattr(estimator, "symbol_words",
+                        lambda *args: built.append(args) or build(*args))
+    bank = EstimatorBank(config, shape=BankShape(5200, 5), master_seed=3)
+    tracemalloc.start()
+    try:
+        bank.ingest_blocks([block])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(runs) == 1 and len(runs[0][0]) > 1900
+    assert len(built) == 3 and peak <= 8 << 20
+    inst = SketchInstance.from_master_seed(config, 3, group=4, index=5199)
+    for row in block.tolist():
+        inst.update_item(tuple(row))
+    assert bank.instance_view(4, 5199).counters() == inst.counters()
 
 
 def test_dense_contraction_is_exact_below_2_53():

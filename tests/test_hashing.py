@@ -18,6 +18,7 @@ from prodsketch.hashing import (
     derive_hashes,
     pack_words,
     sign_hash_eval,
+    symbol_words,
 )
 
 W1 = FieldSpec(1)
@@ -122,7 +123,7 @@ def test_batch_matches_scalar_across_widths():
         words = derive_coefficients_batch(12345, 1, 1, 3, spec)[0]
         assert np.array_equal(words, _packed(hashes, width))
         xs = _symbols_across_field(spec, np.random.default_rng(width))
-        table = batch_sign_eval(words, xs, spec)
+        table = batch_sign_eval(words, symbol_words(xs, spec))
         assert table.dtype == np.int8 and table.shape == (3, len(xs))
         for dim, h in enumerate(hashes):
             assert [h(int(x)) for x in xs] == table[dim].tolist(), width
@@ -174,7 +175,7 @@ def test_batch_matches_scalar_on_reducible_polynomial(width, poly):
     words = rng.integers(0, 1 << 63, size=(16, 4), dtype=np.uint64)
     coefs = words ^ (words << np.uint64(1))
     coefs &= np.uint64(spec.mask)
-    table = batch_sign_eval(pack_words(coefs, width), xs, spec)
+    table = batch_sign_eval(pack_words(coefs, width), symbol_words(xs, spec))
     for row, c in zip(table, coefs.tolist()):
         h = SignHash(spec, SignHashSeed(*c), spec.order)
         assert [sign_hash_eval(h, int(x)) for x in xs] == row.tolist()
