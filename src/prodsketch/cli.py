@@ -175,7 +175,7 @@ def cmd_estimate(args) -> int:
         k, n = _resolve_dims(args, header)
         config = SketchConfig(k=k, n=n, spec=FieldSpec(smallest_width(n)))
         shape = derive_shape(params, k, paper_constants=args.paper_constants)
-        size = StateSize.of(shape, k)
+        size = StateSize.of(shape, k, config.spec.width)
         if size.counters + size.seeds > args.memory_budget:
             raise ValueError(
                 f"bank needs {size.counters + size.seeds} counters and seeds, "

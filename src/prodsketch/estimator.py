@@ -140,14 +140,14 @@ class Estimate:
 
 @dataclass(frozen=True)
 class StateSize:
-    """Counter and seed accounting: cells*(k+1) counters, cells*k*4 seeds."""
+    """Counter and seed accounting: cells*(k+1) counters, cells*k*ceil(4w/64) hash words."""
 
     counters: int
     seeds: int
 
     @classmethod
-    def of(cls, shape: BankShape, k: int) -> "StateSize":
-        return cls(counters=shape.cells * (k + 1), seeds=shape.cells * k * 4)
+    def of(cls, shape: BankShape, k: int, width: int) -> "StateSize":
+        return cls(counters=shape.cells * (k + 1), seeds=shape.cells * k * -(-4 * width // 64))
 
 
 def derive_shape(
@@ -301,7 +301,7 @@ class EstimatorBank:
         return Estimate(l2_squared=med, l2=math.sqrt(med))
 
     def state_size(self) -> StateSize:
-        return StateSize.of(self.shape, self.config.k)
+        return StateSize.of(self.shape, self.config.k, self.config.spec.width)
 
     # -- inspection & merging ----------------------------------------------
 
@@ -393,14 +393,17 @@ class EstimatorBank:
             shape=BankShape(s1=s1, s2=s2),
             master_seed=master_seed,
         )
-        counters, m = body[:, :-1], int(body[0, -1])
-        if (body[:, -1] != m).any():
-            raise ValueError("snapshot cells disagree on the item count")
-        # Each counter sums m signs: it lies in [-m, m] and has m's parity.
-        if m < 0 or (counters < -m).any() or (counters > m).any() or ((counters ^ m) & 1).any():
-            raise ValueError("snapshot counters are not sums of m signs")
-        bank._t1 = body[:, 0].astype(np.int64)
-        bank._marg = body[:, 1:-1].astype(np.int64)
+        m, step = int(body[0, -1]), max(1, SLAB_ENTRIES // (k + 2))
+        for lo in range(0, cells, step):  # checked and copied a slab at a time
+            slab = body[lo : lo + step]
+            if (slab[:, -1] != m).any():
+                raise ValueError("snapshot cells disagree on the item count")
+            # Each counter sums m signs: it lies in [-m, m] and has m's parity.
+            c = slab[:, :-1]
+            if m < 0 or (c < -m).any() or (c > m).any() or ((c & 1) != m & 1).any():
+                raise ValueError("snapshot counters are not sums of m signs")
+            bank._t1[lo : lo + step] = slab[:, 0]
+            bank._marg[lo : lo + step] = slab[:, 1:-1]
         bank._m = m
         return bank
 

@@ -84,23 +84,22 @@ def field_mul(a: FieldElement, b: FieldElement, spec: FieldSpec) -> FieldElement
     """Product of two field elements, reduced modulo the field polynomial.
 
     Peasant multiplication: the partial product stays inside w bits by
-    folding the carry back through the low reduction terms each shift.
+    reducing ``a`` by the field polynomial whenever a shift carries into
+    bit w.  The loop ends after b's last set bit; later rounds would only
+    shift ``a``.
     """
     w = spec.width
-    if not (0 <= a < (1 << w) and 0 <= b < (1 << w)):
+    order, poly = 1 << w, spec.reduction_polynomial
+    if not (0 <= a < order and 0 <= b < order):
         raise ValueError(f"operands must lie in [0, 2^{w})")
-    low = spec.low_terms
-    top = 1 << (w - 1)
-    mask = spec.mask
     acc = 0
-    for _ in range(w):
+    while b:
         if b & 1:
             acc ^= a
         b >>= 1
-        carry = a & top
-        a = (a << 1) & mask
-        if carry:
-            a ^= low
+        a <<= 1
+        if a & order:
+            a ^= poly
     return acc
 
 

@@ -99,12 +99,10 @@ def sign_hash_eval(h: SignHash, x: int) -> int:
     """Sign of ``h`` at symbol ``x``; Horner evaluation, then the low bit."""
     if not (0 <= x < h.n):
         raise ValueError(f"symbol {x} outside hash domain [0, {h.n})")
-    c0, c1, c2, c3 = h.seed.as_tuple()
-    spec = h.spec
-    p = c3
-    p = field_mul(p, x, spec) ^ c2
-    p = field_mul(p, x, spec) ^ c1
-    p = field_mul(p, x, spec) ^ c0
+    seed, spec = h.seed, h.spec
+    p = field_mul(seed.c3, x, spec) ^ seed.c2
+    p = field_mul(p, x, spec) ^ seed.c1
+    p = field_mul(p, x, spec) ^ seed.c0
     return 1 - 2 * (p & 1)
 
 

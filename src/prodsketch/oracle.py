@@ -10,6 +10,11 @@ is a hard budget: enumeration is only permitted for field width <= 2 and
 k <= 3, and at most 2^24 seed tuples; larger configurations are rejected
 rather than sampled.
 
+Enumeration is int64 where a bound proves it: |num| <= ||v||_1 for num =
+sum_p v_p H(p), so the sign contractions run in int64 while ||v||_1^4 < 2^63.
+Each dimension's sum over 2^(4w) seeds multiplies a moment's bound by 2^(4w),
+and the sum turns to Python ints once that bound reaches 2^63.
+
 Enumeration runs on one vector.  The estimator's cell value is
 U = t1 m^(k-1) - prod_i marg_i = sum_p H(p) v_p with the deviation vector
 v = m^(k-1) f - f_1 (x) ... (x) f_k, so a table's Y is the AMS square of
@@ -197,10 +202,17 @@ def seed_uniformity_census(
     for p in pts:
         if not (0 <= p < spec.order):
             raise ValueError(f"point {p} outside the field domain")
-    table = all_seed_signs(spec, spec.order)
-    sub = table[:, list(pts)]
-    rows, counts = np.unique(sub, axis=0, return_counts=True)
+    rows, counts = _distinct_sign_rows(all_seed_signs(spec, spec.order)[:, list(pts)])
     return {tuple(int(v) for v in row): int(c) for row, c in zip(rows, counts)}
+
+
+def _distinct_sign_rows(signs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Distinct rows of a (seeds, n <= 4) sign table and their counts, by the
+    code of each row's minus signs (below 16), with no sort."""
+    bits = np.arange(signs.shape[1])
+    counts = np.bincount((signs < 0) @ (1 << bits))
+    codes = np.flatnonzero(counts)
+    return 1 - 2 * (codes[:, None] >> bits & 1), counts[codes]
 
 
 def exhaustive_moments(
@@ -258,18 +270,25 @@ def exhaustive_moments(
         rows = np.concatenate(list(tuple_blocks(source, k, n))).astype(np.intp)
         tensor[tuple(rows.T)] = [int(w * scale) for w in weights]
     # Y depends on a seed only through its sign row on [n]: contract v against
-    # the distinct rows one dimension at a time and weight each row tuple by
-    # the number of seed tuples that share it.
-    signs, mult = np.unique(all_seed_signs(spec, n), axis=0, return_counts=True)
-    num, signs = tensor, signs.astype(object)
+    # the distinct rows one dimension at a time, then sum num^2 and num^4 over
+    # each dimension's rows weighted by the number of seeds that share a row.
+    signs, mult = _distinct_sign_rows(all_seed_signs(spec, n))
+    bound = sum(abs(int(x)) for x in tensor.flat)  # |num| <= ||v||_1
+    dtype = np.int64 if bound**4 < 1 << 63 else object
+    num, signs = tensor.astype(dtype), signs.astype(dtype)
     for _ in range(k):
         num = np.tensordot(num, signs, axes=([0], [1]))
-    weight = functools.reduce(np.multiply.outer, [mult.astype(object)] * k)
-    num2 = num * num
-    s1_sum, s2_sum = int((weight * num2).sum()), int((weight * num2 * num2).sum())
+    sums = []
+    for power, top in ((num * num, bound**2), (num**4, bound**4)):
+        for _ in range(k):  # each sum over 2^(4w) seeds multiplies the bound by that
+            top <<= 4 * spec.width
+            if top >= 1 << 63:
+                power = power.astype(object, copy=False)
+            power = np.tensordot(mult, power, axes=([0], [0]))
+        sums.append(int(power))
 
-    e_y = Fraction(s1_sum, tuples * scale**2)
-    e_y2 = Fraction(s2_sum, tuples * scale**4)
+    e_y = Fraction(sums[0], tuples * scale**2)
+    e_y2 = Fraction(sums[1], tuples * scale**4)
     variance = e_y2 - e_y * e_y
     ratio = variance / (e_y * e_y) if e_y != 0 else None
     return ExactMoments(expectation=e_y, variance=variance, ratio=ratio)

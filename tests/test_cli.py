@@ -253,23 +253,24 @@ def test_estimate_memory_budget_refusal(capsys, monkeypatch):
         raise AssertionError("bank built despite the budget")
 
     def header_then_stop():
-        yield "# k=8\n"
+        yield "# k=9\n"
         yield "# n=4\n"
-        yield "0,0,0,0,0,0,0,0\n"  # read_header's lookahead: the first data line
+        yield "0,0,0,0,0,0,0,0,0\n"  # read_header's lookahead: the first data line
         raise AssertionError("stream read past its header")
 
     monkeypatch.setattr(cli, "EstimatorBank", no_bank)
     monkeypatch.setattr("sys.stdin", header_then_stop())
-    code, out, err = run(capsys, "estimate")  # k = 8 at the default eps and budget
-    size = StateSize.of(derive_shape(AccuracyParams(0.2, 0.1), 8), 8)
+    code, out, err = run(capsys, "estimate")  # k = 9 at the default eps and budget
+    size = StateSize.of(derive_shape(AccuracyParams(0.2, 0.1), 9), 9, 2)
     assert code == EXIT_DATA and out == ""
     assert f"{size.counters + size.seeds}" in err and f"{1 << 27}" in err
     monkeypatch.setattr("sys.stdin", io.StringIO("0,0\n"))
     code, _, err = run(capsys, "estimate", "--k", "2", "--n", "4", "--memory-budget", "100")
     assert code == EXIT_DATA and "budget of 100" in err
-    # k = 7 at eps = 0.2 stays under the default budget.
-    size = StateSize.of(derive_shape(AccuracyParams(0.2, 0.1), 7), 7)
-    assert size.counters + size.seeds <= 1 << 27
+    # k = 8 at eps = 0.2 and n = 4 stays under the default budget: its
+    # 6,560,000 cells hold 9 counters and 8 packed hash words each.
+    size = StateSize.of(derive_shape(AccuracyParams(0.2, 0.1), 8), 8, 2)
+    assert size.counters + size.seeds == 111_520_000 <= 1 << 27
 
 
 

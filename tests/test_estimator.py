@@ -15,6 +15,7 @@ from prodsketch.estimator import (
     AccuracyParams,
     BankShape,
     EstimatorBank,
+    StateSize,
     _median_lower,
     derive_shape,
     merge_banks,
@@ -93,11 +94,15 @@ def test_state_size_accounting():
     assert small_bank(s1=1, s2=1, config=SketchConfig(k=1, n=2, spec=W2)).state_size().counters == 2
     b = small_bank(s1=64, s2=4)
     assert b.state_size().counters == 768
-    assert b.state_size().seeds == 64 * 4 * 2 * 4
+    assert b.state_size().seeds == 64 * 4 * 2  # one packed hash word per dimension at w = 2
     derived = EstimatorBank(
         SketchConfig(k=3, n=8, spec=W4), params=AccuracyParams(0.2, 0.1), master_seed=1
     )
     assert derived.state_size().counters == 104000
+    assert derived.state_size().seeds == 26000 * 3
+    wide = small_bank(s1=2, s2=3, config=SketchConfig(k=5, n=4, spec=FieldSpec(64)))
+    assert wide.state_size() == StateSize(counters=6 * 6, seeds=6 * 5 * 4)
+    assert StateSize.of(BankShape(2, 3), 5, 32) == StateSize(counters=36, seeds=6 * 5 * 2)
 
 
 def test_bank_equals_grid_of_scalar_instances():
@@ -912,3 +917,23 @@ def test_bank_scalar_and_table_oracle_agree_at_every_width(case):
             )
             oracle = float(exact_y_from_table(table, by_index))
             assert values[g, j].hex() == inst.finalize().hex() == oracle.hex()
+
+
+def test_snapshot_load_checks_counters_in_slabs(tmp_path):
+    # 40,000 cells at k = 3: loading holds the file's bytes, the bank's
+    # copied counters and one slab of check temporaries, never a temporary
+    # over all counters.
+    config = SketchConfig(k=3, n=8, spec=W4)
+    bank = EstimatorBank(config, shape=BankShape(8000, 5), master_seed=4)
+    bank.ingest_many([(1, 2, 3), (0, 7, 7), (1, 2, 3)])
+    path = tmp_path / "bank.bin"
+    bank.save(path)
+    counters = 8 * bank.shape.cells * (config.k + 1)
+    tracemalloc.start()
+    try:
+        back = EstimatorBank.load(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert back.counters_equal(bank)
+    assert peak <= path.stat().st_size + counters + 8 * SLAB_ENTRIES + (64 << 10)

@@ -1,6 +1,7 @@
 """Oracle correctness: exact distance, enumerated moments, dual-route checks."""
 
 import collections
+import functools
 import itertools
 import math
 import tracemalloc
@@ -444,6 +445,88 @@ def test_full_budget_enumeration_stays_small():
     finally:
         tracemalloc.stop()
     assert peak < 4 << 20
+
+
+def object_moments(vec, k, n, spec):
+    """E[Y] and Var[Y] of a turnstile vector, contracted in Python ints only.
+
+    The rows come from ``np.unique`` and each row tuple is weighted by the
+    outer product of its k seed counts, with no dtype choice and no row codes.
+    """
+    weights = {p: Fraction(w) for p, w in vec.items()}
+    scale = math.lcm(*(w.denominator for w in weights.values()))
+    num = np.zeros((n,) * k, dtype=object)
+    for p, w in weights.items():
+        num[p] = int(w * scale)
+    signs, mult = np.unique(oracle.all_seed_signs(spec, n), axis=0, return_counts=True)
+    for _ in range(k):
+        num = np.tensordot(num, signs.astype(object), axes=([0], [1]))
+    weight = functools.reduce(np.multiply.outer, [mult.astype(object)] * k)
+    tuples = (1 << (4 * spec.width)) ** k
+    e_y = Fraction(int((weight * num**2).sum()), tuples * scale**2)
+    return e_y, Fraction(int((weight * num**4).sum()), tuples * scale**4) - e_y * e_y
+
+
+# ||v||_1 = 64·51 = 3264: the sign contractions and Σ num² stay int64, and
+# Σ num⁴ turns to Python ints at its third dimension (3264⁴·2¹⁶ < 2⁶³ ≤ 3264⁴·2²⁴).
+_PARTWAY = [51, -51]
+# ||v||_1 = 32,000: num⁴ fits int64, Σ num⁴ turns at its first dimension.
+_FIRST = [500, -500, 499, -501]
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    width=st.sampled_from([1, 2]), k=st.integers(1, 3), n_frac=st.floats(0, 1),
+    weights=st.lists(
+        st.integers(-3, 3) | st.integers(-(1 << 12), 1 << 12) | st.integers(-(1 << 40), 1 << 40)
+        | st.fractions(-(10**6), 10**6, max_denominator=1000)
+        | st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False),
+        min_size=1, max_size=64,
+    ),
+)
+@example(width=2, k=3, n_frac=1, weights=_PARTWAY)
+@example(width=2, k=3, n_frac=1, weights=_FIRST)
+@example(width=2, k=3, n_frac=1, weights=[1 << 40, -7, Fraction(1, 3), 2.5])
+@example(width=1, k=3, n_frac=1, weights=[1 << 12, 3, -(1 << 12)])
+def test_bounded_dtype_enumeration_equals_python_int_contraction(width, k, n_frac, weights):
+    # Both sides of the int64 bound ||v||_1^4 < 2^63, and of each weighted sum's.
+    spec = FieldSpec(width)
+    n = max(1, math.ceil(n_frac * spec.order))
+    vec = dict(zip(itertools.product(range(n), repeat=k), itertools.cycle(weights)))
+    assume(any(vec.values()))
+    got = exhaustive_moments(vec, spec=spec, k=k, n=n)
+    assert (got.expectation, got.variance) == object_moments(vec, k, n, spec)
+
+
+def test_sign_row_codes_give_the_rows_of_unique():
+    rng = np.random.default_rng(5)
+    tables = [oracle.all_seed_signs(spec, n) for spec in (W1, W2)
+              for n in range(1, spec.order + 1)]
+    tables += [1 - 2 * rng.integers(0, 2, (256, n), dtype=np.int8) for n in range(1, 5)]
+    for signs in tables:
+        rows, counts = oracle._distinct_sign_rows(signs)
+        want_rows, want_counts = np.unique(signs, axis=0, return_counts=True)
+        assert sorted(zip(rows.tolist(), counts.tolist())) == sorted(
+            zip(want_rows.tolist(), want_counts.tolist()))
+
+
+def test_bench_shaped_enumeration_contracts_in_int64(monkeypatch):
+    # n = 4, k = 3, m = 16: ||v||_1 <= 2 m^k = 2^13 for any stream, so the
+    # sign contractions and the weighted sum of num^2 run in int64 throughout;
+    # only the sum of num^4 may turn to Python ints partway.
+    calls, real = [], np.tensordot
+
+    def spy(a, b, axes):
+        calls.append((np.asarray(a).dtype, np.asarray(b).dtype))
+        return real(a, b, axes)
+
+    monkeypatch.setattr(np, "tensordot", spy)
+    for seed in range(1, 6):
+        stream = list(generate(GenSpec(n=4, k=3, m=16, lam=0.5, rng_seed=seed)))
+        calls.clear()
+        exhaustive_moments(FrequencyTable.from_stream(stream, k=3, n=4), spec=W2)
+        assert len(calls) == 3 * 3
+        assert all(dtypes == (np.int64, np.int64) for dtypes in calls[:6]), calls
 
 
 def test_census_patterns_and_marginalization():
