@@ -52,13 +52,16 @@ Snapshot format (version 1, little-endian):
            t1, marginal_sums[0..k-1], m
 
 Round-trips are bit-exact; hash seeds are re-derived from master_seed.
-``save`` writes the header and then the body slab by slab.
+``save`` writes the header and then the body slab by slab; ``load`` checks
+the file's size against the header, then reads and checks it slab by slab.
 """
 
 from __future__ import annotations
 
 import copy
+import io
 import math
+import os
 import struct
 from dataclasses import dataclass
 from functools import cached_property
@@ -371,46 +374,53 @@ class EstimatorBank:
 
     @classmethod
     def from_snapshot_bytes(cls, data: bytes) -> "EstimatorBank":
-        if data[: len(_MAGIC)] != _MAGIC:
+        return cls._read(io.BytesIO(data), len(data))
+
+    @classmethod
+    def load(cls, path) -> "EstimatorBank":
+        with open(path, "rb") as fp:
+            return cls._read(fp, os.fstat(fp.fileno()).st_size)
+
+    @classmethod
+    def _read(cls, fp, size: int) -> "EstimatorBank":
+        """The bank of the ``size``-byte snapshot in ``fp``, checked and read a slab at a time."""
+        head = fp.read(len(_MAGIC) + _HEADER.size)
+        if head[: len(_MAGIC)] != _MAGIC:
             raise ValueError("not a bank snapshot (bad magic)")
-        off = len(_MAGIC)
-        if len(data) < off + _HEADER.size:
+        if len(head) < len(_MAGIC) + _HEADER.size:
             raise ValueError("snapshot truncated inside its header")
-        version, k, n, width, s1, s2, seed_signed, mode = _HEADER.unpack_from(data, off)
+        version, k, n, width, s1, s2, seed_signed, mode = _HEADER.unpack_from(head, len(_MAGIC))
         if version != _SNAPSHOT_VERSION:
             raise ValueError(f"unsupported snapshot version {version}")
         if mode != 0:
             raise ValueError(f"unsupported snapshot mode {mode}")
-        off += _HEADER.size
         cells = s1 * s2
-        body = np.frombuffer(data, dtype="<i8", offset=off)
-        if body.size != cells * (k + 2):
+        if size != len(head) + 8 * cells * (k + 2):
             raise ValueError("snapshot body length does not match header")
-        body = body.reshape(cells, k + 2)
         master_seed = struct.unpack("<Q", struct.pack("<q", seed_signed))[0]
         bank = cls(
             SketchConfig(k=k, n=n, spec=FieldSpec(width)),
             shape=BankShape(s1=s1, s2=s2),
             master_seed=master_seed,
         )
-        m, step = int(body[0, -1]), max(1, SLAB_ENTRIES // (k + 2))
-        for lo in range(0, cells, step):  # checked and copied a slab at a time
-            slab = body[lo : lo + step]
+        buf = np.empty((min(max(1, SLAB_ENTRIES // (k + 2)), cells), k + 2), dtype="<i8")
+        for lo in range(0, cells, len(buf)):
+            slab = buf[: cells - lo]
+            if fp.readinto(slab) != slab.nbytes:  # the file shrank since its size was read
+                raise ValueError("snapshot body length does not match header")
+            m = int(slab[0, -1]) if lo == 0 else m
             if (slab[:, -1] != m).any():
                 raise ValueError("snapshot cells disagree on the item count")
-            # Each counter sums m signs: it lies in [-m, m] and has m's parity.
-            c = slab[:, :-1]
-            if m < 0 or (c < -m).any() or (c > m).any() or ((c & 1) != m & 1).any():
+            # Each counter sums m signs: it lies in [-m, m] and has m's parity,
+            # as all do iff their AND (m odd) or OR (m even) does.  Reductions
+            # over the whole slab (m's own column passes) need no temporaries.
+            parity = (np.bitwise_and if m & 1 else np.bitwise_or).reduce(slab, axis=None)
+            if m < 0 or slab.min() < -m or slab.max() > m or parity & 1 != m & 1:
                 raise ValueError("snapshot counters are not sums of m signs")
-            bank._t1[lo : lo + step] = slab[:, 0]
-            bank._marg[lo : lo + step] = slab[:, 1:-1]
+            bank._t1[lo : lo + len(slab)] = slab[:, 0]
+            bank._marg[lo : lo + len(slab)] = slab[:, 1:-1]
         bank._m = m
         return bank
-
-    @classmethod
-    def load(cls, path) -> "EstimatorBank":
-        with open(path, "rb") as fp:
-            return cls.from_snapshot_bytes(fp.read())
 
 
 def merge_banks(a: EstimatorBank, b: EstimatorBank) -> EstimatorBank:

@@ -13,7 +13,10 @@ line by line, so the accepted syntax and the line numbers of errors are
 those of one ``int()`` per field.  ``write_stream`` writes such blocks, one
 string per block.
 ``tuple_blocks`` turns Python tuples into the same blocks, with the same
-checks, for the bank and the frequency table.
+checks, for the bank and the frequency table: tuples or lists of k integers
+in [0, n) are packed into one flat buffer by ``array("Q")``, and any other
+chunk (``np.bool_`` symbols, or one to refuse) goes through ``np.asarray`` as
+every chunk once did, so the same inputs are accepted and refused alike.
 
 ``row_runs`` is the one way from blocks to counts: it checks each block
 and yields exact histograms of consecutive blocks, which
@@ -23,7 +26,8 @@ and yields exact histograms of consecutive blocks, which
 
 from __future__ import annotations
 
-from itertools import islice
+from contextlib import suppress
+from itertools import chain, islice
 from typing import IO, Iterable, Iterator, Mapping
 
 import numpy as np
@@ -71,25 +75,42 @@ def tuple_blocks(items: Iterable[tuple[int, ...]], k: int, n: int) -> Iterator[n
 
     Symbols must be integers (Python, numpy or bool) in ``[0, n)``; a block
     with any other value raises ``ValueError`` before it is yielded.
+    ``array("Q")`` reads symbols through ``__index__`` and refuses the rest.
     """
+    from array import array  # numpy does not import it, and CLI children never get here
+
     items = iter(items)
     while chunk := list(islice(items, _BLOCK_LINES)):
-        try:
-            block = np.asarray(chunk)
-        except ValueError:  # tuples of different lengths
-            raise ValueError(f"expected {k}-tuples") from None
-        if block.ndim != 2 or block.shape[1] != k:
-            raise ValueError(f"expected {k}-tuples")
-        if block.dtype.kind not in "biu":  # floats, strings, huge or mixed values
-            if not all(isinstance(x, (int, np.integer)) for a in chunk for x in a):
-                raise ValueError("symbols must be integers")
-            block = np.asarray(chunk, dtype=object)
+        block = None
+        # numpy refuses rows such as sets and dicts, which have a length.
+        if set(map(type, chunk)) <= {tuple, list} and set(map(len, chunk)) == {k}:
+            with suppress(TypeError, OverflowError):  # a non-integer, or outside [0, 2^64)
+                flat = array("Q", chain.from_iterable(chunk))
+                block = np.frombuffer(flat, np.uint64).reshape(len(chunk), k)
+        if block is None or int(block.max(initial=0)) >= n:
+            block = _asarray_block(chunk, k, n)
         del chunk  # so two chunks are never held at once (peak memory)
-        bad = (block < 0) | (block >= n)
-        if bad.any():
-            item = tuple(block[bad.any(axis=1)][0].tolist())
-            raise ValueError(f"symbol out of range [0, {n}) in item {item}")
-        yield block.astype(np.uint64, copy=False)
+        yield block
+
+
+def _asarray_block(chunk: list, k: int, n: int) -> np.ndarray:
+    """The (rows, k) uint64 block of ``chunk`` by numpy's conversion, or its ``ValueError``."""
+    try:
+        block = np.asarray(chunk)
+    except ValueError:  # tuples of different lengths
+        raise ValueError(f"expected {k}-tuples") from None
+    if block.ndim != 2 or block.shape[1] != k:
+        raise ValueError(f"expected {k}-tuples")
+    if block.dtype.kind not in "biu":  # floats, strings, huge or mixed values
+        if not all(isinstance(x, (int, np.integer)) for a in chunk for x in a):
+            raise ValueError("symbols must be integers")
+        block = np.asarray(chunk, dtype=object)
+    top = min(n, 2) if block.dtype == bool else n  # numpy compares bools only with n < 2^63
+    bad = (block < 0) | (block >= top)
+    if bad.any():
+        item = tuple(block[bad.any(axis=1)][0].tolist())
+        raise ValueError(f"symbol out of range [0, {n}) in item {item}")
+    return block.astype(np.uint64, copy=False)
 
 
 def distinct_rows(block: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -937,3 +937,59 @@ def test_snapshot_load_checks_counters_in_slabs(tmp_path):
         tracemalloc.stop()
     assert back.counters_equal(bank)
     assert peak <= path.stat().st_size + counters + 8 * SLAB_ENTRIES + (64 << 10)
+
+
+def test_snapshot_load_holds_one_slab_whatever_the_file_size(tmp_path):
+    # load reads the body straight into the counters, a slab at a time: it
+    # holds the counters, one slab and the checks' one byte per counter of
+    # a slab, never the file's bytes.
+    for shape in (BankShape(8000, 5), BankShape(40_000, 5)):
+        config = SketchConfig(k=3, n=8, spec=W4)
+        bank = EstimatorBank(config, shape=shape, master_seed=4)
+        bank.ingest_many([(1, 2, 3), (0, 7, 7), (1, 2, 3)])
+        path = tmp_path / "bank.bin"
+        bank.save(path)
+        counters = 8 * bank.shape.cells * (config.k + 1)
+        tracemalloc.start()
+        try:
+            back = EstimatorBank.load(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert back.counters_equal(bank) and back.estimate() == bank.estimate()
+        assert peak <= counters + 8 * SLAB_ENTRIES + (64 << 10)
+
+
+def test_snapshot_load_refuses_what_bytes_refuse(tmp_path, monkeypatch):
+    # A file loads to the bank its bytes give, or fails with their message;
+    # a file whose size disagrees with its header fails before a bank is
+    # built, so before any of its body is read.
+    bank = small_bank(12, s1=2, s2=2)
+    bank.ingest_many([(0, 1), (3, 2), (1, 1)])
+    blob = bank.snapshot_bytes()
+    path = tmp_path / "bank.bin"
+
+    def outcome(load, data):
+        try:
+            return load(data).snapshot_bytes()
+        except ValueError as exc:
+            return str(exc)
+
+    def from_file(data):
+        path.write_bytes(data)
+        return EstimatorBank.load(path)
+
+    variants = [blob[:cut] for cut in range(len(blob))] + [blob + b"\0", blob + bytes(8)]
+    for bit in range(8 * len(blob)):
+        flipped = bytearray(blob)
+        flipped[bit // 8] ^= 1 << (bit % 8)
+        variants.append(bytes(flipped))
+    for data in variants:
+        assert outcome(from_file, data) == outcome(EstimatorBank.from_snapshot_bytes, data)
+    def build(*args, **kwargs):
+        raise AssertionError("built a bank")
+
+    monkeypatch.setattr(EstimatorBank, "__init__", build)
+    for data in (blob[:-8], blob[:-1], blob + b"\0", blob + bytes(40)):
+        with pytest.raises(ValueError, match="body length does not match header"):
+            from_file(data)

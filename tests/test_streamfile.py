@@ -1,9 +1,11 @@
 """Stream text format: round-trips, header parsing, block parsing, error line numbers."""
 
+import gc
 import io
 import math
 import tracemalloc
 import warnings
+from itertools import islice
 from unittest import mock
 
 import numpy as np
@@ -391,3 +393,158 @@ def test_merge_rows_matches_numpy_unique(n):
     assert rows[order].tolist() == want_rows.tolist()
     assert counts[order].tolist() == want_counts.astype(np.int64).tolist()
     assert counts.dtype == np.int64
+
+
+def _asarray_tuple_blocks(items, k, n):
+    """``tuple_blocks`` as it was before packing: ``np.asarray`` on each chunk.
+
+    The reference for the blocks and error messages of ``tuple_blocks``.
+    """
+    items = iter(items)
+    while chunk := list(islice(items, streamfile._BLOCK_LINES)):
+        try:
+            block = np.asarray(chunk)
+        except ValueError:  # tuples of different lengths
+            raise ValueError(f"expected {k}-tuples") from None
+        if block.ndim != 2 or block.shape[1] != k:
+            raise ValueError(f"expected {k}-tuples")
+        if block.dtype.kind not in "biu":  # floats, strings, huge or mixed values
+            if not all(isinstance(x, (int, np.integer)) for a in chunk for x in a):
+                raise ValueError("symbols must be integers")
+            block = np.asarray(chunk, dtype=object)
+        del chunk
+        bad = (block < 0) | (block >= n)
+        if bad.any():
+            item = tuple(block[bad.any(axis=1)][0].tolist())
+            raise ValueError(f"symbol out of range [0, {n}) in item {item}")
+        yield block.astype(np.uint64, copy=False)
+
+
+def _blocks_or_error(blocks):
+    """The blocks a generator yields, then the (type, message) it raised, or None."""
+    out = []
+    try:
+        for block in blocks:
+            out.append((block.dtype, block.shape, block.tolist()))
+    except Exception as exc:  # compared across both functions, whatever it is
+        return out, (type(exc), str(exc))
+    return out, None
+
+
+def _bools_as_ints(item):
+    if isinstance(item, (tuple, list)):
+        return type(item)(int(x) if isinstance(x, (bool, np.bool_)) else x for x in item)
+    return item
+
+
+_NUMPY_INTS = [np.int8, np.int16, np.int32, np.int64, np.uint8, np.uint16, np.uint32, np.uint64]
+
+
+@st.composite
+def _valid_symbol(draw, n):
+    """A symbol in [0, n) as a Python int, bool, np.bool_ or numpy int of any width that holds it."""
+    value = draw(st.one_of(st.integers(0, min(n, 3) - 1), st.integers(0, n - 1)))
+    kinds = [int] + [t for t in _NUMPY_INTS if value <= np.iinfo(t).max]
+    if value <= 1:
+        kinds += [bool, np.bool_]
+    return draw(st.sampled_from(kinds))(value)
+
+
+def _bad_symbol(n):
+    """A symbol ``tuple_blocks`` refuses: out of range, or not an integer."""
+    return st.one_of(
+        st.integers(-3, -1), st.integers(-3, -1).map(np.int8), st.just(np.int64(-1)),
+        st.integers(n, max(n, 1 << 64) + 2), st.just(1 << 64),
+        st.floats(0, 3), st.floats(0, 3).map(np.float64),
+        st.text(max_size=2), st.binary(max_size=2), st.none(),
+    )
+
+
+@st.composite
+def _tuple_chunks(draw):
+    """k, n, the block size and items: rows of mixed symbol types, some of them spoiled."""
+    k = draw(st.integers(1, 3))
+    n = draw(st.sampled_from([1, 2, 4, 1000, (1 << 63) + 5, 1 << 64]))
+    row = st.lists(_valid_symbol(n), min_size=k, max_size=k)
+    rows = draw(st.lists(st.tuples(row, st.sampled_from([tuple, list])), max_size=30))
+    items = [make(symbols) for symbols, make in rows]
+    for _ in range(draw(st.integers(0, 2))):  # spoil a few rows, anywhere
+        at = draw(st.integers(0, len(items)))
+        symbols = draw(row)
+        spoiled = draw(st.one_of(
+            st.just(tuple(symbols[:-1])),  # one symbol short
+            st.just(tuple(symbols) + (0,)),  # one symbol too many
+            st.integers(0, 3), st.none(),  # not sized
+            st.just(set(symbols)), st.just(dict.fromkeys(symbols)),  # sized, not sequences
+            st.tuples(st.integers(0, k - 1), _bad_symbol(n)).map(
+                lambda bad: tuple(bad[1] if j == bad[0] else s for j, s in enumerate(symbols))),
+        ))
+        items.insert(at, spoiled)
+    if n == 1 << 64 and draw(st.booleans()):
+        items.append((np.uint64((1 << 64) - 1),) * k)
+    return k, n, draw(st.integers(1, 8)), items
+
+
+@settings(max_examples=400, deadline=None)
+@given(_tuple_chunks())
+def test_tuple_blocks_match_asarray_reference(case):
+    # The same blocks (uint64, shape, values), or the same error after the
+    # same number of blocks, as the np.asarray conversion they replace.
+    k, n, block_lines, items = case
+    with mock.patch.object(streamfile, "_BLOCK_LINES", block_lines):
+        got = _blocks_or_error(streamfile.tuple_blocks(iter(items), k, n))
+        want = _blocks_or_error(_asarray_tuple_blocks(iter(items), k, n))
+        if want[1] is not None and want[1][0] is OverflowError:
+            # The reference's one crash: numpy cannot compare a block of
+            # bools with n >= 2^63.  Such a block now holds the ints the
+            # bools stand for.
+            assert n >= 1 << 63
+            want = _blocks_or_error(_asarray_tuple_blocks(map(_bools_as_ints, items), k, n))
+    assert got == want
+    assert all(dtype == np.uint64 for dtype, _, _ in got[0])
+    if want[1] is not None:
+        assert want[1][0] is ValueError
+
+
+def test_tuple_blocks_accept_numpy_bools_and_full_width_symbols():
+    # np.bool_ has no __index__, so array("Q") refuses it and numpy converts
+    # the chunk, as it always has.
+    top = np.uint64((1 << 64) - 1)
+    for items, n in [([(np.True_, 3), [np.False_, np.int8(1)]], 4),
+                     ([(np.True_,), (np.False_,)], 1 << 64),
+                     ([(True, top), (np.uint64(0), 1 << 63)], 1 << 64)]:
+        (block,) = streamfile.tuple_blocks(items, len(items[0]), n)
+        assert block.dtype == np.uint64
+        assert block.tolist() == [[int(x) for x in item] for item in items]
+    with pytest.raises(ValueError, match=r"in item \(True, False\)"):
+        list(streamfile.tuple_blocks([(True, False)], 2, 1))
+    for bad, message in [([{0, 1}], "expected 2-tuples"), ([(0, 1.0)], "must be integers"),
+                         ([(0, 1 << 64)], "out of range"), ([(0, -1), (0, 0, 0)], "expected")]:
+        with pytest.raises(ValueError, match=message):
+            list(streamfile.tuple_blocks(bad, 2, 1 << 64))
+
+
+@pytest.mark.parametrize("k", [1, 2, 5])
+def test_tuple_blocks_hold_one_chunk_at_a_time(k):
+    # 10^5 k-tuples: the conversion holds one chunk's list, the block being
+    # packed and the one last yielded, never a second chunk.
+    def items():
+        return ((300 + i % 1000,) * k for i in range(100_000))  # ints past the small-int cache
+
+    gc.collect()  # empties the free lists, so every tuple of the chunk is a traced allocation
+    tracemalloc.start()
+    try:
+        chunk = list(islice(items(), _BLOCK_LINES))
+        chunk_bytes = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    del chunk
+    flat_bytes = 8 * k * _BLOCK_LINES
+    tracemalloc.start()
+    try:
+        rows = sum(len(block) for block in streamfile.tuple_blocks(items(), k, 2000))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rows == 100_000
+    assert peak <= chunk_bytes + 2 * flat_bytes + (64 << 10)
