@@ -27,11 +27,9 @@ sized by ``_WORKING_ENTRIES`` and per dimension, ``batch_sign_eval`` fills
 one sign matrix that both the joint counter and the marginal sums read.
 The joint counter sum_x f(x) prod_d h_d(x_d) factorises over dimensions:
 a run whose symbol grid is at most ``_DENSE_GRID`` times its support is
-contracted as a dense histogram one dimension at a time, in sub-slabs
-whose partial sums hold about ``hashing.SLAB_ENTRIES`` entries; otherwise
-each (cell, row) sign product is gathered and summed.  Every partial sum
-is bounded by the run's item total, below 2^53, so both paths are exact in
-float64 in any slab order.
+contracted as a dense histogram one dimension at a time; otherwise each
+(cell, row) sign product is gathered and summed.  Both paths take exact
+float64 products of the int8 signs with the run's counts.
 Ingestion is single-writer; estimation is read-only.
 
 The bank's hash words (``hashing.derive_coefficients_batch``, packed) are
@@ -88,10 +86,8 @@ _SNAPSHOT_VERSION = 1
 
 # An ingest run ends once its merged support passes _CHUNK_ITEMS rows.
 _CHUNK_ITEMS = 8192
-# Cap on the entries of one cell slab of an ingest run: its int8 sign
-# matrices (summed over dimensions) and, on the row path, its float64 sign
-# product with every row at 8 entries a pair: at most 4 MiB.  A dense
-# contraction's partial sums are sub-slabbed by hashing.SLAB_ENTRIES.
+# Cap on the bytes of one cell slab of an ingest run, 4 MiB: a cell's int8
+# sign entries plus 8 per float64 entry it holds (see _add_rows).
 _WORKING_ENTRIES = 1 << 22
 # A run whose symbol grid (the product over dimensions of its distinct
 # symbol counts) has at most _DENSE_GRID cells per distinct row is
@@ -169,17 +165,6 @@ def derive_shape(
     return BankShape(s1=s1, s2=s2)
 
 
-def _exact_matvec(signs: np.ndarray, counts: np.ndarray) -> np.ndarray:
-    """``signs @ counts`` for a +-1 matrix, through a float64 (BLAS) product.
-
-    Every entry is bounded in absolute value by ``counts.sum()``, the items
-    of one run, which ``streamfile.row_runs`` keeps below 2^53, so the
-    float64 sums are exact.  (Only a single block of 2^53 rows could pass
-    it, and such a block does not fit in memory.)
-    """
-    return (signs.astype(np.float64) @ counts.astype(np.float64)).astype(np.int64)
-
-
 def _median_lower(values: np.ndarray) -> float:
     """Median with the documented tie rule: lower-middle order statistic."""
     ordered = np.sort(values)
@@ -239,36 +224,40 @@ class EstimatorBank:
         """Add distinct (rows, k) uint64 rows, each ``counts`` times, to every cell."""
         syms, idx = zip(*(np.unique(column, return_inverse=True) for column in rows.T))
         masks = [symbol_words(s, self.config.spec) for s in syms]
-        tallies = [np.bincount(inverse, counts) for inverse in idx]
+        weights = counts.astype(np.float64)
+        tallies = [np.bincount(inverse, weights) for inverse in idx]
         grid = [len(s) for s in syms]
         size, hist = math.prod(grid), None
         if size <= _DENSE_GRID * len(rows):
             # t1 = sum_x f(x) prod_d h_d(x_d) factorises over dimensions:
             # contract the dense histogram one dimension at a time, the last
-            # with one GEMM and each earlier one with a batched matvec.
-            hist = np.bincount(np.ravel_multi_index(idx, grid), counts, size)
+            # with one GEMM and each earlier one with a batched matvec.  A cell
+            # holds its partial sums, counted twice for the next step's output
+            # beside them, and its last sign matrix widened to float64.
+            hist = np.bincount(np.ravel_multi_index(idx, grid), weights, size)
             hist = hist.reshape(-1, grid[-1]).T
-        # The row path also holds each (cell, row) product as float64: 8 entries.
-        slab = max(1, _WORKING_ENTRIES // (sum(grid) + 8 * len(rows) * (hist is None)))
+            floats = 2 * hist.shape[1] + grid[-1]
+        else:
+            floats = len(rows)  # each (cell, row) sign product, widened to float64
+        slab = max(1, _WORKING_ENTRIES // (sum(grid) + 8 * floats))
+        # ``@`` widens the int8 signs to float64 for BLAS.  Every partial sum
+        # is bounded by the run's item total, which ``streamfile.row_runs``
+        # keeps below 2^53, so the products are exact in any order.
         for lo in range(0, self.shape.cells, slab):
             sl = slice(lo, lo + slab)
             signs = [batch_sign_eval(self._words[sl, dim], m) for dim, m in enumerate(masks)]
             for dim, (matrix, tally) in enumerate(zip(signs, tallies)):
-                self._marg[sl, dim] += _exact_matvec(matrix, tally)
-            t1 = self._t1[sl]
+                self._marg[sl, dim] += (matrix @ tally).astype(np.int64)
             if hist is None:
-                prod = signs[0][:, idx[0]]
+                part = signs[0][:, idx[0]]
                 for matrix, inverse in zip(signs[1:], idx[1:]):
-                    prod *= matrix[:, inverse]
-                t1 += _exact_matvec(prod, counts)
-                continue
-            step = max(1, SLAB_ENTRIES // hist.shape[1])
-            for a in range(0, len(t1), step):
-                part = signs[-1][a : a + step].astype(np.float64) @ hist
+                    part *= matrix[:, inverse]
+                part = part @ weights
+            else:
+                part = signs[-1] @ hist
                 for matrix in signs[-2::-1]:
-                    part = part.reshape(len(part), -1, matrix.shape[1]) @ (
-                        matrix[a : a + step, :, None].astype(np.float64))
-                t1[a : a + step] += part.reshape(-1).astype(np.int64)
+                    part = part.reshape(len(part), -1, matrix.shape[1]) @ matrix[:, :, None]
+            self._t1[sl] += part.reshape(-1).astype(np.int64)
         self._m += int(counts.sum())
 
     # -- estimation ---------------------------------------------------------

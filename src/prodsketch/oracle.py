@@ -7,8 +7,8 @@ verified expectation/variance statements carry zero statistical or
 floating-point slack.  It evaluates every seed's signs on [n] and groups
 the seeds by that sign row, on which alone a seed's Y depends.  The price
 is a hard budget: enumeration is only permitted for field width <= 2 and
-k <= 3, and at most 2^24 seed tuples; larger configurations are rejected
-rather than sampled.
+k <= 3, so at most (2^8)^3 = 2^24 seed tuples; larger configurations are
+rejected rather than sampled.
 
 Enumeration is int64 where a bound proves it: |num| <= ||v||_1 for num =
 sum_p v_p H(p), so the sign contractions run in int64 while ||v||_1^4 < 2^63.
@@ -44,7 +44,6 @@ from .sketch import EmptyStreamError
 from . import streamfile
 from .streamfile import merge_rows, row_runs, tuple_blocks
 
-ENUMERATION_BUDGET = 1 << 24
 _MAX_ENUM_WIDTH = 2
 _MAX_ENUM_K = 3
 
@@ -221,7 +220,6 @@ def exhaustive_moments(
     spec: FieldSpec,
     k: int | None = None,
     n: int | None = None,
-    budget: int = ENUMERATION_BUDGET,
 ) -> ExactMoments:
     """E[Y] and Var[Y] of Y = (sum_p v_p H(p))^2 over every seed tuple, exactly.
 
@@ -253,12 +251,6 @@ def exhaustive_moments(
         raise EnumerationBudgetError(f"enumeration requires k <= {_MAX_ENUM_K}, got {k}")
     if not (1 <= n <= spec.order):
         raise ValueError(f"alphabet size {n} does not fit the field")
-    tuples = (1 << (4 * spec.width)) ** k
-    if tuples > budget:
-        raise EnumerationBudgetError(
-            f"{tuples} seed tuples exceed the enumeration budget of {budget}"
-        )
-
     if isinstance(source, FrequencyTable):
         tensor, scale = _deviation_vector(source), source.m**k
         g = math.gcd(scale, *tensor.flat)  # the grid of v / m^k in lowest terms
@@ -287,6 +279,7 @@ def exhaustive_moments(
             power = np.tensordot(mult, power, axes=([0], [0]))
         sums.append(int(power))
 
+    tuples = (1 << (4 * spec.width)) ** k
     e_y = Fraction(sums[0], tuples * scale**2)
     e_y2 = Fraction(sums[1], tuples * scale**4)
     variance = e_y2 - e_y * e_y

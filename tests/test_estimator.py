@@ -466,14 +466,6 @@ def test_ingest_blocks_equals_ingest_many():
     assert a.counters_equal(b) and b.item_count == 500
 
 
-def test_exact_matvec_is_exact_at_chunk_scale():
-    rng = np.random.default_rng(3)
-    signs = (1 - 2 * rng.integers(0, 2, size=(64, 300))).astype(np.int8)
-    counts = rng.integers(1, 1 << 20, size=300)
-    want = signs.astype(np.int64) @ counts
-    assert np.array_equal(estimator._exact_matvec(signs, counts), want)
-
-
 def test_requires_params_or_shape():
     with pytest.raises(ValueError):
         EstimatorBank(CFG)
@@ -525,24 +517,40 @@ def test_full_width_symbols_match_scalar_instances():
             assert bank.instance_view(g, j).counters() == inst.counters()
 
 
+def _cell_bytes(rows, dense):
+    """The bytes ``_add_rows`` counts per cell for a run of distinct ``rows``."""
+    grid = [len(np.unique(column)) for column in rows.T]
+    floats = 2 * math.prod(grid[:-1]) + grid[-1] if dense else len(rows)
+    return sum(grid) + 8 * floats
+
+
+def _spy_slabs(monkeypatch):
+    """Record the cells of every ``batch_sign_eval`` call: k calls a slab."""
+    cells, evaluate = [], estimator.batch_sign_eval
+    monkeypatch.setattr(estimator, "batch_sign_eval",
+                        lambda words, masks: cells.append(len(words)) or evaluate(words, masks))
+    return cells
+
+
 def test_working_set_cap_splits_chunks_exactly(monkeypatch):
-    # A cap of one entry puts every cell of a run in a slab of its own, on
-    # the row path ([16]^3, 300 items) and on the dense one ([4]^3).  Under
-    # the default cap all 15 cells share one slab, and a dense run of 16
-    # partial sums per cell is contracted in sub-slabs of SLAB_ENTRIES // 16
-    # cells: one cell, or 4 + 4 + 4 + 3.  The counters must not change.
+    # 15 cells, on the row path ([16]^3, 300 items) and on the dense one
+    # ([4]^3): a cap of one byte puts every cell in a slab of its own, a
+    # cap of four cells' bytes gives slabs of 4 + 4 + 4 + 3, and the
+    # default cap holds every cell in one slab.  The counters must not change.
     for n in (16, 4):
         items = list(generate(GenSpec(n=n, k=3, m=300, lam=0.4, rng_seed=4)))
         config = SketchConfig(k=3, n=n, spec=W4)
         whole = small_bank(3, s1=5, s2=3, config=config)
         whole.ingest_many(items)
-        for cap, slab in ((1, SLAB_ENTRIES), (1 << 22, 16), (1 << 22, 64)):
-            monkeypatch.setattr(estimator, "_WORKING_ENTRIES", cap)
-            monkeypatch.setattr(estimator, "SLAB_ENTRIES", slab)
-            split = small_bank(3, s1=5, s2=3, config=config)
-            split.ingest_many(items)
-            assert split.counters_equal(whole) and split.item_count == 300, (n, cap, slab)
-        monkeypatch.undo()
+        cell = _cell_bytes(np.unique(np.array(items, dtype=np.uint64), axis=0), n == 4)
+        for cap, slabs in ((1, [1] * 15), (4 * cell, [4, 4, 4, 3]), (1 << 22, [15])):
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(estimator, "_WORKING_ENTRIES", cap)
+                cells = _spy_slabs(mp)
+                split = small_bank(3, s1=5, s2=3, config=config)
+                split.ingest_many(items)
+            assert cells[::3] == slabs, (n, cap)
+            assert split.counters_equal(whole) and split.item_count == 300, (n, cap)
 
 
 def test_negative_and_oversized_symbols_rejected():
@@ -770,42 +778,37 @@ def _flush_cases(draw):
             np.array(rows, dtype=np.uint64), np.array(counts, dtype=np.int64))
 
 
-def _add_rows_by_both_paths(config, shape, seed, rows, counts, working=1 << 22,
-                            slab=SLAB_ENTRIES):
+def _add_rows_by_both_paths(config, shape, seed, rows, counts, slab=None):
     """Banks after one ``_add_rows`` call forced onto the row path and the dense path.
 
-    ``working`` caps the entries of a cell slab, ``slab`` the partial sums
-    of a dense sub-slab.
+    A ``slab`` of cells sets ``_WORKING_ENTRIES`` to that many cells' bytes
+    on each path, and the slabs walked are checked; None keeps the default.
     """
     banks = []
-    for grid in (0, 1 << 64):
+    for dense in (False, True):
         bank = EstimatorBank(config, shape=shape, master_seed=seed)
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(estimator, "_DENSE_GRID", grid)
-            mp.setattr(estimator, "_WORKING_ENTRIES", working)
-            mp.setattr(estimator, "SLAB_ENTRIES", slab)
+            mp.setattr(estimator, "_DENSE_GRID", 1 << 64 if dense else 0)
+            if slab is not None:
+                mp.setattr(estimator, "_WORKING_ENTRIES", slab * _cell_bytes(rows, dense))
+            cells = _spy_slabs(mp)
             bank._add_rows(rows, counts)
+        if slab is not None:
+            want = [min(slab, shape.cells - lo) for lo in range(0, shape.cells, slab)]
+            assert cells[:: config.k] == want, (dense, slab)
         banks.append(bank)
     return banks
 
 
 @settings(max_examples=80, deadline=None)
-@given(_flush_cases(), st.sampled_from(["one", "fit", "default"]),
-       st.sampled_from(["one", "ragged", "default"]))
-def test_dense_and_row_contractions_agree(case, working, slab):
-    # Working "one" puts one cell in every slab; "fit" holds every cell's
-    # sign matrices, so a dense flush is one slab (a row flush, which also
-    # counts its row product, may take several).  Slab "one" contracts one
-    # cell per dense sub-slab; "ragged" sizes the sub-slabs to a bit over
-    # half the cells, so from three cells in a slab the last is shorter.
+@given(_flush_cases(), st.sampled_from(["one", "ragged", "all", "default"]))
+def test_dense_and_row_contractions_agree(case, slab):
+    # On both paths: "one" puts one cell in every slab; "ragged" sizes the
+    # slabs to a bit over half the cells, so from three cells the last slab
+    # is shorter; "all" holds every cell in one slab.
     config, shape, seed, rows, counts = case
-    symbols = sum(len(np.unique(column)) for column in rows.T)
-    entries = {"one": 1, "fit": shape.cells * symbols, "default": 1 << 22}[working]
-    partials = math.prod(len(np.unique(column)) for column in rows.T[:-1])
-    slab_entries = {"one": 1, "ragged": partials * (shape.cells // 2 + 1),
-                    "default": SLAB_ENTRIES}[slab]
-    by_rows, dense = _add_rows_by_both_paths(config, shape, seed, rows, counts, entries,
-                                             slab_entries)
+    cells = {"one": 1, "ragged": shape.cells // 2 + 1, "all": shape.cells, "default": None}
+    by_rows, dense = _add_rows_by_both_paths(config, shape, seed, rows, counts, cells[slab])
     assert by_rows.counters_equal(dense) and dense.item_count == counts.sum()
 
 
@@ -919,24 +922,23 @@ def test_bank_scalar_and_table_oracle_agree_at_every_width(case):
             assert values[g, j].hex() == inst.finalize().hex() == oracle.hex()
 
 
-def test_snapshot_load_checks_counters_in_slabs(tmp_path):
-    # 40,000 cells at k = 3: loading holds the file's bytes, the bank's
+def test_snapshot_load_checks_counters_in_slabs():
+    # 40,000 cells at k = 3: loading from bytes holds the bytes, the bank's
     # copied counters and one slab of check temporaries, never a temporary
     # over all counters.
     config = SketchConfig(k=3, n=8, spec=W4)
     bank = EstimatorBank(config, shape=BankShape(8000, 5), master_seed=4)
     bank.ingest_many([(1, 2, 3), (0, 7, 7), (1, 2, 3)])
-    path = tmp_path / "bank.bin"
-    bank.save(path)
+    data = bank.snapshot_bytes()
     counters = 8 * bank.shape.cells * (config.k + 1)
     tracemalloc.start()
     try:
-        back = EstimatorBank.load(path)
+        back = EstimatorBank.from_snapshot_bytes(data)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert back.counters_equal(bank)
-    assert peak <= path.stat().st_size + counters + 8 * SLAB_ENTRIES + (64 << 10)
+    assert peak <= len(data) + counters + 8 * SLAB_ENTRIES + (64 << 10)
 
 
 def test_snapshot_load_holds_one_slab_whatever_the_file_size(tmp_path):

@@ -263,8 +263,6 @@ def test_budget_rejections():
     t4 = FrequencyTable.from_stream([(0, 0, 0, 0)], k=4, n=2)
     with pytest.raises(EnumerationBudgetError):
         exhaustive_moments(t4, spec=W1)
-    with pytest.raises(EnumerationBudgetError):
-        exhaustive_moments(table, spec=W2, budget=1000)
     with pytest.raises(EmptyStreamError):
         exhaustive_moments(FrequencyTable(2, 2), spec=W2)
 
@@ -291,10 +289,6 @@ def test_refusals_come_before_any_expansion(monkeypatch):
         four.m = 1
         with pytest.raises(EnumerationBudgetError):
             exhaustive_moments(four, spec=spec)
-    budget = Untouchable(3, 4)
-    budget.m = 1
-    with pytest.raises(EnumerationBudgetError, match="budget"):
-        exhaustive_moments(budget, spec=W2, budget=(1 << 24) - 1)
 
 
 def test_sign_table_row_is_its_seeds_hash():
