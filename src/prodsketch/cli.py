@@ -92,7 +92,7 @@ def _build_parser() -> argparse.ArgumentParser:
                      help="use s1 = ceil(72/eps^2) at k=2 instead of the derived constant")
     est.add_argument("--snapshot-out", help="write the bank snapshot to this path")
     est.add_argument("--memory-budget", type=int, default=1 << 27,
-                     help="refuse banks needing more than this many counters and seeds")
+                     help="refuse banks needing more than this many counters")
     est.set_defaults(func=cmd_estimate)
 
     exact = sub.add_parser("exact", help="exact squared L2 distance from a frequency table")
@@ -176,10 +176,9 @@ def cmd_estimate(args) -> int:
         config = SketchConfig(k=k, n=n, spec=FieldSpec(smallest_width(n)))
         shape = derive_shape(params, k, paper_constants=args.paper_constants)
         size = StateSize.of(shape, k, config.spec.width)
-        if size.counters + size.seeds > args.memory_budget:
+        if size.counters > args.memory_budget:
             raise ValueError(
-                f"bank needs {size.counters + size.seeds} counters and seeds, "
-                f"over the budget of {args.memory_budget}"
+                f"bank needs {size.counters} counters, over the budget of {args.memory_budget}"
             )
         bank = EstimatorBank(config, shape=shape, master_seed=args.seed)
         bank.ingest_blocks(iter_blocks(fp, first, k=k, n=n))

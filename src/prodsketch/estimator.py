@@ -14,30 +14,31 @@ An opt-in paper-constants mode pins s1 = ceil(72 / eps^2) at k = 2, the
 conventional constant for the two-dimensional case; for k != 2 it falls
 back to the derived formula.
 
-The bank stores counters in flat numpy int64 arrays (cells row-major by
-(group, index)).  Every counter is linear in the stream's frequency vector,
-so ``ingest_blocks``, the one ingest path, adds each run of
+The bank's state is its counters, in flat numpy int64 arrays (cells
+row-major by (group, index)).  Every counter is linear in the stream's
+frequency vector, so ``ingest_blocks``, the one ingest path, adds each run of
 ``streamfile.row_runs`` (an exact histogram of distinct rows) to the
 counters at once; ``ingest_many`` gets its blocks from
 ``streamfile.tuple_blocks``.  That is arithmetically identical to
 ``SketchInstance.update_item`` per item per cell, and ``instance_view``
 materializes any cell as a ``SketchInstance``.  Per run, ``symbol_words``
 packs each dimension's distinct symbols once; then, per slab of cells
-sized by ``_WORKING_ENTRIES`` and per dimension, ``batch_sign_eval`` fills
-one sign matrix that both the joint counter and the marginal sums read.
-The joint counter sum_x f(x) prod_d h_d(x_d) factorises over dimensions:
-a run whose symbol grid is at most ``_DENSE_GRID`` times its support is
-contracted as a dense histogram one dimension at a time; otherwise each
+sized by ``_WORKING_ENTRIES``, ``hashing.derive_coefficients_batch``
+derives the slab's packed hash words and, per dimension,
+``batch_sign_eval`` fills one sign matrix that both the joint counter and
+the marginal sums read.  No hash word outlives its slab: constructing,
+loading, merging, estimating and saving a bank never derive them.
+The joint counter t1 = sum_x f(x) prod_d h_d(x_d) factorises over
+dimensions.  A run whose symbol grid is at most ``_DENSE_GRID`` times its
+support is a dense histogram, read as a (G_A, G_B) matrix H split after
+some dimension j; a cell's t1 is then K_A H K_B, K_A and K_B being the
+Kronecker products of its sign rows before and after j.  Otherwise each
 (cell, row) sign product is gathered and summed.  Both paths take exact
 float64 products of the int8 signs with the run's counts.
 Ingestion is single-writer; estimation is read-only.
 
-The bank's hash words (``hashing.derive_coefficients_batch``, packed) are
-derived once, at the first ingest; constructing, loading, merging,
-estimating and saving a bank never derive them.
-
 Finalize uses the same rule as ``SketchInstance.finalize``
-(``sketch.finalize_values``), ``hashing.SLAB_ENTRIES`` cells at a time: U
+(``sketch.finalize_values``), ``SLAB_ENTRIES`` cells at a time: U
 is computed with int64 arrays while m^k < 2^62 and with Python ints past
 that, and every cell's Y is the correctly rounded float of (U/m^k)^2.
 
@@ -62,7 +63,6 @@ import math
 import os
 import struct
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Iterable
 
 import numpy as np
@@ -71,7 +71,6 @@ from .field import FieldSpec
 from .hashing import (
     MAX_GROUP,
     MAX_INDEX,
-    SLAB_ENTRIES,
     batch_sign_eval,
     derive_coefficients_batch,
     derive_hashes,
@@ -84,10 +83,13 @@ _MAGIC = b"PSKBANK1"
 _HEADER = struct.Struct("<8q")
 _SNAPSHOT_VERSION = 1
 
+# Entries of one cache-sized slab (512 KiB of int64 or float64) of finalize
+# and of the snapshot body.
+SLAB_ENTRIES = 1 << 16
 # An ingest run ends once its merged support passes _CHUNK_ITEMS rows.
 _CHUNK_ITEMS = 8192
 # Cap on the bytes of one cell slab of an ingest run, 4 MiB: a cell's int8
-# sign entries plus 8 per float64 entry it holds (see _add_rows).
+# signs, float64 entries and derived hash coefficients (see _add_rows).
 _WORKING_ENTRIES = 1 << 22
 # A run whose symbol grid (the product over dimensions of its distinct
 # symbol counts) has at most _DENSE_GRID cells per distinct row is
@@ -139,7 +141,8 @@ class Estimate:
 
 @dataclass(frozen=True)
 class StateSize:
-    """Counter and seed accounting: cells*(k+1) counters, cells*k*ceil(4w/64) hash words."""
+    """A bank's state, cells*(k+1) counters, and its cells*k*ceil(4w/64) hash
+    words, which ingest derives a cell slab at a time and never holds."""
 
     counters: int
     seeds: int
@@ -171,6 +174,14 @@ def _median_lower(values: np.ndarray) -> float:
     return float(ordered[(len(ordered) - 1) // 2])
 
 
+def _kron_rows(matrices: list[np.ndarray], cells: int) -> np.ndarray:
+    """Row-wise Kronecker product of (cells, g_d) int8 sign matrices: (cells, prod g_d)."""
+    out = np.ones((cells, 1), dtype=np.int8)
+    for matrix in matrices:
+        out = np.einsum("ij,ik->ijk", out, matrix).reshape(cells, -1)
+    return out
+
+
 class EstimatorBank:
     """s1 x s2 grid of independently seeded instances over one stream."""
 
@@ -196,13 +207,6 @@ class EstimatorBank:
         self._marg = np.zeros((cells, k), dtype=np.int64)
         self._m = 0
 
-    @cached_property
-    def _words(self) -> np.ndarray:
-        """Packed hash words (cells, k, ceil(4w/64)), derived at the first ingest."""
-        return derive_coefficients_batch(
-            self.master_seed, self.shape.s2, self.shape.s1, self.config.k, self.config.spec
-        )
-
     # -- ingestion ----------------------------------------------------------
 
     def ingest_many(self, items: Iterable[tuple[int, ...]]) -> int:
@@ -222,42 +226,48 @@ class EstimatorBank:
 
     def _add_rows(self, rows: np.ndarray, counts: np.ndarray) -> None:
         """Add distinct (rows, k) uint64 rows, each ``counts`` times, to every cell."""
+        k, spec = self.config.k, self.config.spec
         syms, idx = zip(*(np.unique(column, return_inverse=True) for column in rows.T))
-        masks = [symbol_words(s, self.config.spec) for s in syms]
+        masks = [symbol_words(s, spec) for s in syms]
         weights = counts.astype(np.float64)
         tallies = [np.bincount(inverse, weights) for inverse in idx]
         grid = [len(s) for s in syms]
         size, hist = math.prod(grid), None
+        int8s, floats = sum(grid), len(rows)  # the row path's (cell, row) products
         if size <= _DENSE_GRID * len(rows):
-            # t1 = sum_x f(x) prod_d h_d(x_d) factorises over dimensions:
-            # contract the dense histogram one dimension at a time, the last
-            # with one GEMM and each earlier one with a batched matvec.  A cell
-            # holds its partial sums, counted twice for the next step's output
-            # beside them, and its last sign matrix widened to float64.
+            # t1 = sum_x f(x) prod_d h_d(x_d) factorises over dimensions: with
+            # the dense histogram as a (G_A, G_B) matrix H split after
+            # dimension j, t1 = K_A H K_B, K_A and K_B being the Kronecker
+            # products of the cell's sign rows before and after j.  A cell
+            # holds K_A and K_B, K_A widened to float64, K_A H and K_B
+            # widened beside it: j is where those G_A + 2 G_B floats are fewest.
+            j = min(range(1, k + 1), key=lambda d: math.prod(grid[:d]) + 2 * math.prod(grid[d:]))
             hist = np.bincount(np.ravel_multi_index(idx, grid), weights, size)
-            hist = hist.reshape(-1, grid[-1]).T
-            floats = 2 * hist.shape[1] + grid[-1]
-        else:
-            floats = len(rows)  # each (cell, row) sign product, widened to float64
-        slab = max(1, _WORKING_ENTRIES // (sum(grid) + 8 * floats))
+            hist = hist.reshape(math.prod(grid[:j]), -1)
+            int8s += sum(hist.shape)
+            floats = hist.shape[0] + 2 * hist.shape[1]
+        # A cell's bytes: its int8 signs, its float64 entries, and the 4k
+        # uint64 coefficients it derives beside a mixing temporary of their size.
+        slab = max(1, _WORKING_ENTRIES // (int8s + 8 * (floats + 8 * k)))
         # ``@`` widens the int8 signs to float64 for BLAS.  Every partial sum
         # is bounded by the run's item total, which ``streamfile.row_runs``
         # keeps below 2^53, so the products are exact in any order.
-        for lo in range(0, self.shape.cells, slab):
-            sl = slice(lo, lo + slab)
-            signs = [batch_sign_eval(self._words[sl, dim], m) for dim, m in enumerate(masks)]
+        cells, s1 = self.shape.cells, self.shape.s1
+        for lo in range(0, cells, slab):
+            hi = min(lo + slab, cells)
+            words = derive_coefficients_batch(self.master_seed, lo, hi, s1, k, spec)
+            signs = [batch_sign_eval(words[:, dim], m) for dim, m in enumerate(masks)]
             for dim, (matrix, tally) in enumerate(zip(signs, tallies)):
-                self._marg[sl, dim] += (matrix @ tally).astype(np.int64)
+                self._marg[lo:hi, dim] += (matrix @ tally).astype(np.int64)
             if hist is None:
                 part = signs[0][:, idx[0]]
                 for matrix, inverse in zip(signs[1:], idx[1:]):
                     part *= matrix[:, inverse]
                 part = part @ weights
             else:
-                part = signs[-1] @ hist
-                for matrix in signs[-2::-1]:
-                    part = part.reshape(len(part), -1, matrix.shape[1]) @ matrix[:, :, None]
-            self._t1[sl] += part.reshape(-1).astype(np.int64)
+                kron_a, kron_b = _kron_rows(signs[:j], hi - lo), _kron_rows(signs[j:], hi - lo)
+                part = np.einsum("ij,ij->i", kron_a @ hist, kron_b)
+            self._t1[lo:hi] += part.astype(np.int64)
         self._m += int(counts.sum())
 
     # -- estimation ---------------------------------------------------------
@@ -416,9 +426,6 @@ def merge_banks(a: EstimatorBank, b: EstimatorBank) -> EstimatorBank:
     """Cell-wise counter sum; equals ingesting the concatenated stream."""
     if a.config != b.config or a.shape != b.shape or a.master_seed != b.master_seed:
         raise ValueError("banks differ in configuration, shape or master seed")
-    # The checks above prove that a's hash words are the merged bank's: a
-    # shallow copy shares them, if a has derived them (nothing mutates
-    # them), instead of deriving them again.
     out = copy.copy(a)
     out._t1 = a._t1 + b._t1
     out._marg = a._marg + b._marg

@@ -31,8 +31,9 @@ Seed derivation is counter-mode SplitMix64.  Coefficient ``c`` of dimension
 so counters never collide for ``group < 2^22``, ``index < 2^32``,
 ``dim < 256`` and seeds of an instance do not depend on the bank shape
 (growing a bank never re-seeds existing cells).  Module-level hash tuples
-are cell ``(0, 0)``.  ``derive_coefficients_batch`` derives a whole bank's packed words at once,
-bit-identical to packing ``derive_hashes`` cell by cell.
+are cell ``(0, 0)``.  ``derive_coefficients_batch`` derives the packed
+words of a range of cells at once, bit-identical to packing
+``derive_hashes`` cell by cell.
 """
 
 from __future__ import annotations
@@ -46,9 +47,6 @@ from .rng import MAX_DIMS, word_at, words_at
 
 MAX_GROUP = 1 << 22
 MAX_INDEX = 1 << 32
-# Entries of one cache-sized slab (512 KiB of uint64 or float64) of a pass over
-# the whole bank: coefficient derivation and the estimator's dense contraction.
-SLAB_ENTRIES = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -150,28 +148,20 @@ def derive_hashes(
 # ---------------------------------------------------------------------------
 
 def derive_coefficients_batch(
-    master_seed: int, groups: int, indexes: int, k: int, spec: FieldSpec
+    master_seed: int, lo: int, hi: int, indexes: int, k: int, spec: FieldSpec
 ) -> np.ndarray:
-    """Packed hash words (groups*indexes, k, ceil(4w/64)), row-major cells.
+    """Packed hash words (hi - lo, k, ceil(4w/64)) of bank cells [lo, hi).
 
-    Each cell's coefficients are counted and mixed in a slab buffer of at
-    most ``SLAB_ENTRIES`` words, then packed into the output by
-    :func:`pack_words`; the buffer holds ``min(slab, cells)`` cells.
+    Cells are row-major by (group, index), ``indexes`` to a group; each
+    cell's words equal packing :func:`derive_hashes` of that cell.
     """
-    cells = groups * indexes
-    out = np.empty((cells, k, -(-4 * spec.width // 64)), dtype=np.uint64)
+    group, index = np.divmod(np.arange(lo, hi, dtype=np.uint64), np.uint64(indexes))
+    cell = ((group << np.uint64(32)) | index) << np.uint64(10)
     dim_coef = np.arange(4 * k, dtype=np.uint64).reshape(k, 4)  # (dim << 2) | c
-    step = max(1, SLAB_ENTRIES // (4 * k))
-    buf = np.empty((min(step, cells), k, 4), dtype=np.uint64)
-    for lo in range(0, cells, step):
-        slab = buf[: min(step, cells - lo)]
-        g, j = np.divmod(np.arange(lo, lo + len(slab), dtype=np.uint64), np.uint64(indexes))
-        cell = ((g << np.uint64(32)) | j) << np.uint64(10)
-        np.bitwise_or(cell[:, None, None], dim_coef, out=slab)
-        words_at(master_seed, slab, out=slab)
-        slab &= np.uint64(spec.mask)
-        out[lo : lo + len(slab)] = pack_words(slab, spec.width)
-    return out
+    coefs = cell[:, None, None] | dim_coef
+    words_at(master_seed, coefs, out=coefs)
+    coefs &= np.uint64(spec.mask)
+    return pack_words(coefs, spec.width)
 
 
 def pack_words(fields: np.ndarray, width: int) -> np.ndarray:

@@ -263,14 +263,15 @@ def test_estimate_memory_budget_refusal(capsys, monkeypatch):
     code, out, err = run(capsys, "estimate")  # k = 9 at the default eps and budget
     size = StateSize.of(derive_shape(AccuracyParams(0.2, 0.1), 9), 9, 2)
     assert code == EXIT_DATA and out == ""
-    assert f"{size.counters + size.seeds}" in err and f"{1 << 27}" in err
+    assert size.counters == 196_820_000 > 1 << 27
+    assert f"{size.counters} counters" in err and f"{1 << 27}" in err
     monkeypatch.setattr("sys.stdin", io.StringIO("0,0\n"))
     code, _, err = run(capsys, "estimate", "--k", "2", "--n", "4", "--memory-budget", "100")
     assert code == EXIT_DATA and "budget of 100" in err
     # k = 8 at eps = 0.2 and n = 4 stays under the default budget: its
-    # 6,560,000 cells hold 9 counters and 8 packed hash words each.
+    # 6,560,000 cells hold 9 counters each, and no hash words.
     size = StateSize.of(derive_shape(AccuracyParams(0.2, 0.1), 8), 8, 2)
-    assert size.counters + size.seeds == 111_520_000 <= 1 << 27
+    assert size.counters == 59_040_000 <= 1 << 27
 
 
 

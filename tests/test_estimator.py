@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from prodsketch import estimator, sketch, streamfile
 from prodsketch.estimator import (
+    SLAB_ENTRIES,
     AccuracyParams,
     BankShape,
     EstimatorBank,
@@ -21,7 +22,7 @@ from prodsketch.estimator import (
     merge_banks,
 )
 from prodsketch.field import SUPPORTED_WIDTHS, FieldSpec
-from prodsketch.hashing import MAX_INDEX, SLAB_ENTRIES
+from prodsketch.hashing import MAX_INDEX
 from prodsketch.oracle import FrequencyTable, exact_y_from_table
 from prodsketch.sketch import EmptyStreamError, SketchConfig, SketchInstance
 from prodsketch.streamfile import FormatError
@@ -201,7 +202,7 @@ def test_monotone_refinement_keeps_cell_values():
     assert np.array_equal(wide.instance_values()[:, :3], narrow.instance_values())
 
 
-def test_merge_banks_identity_split_commute(monkeypatch):
+def test_merge_banks_identity_split_commute():
     stream = list(generate(GenSpec(n=4, k=2, m=90, lam=0.2, rng_seed=10)))
     whole = small_bank(1)
     whole.ingest_many(stream)
@@ -211,9 +212,7 @@ def test_merge_banks_identity_split_commute(monkeypatch):
     left.ingest_many(stream[:37])
     right.ingest_many(stream[37:])
     assert merge_banks(right, left).counters_equal(whole)
-    # The merged bank reuses left's hash coefficients instead of deriving
-    # them again, and goes on ingesting into counters of its own.
-    monkeypatch.setattr(estimator, "derive_coefficients_batch", None)
+    # The merged bank goes on ingesting into counters of its own.
     merged = merge_banks(left, right)
     assert merged.counters_equal(whole) and merged.estimate() == whole.estimate()
     merged.ingest_many(stream[:11])
@@ -359,21 +358,20 @@ def test_load_merge_estimate_and_save_never_derive(monkeypatch, tmp_path):
     merged.save(tmp_path / "merged.bin")
     assert (tmp_path / "merged.bin").read_bytes() == merged.snapshot_bytes()
     assert merged.instance_view(1, 2).finalize() == merged.instance_values()[1, 2]
-    assert "_words" not in vars(merged)
 
 
 def test_multi_run_ingest_derives_once(monkeypatch):
-    # Hash words depend on the bank alone: however many runs and ingest
-    # calls a stream takes, they are derived (and packed) once.
+    # The bank holds no hash words: each run derives them a cell slab at a
+    # time, and the slabs of one run cover [0, cells) once, in order.
     derived = []
     derive = estimator.derive_coefficients_batch
     monkeypatch.setattr(estimator, "derive_coefficients_batch",
-                        lambda *args: derived.append(args) or derive(*args))
+                        lambda *args: derived.append(args[1:3]) or derive(*args))
     monkeypatch.setattr(estimator, "_CHUNK_ITEMS", 8)
     runs = []
     add_rows = EstimatorBank._add_rows
     monkeypatch.setattr(EstimatorBank, "_add_rows",
-                        lambda self, *args: runs.append(1) or add_rows(self, *args))
+                        lambda self, *args: runs.append(len(derived)) or add_rows(self, *args))
     config = SketchConfig(k=2, n=64, spec=FieldSpec(8))
     stream = list(generate(GenSpec(n=64, k=2, m=300, lam=0.3, rng_seed=6)))
     blocks = np.split(np.array(stream, dtype=np.uint64), 15)
@@ -381,7 +379,17 @@ def test_multi_run_ingest_derives_once(monkeypatch):
     assert not derived
     bank.ingest_blocks(blocks[:7])
     bank.ingest_blocks(blocks[7:])
-    assert len(derived) == 1 and len(runs) >= 4
+    assert len(runs) >= 4
+    for start, stop in zip(runs, [*runs[1:], len(derived)]):
+        ranges = derived[start:stop]
+        assert [lo for lo, _ in ranges] == [0] + [hi for _, hi in ranges[:-1]]
+        assert ranges[-1][1] == bank.shape.cells
+    with monkeypatch.context() as mp:
+        mp.setattr(estimator, "_WORKING_ENTRIES", 1)  # one cell a slab
+        derived.clear()
+        runs.clear()
+        small_bank(6, config=config).ingest_many(stream[:20])
+    assert derived == [(lo, lo + 1) for lo in range(6)] * len(runs)
     whole = small_bank(6, config=config)
     whole.ingest_many(stream)
     assert whole.counters_equal(bank)
@@ -518,10 +526,20 @@ def test_full_width_symbols_match_scalar_instances():
 
 
 def _cell_bytes(rows, dense):
-    """The bytes ``_add_rows`` counts per cell for a run of distinct ``rows``."""
+    """The bytes ``_add_rows`` counts per cell for a run of distinct ``rows``.
+
+    Int8 signs (the dense path adds its Kronecker rows of G_A and G_B
+    entries); 8 per float64 entry (the row path's products, or the dense
+    path's G_A + 2 G_B at the split where those are fewest); and 8 per
+    derived coefficient and mixing temporary, 8 per dimension.
+    """
     grid = [len(np.unique(column)) for column in rows.T]
-    floats = 2 * math.prod(grid[:-1]) + grid[-1] if dense else len(rows)
-    return sum(grid) + 8 * floats
+    int8s, floats = sum(grid), len(rows)
+    if dense:
+        ga, gb = min(((math.prod(grid[:j]), math.prod(grid[j:])) for j in range(1, len(grid) + 1)),
+                     key=lambda split: split[0] + 2 * split[1])
+        int8s, floats = int8s + ga + gb, ga + 2 * gb
+    return int8s + 8 * (floats + 8 * len(grid))
 
 
 def _spy_slabs(monkeypatch):
@@ -762,10 +780,12 @@ def _flush_cases(draw):
     """A config, bank shape and seed, and the distinct rows and counts of one flush.
 
     Each dimension draws its own pool of one to eight symbols, so the
-    flush's symbol grid ranges from dense to sparse.
+    flush's symbol grid ranges from dense to sparse and is uneven across
+    dimensions; k = 1..5 puts the dense path's split after every dimension.
+    The field is any width that holds n, up to 64.
     """
-    n = draw(st.sampled_from([2, 5, 16, 1 << 16]))
-    k = draw(st.integers(1, 4))
+    n = draw(st.sampled_from([2, 5, 16, 1 << 16, 1 << 40, 1 << 64]))
+    k = draw(st.integers(1, 5))
     pools = [draw(st.lists(st.integers(0, n - 1), min_size=1, unique=True,
                            max_size=draw(st.sampled_from([1, 3, 8])))) for _ in range(k)]
     rows = draw(st.lists(st.tuples(*map(st.sampled_from, pools)), min_size=1, max_size=40,
@@ -773,7 +793,7 @@ def _flush_cases(draw):
     counts = draw(st.lists(st.integers(1, 1 << 20), min_size=len(rows), max_size=len(rows)))
     shape = BankShape(draw(st.integers(1, 7)), draw(st.integers(1, 3)))
     seed = draw(st.integers(0, (1 << 64) - 1))
-    width = min(w for w in SUPPORTED_WIDTHS if 1 << w >= n)
+    width = draw(st.sampled_from([w for w in SUPPORTED_WIDTHS if 1 << w >= n]))
     return (SketchConfig(k=k, n=n, spec=FieldSpec(width)), shape, seed,
             np.array(rows, dtype=np.uint64), np.array(counts, dtype=np.int64))
 
@@ -830,6 +850,27 @@ def test_dense_contraction_stays_within_a_few_slabs():
     view = bank.instance_view(4, 5199)
     assert view.t1 == sum(int(c) * math.prod(h(int(x)) for h, x in zip(view.hashes, row))
                           for row, c in zip(rows, counts))
+
+
+def test_dense_ingest_holds_no_bank_sized_words():
+    # 240,000 cells at k = 3 and w = 2: the bank's packed hash words would
+    # take 5.5 MiB, more than the 4 MiB working set.  Ingest derives them a
+    # cell slab at a time, so it never holds them all.
+    config = SketchConfig(k=3, n=4, spec=W2)
+    block = np.random.default_rng(9).integers(0, 4, size=(2000, 3), dtype=np.uint64)
+    bank = EstimatorBank(config, shape=BankShape(60_000, 4), master_seed=5)
+    assert 8 * bank.shape.cells * config.k > 5 << 20
+    tracemalloc.start()
+    try:
+        bank.ingest_blocks([block])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 << 20
+    inst = SketchInstance.from_master_seed(config, 5, group=3, index=59_999)
+    for row in block.tolist():
+        inst.update_item(tuple(row))
+    assert bank.instance_view(3, 59_999).counters() == inst.counters()
 
 
 def test_large_bank_adds_a_run_in_one_pass(monkeypatch):

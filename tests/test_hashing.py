@@ -1,15 +1,15 @@
 """Sign-hash family: exact 4-wise uniformity, derivation, scalar/batch parity."""
 
 import itertools
-import tracemalloc
 from collections import Counter
 
 import numpy as np
 import pytest
 
-from prodsketch import hashing
 from prodsketch.field import SUPPORTED_WIDTHS, FieldSpec, is_irreducible
 from prodsketch.hashing import (
+    MAX_GROUP,
+    MAX_INDEX,
     SignHash,
     SignHashSeed,
     batch_sign_eval,
@@ -117,51 +117,50 @@ def _packed(hashes, width):
 
 
 def test_batch_matches_scalar_across_widths():
+    # One cell at a time, the first and one past it: its words are its
+    # scalar hashes packed, and its signs are theirs, at every width.
     for width in SUPPORTED_WIDTHS:
         spec = FieldSpec(width)
-        hashes = derive_hashes(12345, 3, spec)
-        words = derive_coefficients_batch(12345, 1, 1, 3, spec)[0]
-        assert np.array_equal(words, _packed(hashes, width))
         xs = _symbols_across_field(spec, np.random.default_rng(width))
-        table = batch_sign_eval(words, symbol_words(xs, spec))
-        assert table.dtype == np.int8 and table.shape == (3, len(xs))
-        for dim, h in enumerate(hashes):
-            assert [h(int(x)) for x in xs] == table[dim].tolist(), width
+        for group, index in ((0, 0), (2, 4)):
+            cell = group * 5 + index
+            words = derive_coefficients_batch(12345, cell, cell + 1, 5, 3, spec)
+            assert words.shape == (1, 3, -(-4 * width // 64)) and words.dtype == np.uint64
+            hashes = derive_hashes(12345, 3, spec, group=group, index=index)
+            assert np.array_equal(words[0], _packed(hashes, width))
+            table = batch_sign_eval(words[0], symbol_words(xs, spec))
+            assert table.dtype == np.int8 and table.shape == (3, len(xs))
+            for dim, h in enumerate(hashes):
+                assert [h(int(x)) for x in xs] == table[dim].tolist(), width
 
 
-def test_batch_coefficients_match_scalar_derivation_across_slabs(monkeypatch):
-    # 3 x 5 cells of 2 x 4 coefficients; 32-word slabs hold 4 cells, so the
-    # cells span 4 slabs, the last one of 3 cells, and slabs cross group
-    # borders.  A 1-word slab still fills one whole cell at a time.  Each
-    # cell's packed words are ceil(4w/64) per dimension, one for w <= 16.
+def _assert_range_matches_scalar(seed, lo, hi, indexes, k, spec):
+    """Cells [lo, hi) of a bank of ``indexes`` cells a group, each its scalar hashes packed."""
+    words = derive_coefficients_batch(seed, lo, hi, indexes, k, spec)
+    assert words.shape == (hi - lo, k, -(-4 * spec.width // 64)) and words.dtype == np.uint64
+    for cell, row in enumerate(words, lo):
+        hashes = derive_hashes(seed, k, spec, group=cell // indexes, index=cell % indexes)
+        assert np.array_equal(row, _packed(hashes, spec.width)), (spec.width, lo, hi, cell)
+
+
+def test_batch_matches_scalar_on_ragged_ranges():
+    # A 3 x 5 bank cut into ranges of lengths that are no multiple of a
+    # group: the whole bank, its head, one group's middle, its tail, and
+    # an empty range.
     seed = (1 << 64) - 12345
-    for slab in (32, 1):
-        monkeypatch.setattr(hashing, "SLAB_ENTRIES", slab)
-        for width in SUPPORTED_WIDTHS:
-            spec = FieldSpec(width)
-            words = derive_coefficients_batch(seed, 3, 5, 2, spec)
-            assert words.shape == (15, 2, -(-4 * width // 64)) and words.dtype == np.uint64
-            for cell, row in enumerate(words):
-                hashes = derive_hashes(seed, 2, spec, group=cell // 5, index=cell % 5)
-                assert np.array_equal(row, _packed(hashes, width)), (slab, width, cell)
+    for width in SUPPORTED_WIDTHS:
+        for lo, hi in ((0, 15), (0, 4), (6, 9), (11, 15), (4, 4)):
+            _assert_range_matches_scalar(seed, lo, hi, 5, 2, FieldSpec(width))
 
 
-def test_batch_coefficients_stay_within_a_slab_of_their_output():
-    # The acceptance shape: 26,000 cells of 3 packed words, a 624 kB output;
-    # the (cells, k, 4) coefficients would be 2.5 MB.  Besides the output,
-    # derivation holds its slab buffer, a mixing temporary of its size and
-    # smaller packing temporaries.  The buffer holds SLAB_ENTRIES words, or
-    # the whole bank if that is smaller: 160 cells of 2 x 4 take 10 KiB.
-    for groups, indexes, k, width in ((5, 5200, 3, 4), (2, 80, 2, 2)):
-        tracemalloc.start()
-        try:
-            words = derive_coefficients_batch(5, groups, indexes, k, FieldSpec(width))
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert words.shape == (groups * indexes, k, 1)
-        buffer = 8 * min(hashing.SLAB_ENTRIES, groups * indexes * k * 4)
-        assert peak <= words.nbytes + 3 * buffer + (32 << 10), (groups, indexes)
+def test_batch_matches_scalar_on_group_crossing_ranges():
+    # Ranges across group borders, also at the counter caps: the last
+    # indexes of a 2^32-cell group, and the last group below 2^22.
+    for width in SUPPORTED_WIDTHS:
+        spec = FieldSpec(width)
+        for indexes, lo, hi in ((5, 3, 12), (MAX_INDEX, 3 * MAX_INDEX - 2, 3 * MAX_INDEX + 2),
+                                (7, 7 * MAX_GROUP - 10, 7 * MAX_GROUP)):
+            _assert_range_matches_scalar(99, lo, hi, indexes, 3, spec)
 
 
 @pytest.mark.parametrize("width,poly", [(8, 0x101), (16, 0x1FFFF), (64, (1 << 64) | 0b11)])
