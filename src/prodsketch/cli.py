@@ -191,7 +191,7 @@ def cmd_estimate(args) -> int:
         m=bank.item_count,
         s1=bank.shape.s1,
         s2=bank.shape.s2,
-        master_seed=args.seed,
+        master_seed=bank.master_seed,
         elapsed_ms=int((time.monotonic() - start) * 1000),
         mode="independence",
     )

@@ -14,27 +14,19 @@ An opt-in paper-constants mode pins s1 = ceil(72 / eps^2) at k = 2, the
 conventional constant for the two-dimensional case; for k != 2 it falls
 back to the derived formula.
 
-The bank's state is its counters, in flat numpy int64 arrays (cells
-row-major by (group, index)).  Every counter is linear in the stream's
-frequency vector, so ``ingest_blocks``, the one ingest path, adds each run of
-``streamfile.row_runs`` (an exact histogram of distinct rows) to the
-counters at once; ``ingest_many`` gets its blocks from
-``streamfile.tuple_blocks``.  That is arithmetically identical to
+The bank's state is its counters, flat int64 arrays (cells row-major by
+(group, index)).  Every counter is linear in the stream's frequency vector,
+so ``ingest_blocks``, the one ingest path (``ingest_many`` gets its blocks
+from ``streamfile.tuple_blocks``), adds each run of ``streamfile.row_runs``,
+an exact histogram of distinct rows, to the counters at once: arithmetically
 ``SketchInstance.update_item`` per item per cell, and ``instance_view``
-materializes any cell as a ``SketchInstance``.  Per run, ``symbol_words``
-packs each dimension's distinct symbols once; then, per slab of cells
-sized by ``_WORKING_ENTRIES``, ``hashing.derive_coefficients_batch``
-derives the slab's packed hash words and, per dimension,
-``batch_sign_eval`` fills one sign matrix that both the joint counter and
-the marginal sums read.  No hash word outlives its slab: constructing,
-loading, merging, estimating and saving a bank never derive them.
-The joint counter t1 = sum_x f(x) prod_d h_d(x_d) factorises over
-dimensions.  A run whose symbol grid is at most ``_DENSE_GRID`` times its
-support is a dense histogram, read as a (G_A, G_B) matrix H split after
-some dimension j; a cell's t1 is then K_A H K_B, K_A and K_B being the
-Kronecker products of its sign rows before and after j.  Otherwise each
-(cell, row) sign product is gathered and summed.  Both paths take exact
-float64 products of the int8 signs with the run's counts.
+materializes any cell as one.  A run is walked in slabs of cells that fit in
+``_WORKING_ENTRIES`` (4 MiB).  Per slab ``hashing.derive_coefficients_batch``
+derives the hash words (no other operation on a bank derives them) and
+``batch_sign_eval`` fills each dimension's int8 signs at the run's distinct
+symbols.  t1 = sum_x f(x) prod_d h_d(x_d) factorises over dimensions: a run
+whose symbol grid is at most ``_DENSE_GRID`` times its support is contracted
+as a dense histogram, a sparser one row by row, both exactly (``_add_rows``).
 Ingestion is single-writer; estimation is read-only.
 
 Finalize uses the same rule as ``SketchInstance.finalize``
@@ -175,10 +167,10 @@ def _median_lower(values: np.ndarray) -> float:
 
 
 def _kron_rows(matrices: list[np.ndarray], cells: int) -> np.ndarray:
-    """Row-wise Kronecker product of (cells, g_d) int8 sign matrices: (cells, prod g_d)."""
-    out = np.ones((cells, 1), dtype=np.int8)
+    """Kronecker product, cell by cell, of (g_d, cells) int8 sign matrices: (prod g_d, cells)."""
+    out = np.ones((1, cells), dtype=np.int8)
     for matrix in matrices:
-        out = np.einsum("ij,ik->ijk", out, matrix).reshape(cells, -1)
+        out = np.einsum("ij,kj->ikj", out, matrix).reshape(-1, cells)
     return out
 
 
@@ -239,8 +231,8 @@ class EstimatorBank:
             # the dense histogram as a (G_A, G_B) matrix H split after
             # dimension j, t1 = K_A H K_B, K_A and K_B being the Kronecker
             # products of the cell's sign rows before and after j.  A cell
-            # holds K_A and K_B, K_A widened to float64, K_A H and K_B
-            # widened beside it: j is where those G_A + 2 G_B floats are fewest.
+            # holds K_A and K_B, K_A widened to float64 and K_A H; the G_A +
+            # 2 G_B floats counted for them are fewest at j.
             j = min(range(1, k + 1), key=lambda d: math.prod(grid[:d]) + 2 * math.prod(grid[d:]))
             hist = np.bincount(np.ravel_multi_index(idx, grid), weights, size)
             hist = hist.reshape(math.prod(grid[:j]), -1)
@@ -248,25 +240,38 @@ class EstimatorBank:
             floats = hist.shape[0] + 2 * hist.shape[1]
         # A cell's bytes: its int8 signs, its float64 entries, and the 4k
         # uint64 coefficients it derives beside a mixing temporary of their size.
+        # The row path holds 2 bytes of the 8 counted a (cell, row).
         slab = max(1, _WORKING_ENTRIES // (int8s + 8 * (floats + 8 * k)))
-        # ``@`` widens the int8 signs to float64 for BLAS.  Every partial sum
-        # is bounded by the run's item total, which ``streamfile.row_runs``
-        # keeps below 2^53, so the products are exact in any order.
+        # Every partial sum is bounded by the run's item total, below 2^53
+        # (``streamfile.row_runs``): the products are exact in any order.  A
+        # run's buffers, reused by each slab (new ones would fault in anew),
+        # hold the (symbol, cell) signs and the (cell, symbol) scratch that
+        # evaluates them with its AND loops along the symbols.
         cells, s1 = self.shape.cells, self.shape.s1
+        most = min(slab, cells)
+        held = [np.empty((g, most), np.int8) for g in grid]
+        scratch = np.empty((most, max(grid)), np.int8)
         for lo in range(0, cells, slab):
             hi = min(lo + slab, cells)
             words = derive_coefficients_batch(self.master_seed, lo, hi, s1, k, spec)
-            signs = [batch_sign_eval(words[:, dim], m) for dim, m in enumerate(masks)]
-            for dim, (matrix, tally) in enumerate(zip(signs, tallies)):
-                self._marg[lo:hi, dim] += (matrix @ tally).astype(np.int64)
+            signs = [buf[:, : hi - lo] for buf in held]
+            for dim, (m, tally) in enumerate(zip(masks, tallies)):
+                matrix = batch_sign_eval(words[:, dim], m, out=scratch[: hi - lo, : len(m)])
+                self._marg[lo:hi, dim] += np.einsum("ij,j->i", matrix, tally).astype(np.int64)
+                np.copyto(signs[dim], matrix.T)
             if hist is None:
-                part = signs[0][:, idx[0]]
-                for matrix, inverse in zip(signs[1:], idx[1:]):
-                    part *= matrix[:, inverse]
-                part = part @ weights
+                # A row's signs are whole rows of the matrices; take writes to
+                # ``out`` in place only in "clip" mode (no index is out of range).
+                if lo == 0:  # once the first slab's signs have freed their AND buffer
+                    prod, into = np.empty((2, len(rows), most), np.int8)
+                part, gathered = prod[:, : hi - lo], into[:, : hi - lo]
+                part[...] = 1
+                for matrix, inverse in zip(signs, idx):
+                    part *= np.take(matrix, inverse, axis=0, out=gathered, mode="clip")
+                part = np.einsum("ij,i->j", part, weights)
             else:
                 kron_a, kron_b = _kron_rows(signs[:j], hi - lo), _kron_rows(signs[j:], hi - lo)
-                part = np.einsum("ij,ij->i", kron_a @ hist, kron_b)
+                part = np.einsum("ij,ij->j", hist.T @ kron_a, kron_b)
             self._t1[lo:hi] += part.astype(np.int64)
         self._m += int(counts.sum())
 

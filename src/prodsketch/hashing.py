@@ -47,6 +47,7 @@ from .rng import MAX_DIMS, word_at, words_at
 
 MAX_GROUP = 1 << 22
 MAX_INDEX = 1 << 32
+_AND_WORDS = 1 << 16  # words of batch_sign_eval's AND buffer (512 KiB)
 
 
 @dataclass(frozen=True)
@@ -188,17 +189,39 @@ def symbol_words(xs: np.ndarray, spec: FieldSpec) -> np.ndarray:
     return pack_words(np.column_stack([np.ones_like(xs), masks]), spec.width)
 
 
-def batch_sign_eval(words: np.ndarray, masks: np.ndarray) -> np.ndarray:
+def batch_sign_eval(
+    words: np.ndarray, masks: np.ndarray, out: np.ndarray | None = None
+) -> np.ndarray:
     """Signs of many hashes at many symbols, bit-identical to :func:`sign_hash_eval`.
 
     ``words`` (..., ceil(4w/64)) packs each hash's coefficients by
     :func:`pack_words`, ``masks`` each symbol's masks by :func:`symbol_words`.
-    Returns int8 signs of shape (..., len(masks)).
+    Returns int8 signs of shape (..., len(masks)), in ``out`` if given (of
+    that shape, and C-contiguous unless 2-D).  The ANDs run through one buffer
+    of at most ``_AND_WORDS`` words, whole hash rows (or spans of one) at a
+    time; beside it every temporary takes one byte an entry.
     """
-    parity = np.zeros(words.shape[:-1] + masks.shape[:1], dtype=np.uint8)
-    for p in range(words.shape[-1]):
-        parity ^= np.bitwise_count(words[..., p, None] & masks[:, p])
-    return 1 - 2 * (parity & 1).view(np.int8)
+    flat = words.reshape(-1, words.shape[-1])
+    shape = (len(flat), len(masks))
+    parity = np.empty(shape, np.uint8) if out is None else out.view(np.uint8).reshape(shape)
+    span = max(1, min(len(masks), _AND_WORDS))
+    step = max(1, _AND_WORDS // span)
+    buf = np.empty(min(step, len(flat)) * span, dtype=np.uint64)
+    for lo in range(0, len(flat), step):
+        for at in range(0, len(masks), span):
+            chunk = parity[lo : lo + step, at : at + span]
+            tmp = buf[: chunk.size].reshape(chunk.shape)
+            for p in range(flat.shape[1]):
+                np.bitwise_and(flat[lo : lo + step, p, None], masks[at : at + span, p], out=tmp)
+                if p:
+                    chunk ^= np.bitwise_count(tmp)
+                else:
+                    np.bitwise_count(tmp, out=chunk)
+    parity &= 1  # the low bit b becomes 1 - 2b in place: 0 -> 1, 1 -> -1
+    signs = parity.view(np.int8)
+    np.negative(signs, out=signs)
+    signs |= 1
+    return signs.reshape(words.shape[:-1] + masks.shape[:1])
 
 
 def _lowbit_masks(ys: np.ndarray, spec: FieldSpec) -> np.ndarray:

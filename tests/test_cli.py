@@ -348,6 +348,18 @@ def test_snapshot_out_roundtrips(stream_file, tmp_path, capsys):
     assert bank.master_seed == 21
 
 
+@pytest.mark.parametrize("seed", ["-1", "18446744073709551616", "18446744073709551615", "21"])
+def test_report_names_the_master_seed_used(stream_file, tmp_path, capsys, seed):
+    # The bank keeps the seed mod 2^64: -1 is the all-ones seed and 2^64 is
+    # seed 0, and the report names the seed its snapshot loads with.
+    snap = tmp_path / "bank.snap"
+    code, out, _ = run(capsys, "estimate", "--input", str(stream_file),
+                       "--seed", seed, "--snapshot-out", str(snap))
+    assert code == EXIT_OK
+    assert parse_report(out)["master_seed"] == str(EstimatorBank.load(snap).master_seed)
+    assert EstimatorBank.load(snap).master_seed == int(seed) % (1 << 64)
+
+
 def test_snapshot_save_failure_keeps_report(stream_file, tmp_path, capsys):
     snap = tmp_path / "missing-dir" / "bank.snap"
     code, out, err = run(capsys, "estimate", "--input", str(stream_file),

@@ -26,7 +26,7 @@ from prodsketch.hashing import MAX_INDEX
 from prodsketch.oracle import FrequencyTable, exact_y_from_table
 from prodsketch.sketch import EmptyStreamError, SketchConfig, SketchInstance
 from prodsketch.streamfile import FormatError
-from prodsketch.streamgen import GenSpec, generate
+from prodsketch.streamgen import GenSpec, generate, generate_blocks
 
 W2 = FieldSpec(2)
 W4 = FieldSpec(4)
@@ -546,7 +546,8 @@ def _spy_slabs(monkeypatch):
     """Record the cells of every ``batch_sign_eval`` call: k calls a slab."""
     cells, evaluate = [], estimator.batch_sign_eval
     monkeypatch.setattr(estimator, "batch_sign_eval",
-                        lambda words, masks: cells.append(len(words)) or evaluate(words, masks))
+                        lambda words, masks, **out: cells.append(len(words))
+                        or evaluate(words, masks, **out))
     return cells
 
 
@@ -877,7 +878,7 @@ def test_large_bank_adds_a_run_in_one_pass(monkeypatch):
     # 26,000 cells over [256]^3: every part of a run's rows sees nearly all
     # 256 symbols per dimension, so splitting the rows would not shrink the
     # sign matrices.  The run stays one call that builds each dimension's
-    # masks once and walks the cells in slabs of a few MiB.
+    # masks once and walks the cells in slabs within the 4 MiB cap.
     config = SketchConfig(k=3, n=256, spec=FieldSpec(8))
     block = np.random.default_rng(8).integers(0, 256, size=(2000, 3), dtype=np.uint64)
     runs, built = _spy_add_rows(monkeypatch), []
@@ -892,11 +893,33 @@ def test_large_bank_adds_a_run_in_one_pass(monkeypatch):
     finally:
         tracemalloc.stop()
     assert len(runs) == 1 and len(runs[0][0]) > 1900
-    assert len(built) == 3 and peak <= 8 << 20
+    assert len(built) == 3 and peak <= 4 << 20
     inst = SketchInstance.from_master_seed(config, 3, group=4, index=5199)
     for row in block.tolist():
         inst.update_item(tuple(row))
     assert bank.instance_view(4, 5199).counters() == inst.counters()
+
+
+def test_row_path_run_stays_within_the_slab_cap():
+    # The first run of the row-path smoke stream (n = 2^16, k = 2: 16,203
+    # distinct rows, each dimension's symbols almost all distinct) over its
+    # 1,280 cells.  Every (cell, symbol) and (cell, row) temporary is one
+    # byte wide, so the run stays within the 4 MiB that sizes its slabs.
+    config = SketchConfig(k=2, n=1 << 16, spec=FieldSpec(16))
+    stream = generate_blocks(GenSpec(n=1 << 16, k=2, m=200_000, lam=0.3, rng_seed=0), 0, 200_000)
+    rows, counts = next(streamfile.row_runs(stream, 2, 1 << 16, estimator._CHUNK_ITEMS))
+    bank = EstimatorBank(config, shape=BankShape(256, 5), master_seed=3)
+    tracemalloc.start()
+    try:
+        bank._add_rows(rows, counts)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(rows) > 16_000 and peak <= 4 << 20
+    view = bank.instance_view(4, 255)
+    signs = [[h(int(x)) for x in column] for h, column in zip(view.hashes, rows.T)]
+    assert view.t1 == sum(c * a * b for c, a, b in zip(counts.tolist(), *signs))
+    assert view.marginal_sums == [sum(c * s for c, s in zip(counts.tolist(), d)) for d in signs]
 
 
 def test_dense_contraction_is_exact_below_2_53():

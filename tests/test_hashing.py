@@ -1,11 +1,13 @@
 """Sign-hash family: exact 4-wise uniformity, derivation, scalar/batch parity."""
 
 import itertools
+import tracemalloc
 from collections import Counter
 
 import numpy as np
 import pytest
 
+from prodsketch import hashing
 from prodsketch.field import SUPPORTED_WIDTHS, FieldSpec, is_irreducible
 from prodsketch.hashing import (
     MAX_GROUP,
@@ -178,6 +180,53 @@ def test_batch_matches_scalar_on_reducible_polynomial(width, poly):
     for row, c in zip(table, coefs.tolist()):
         h = SignHash(spec, SignHashSeed(*c), spec.order)
         assert [sign_hash_eval(h, int(x)) for x in xs] == row.tolist()
+
+
+@pytest.mark.parametrize("buffer", ["one word", "part of a row", "ragged rows"])
+def test_batch_matches_scalar_through_any_and_buffer(monkeypatch, buffer):
+    # The AND buffer cut to 1 word, to one word less than a row of symbols
+    # (each row in two spans, the second of one symbol), and to two rows (15
+    # hash rows end in a chunk of one), for the three shapes of words: one
+    # hash, a (cells, k) block of cells and a (seeds, ceil(4w/64)) stack.
+    for width in SUPPORTED_WIDTHS:
+        spec = FieldSpec(width)
+        rng = np.random.default_rng(width)
+        xs = _symbols_across_field(spec, rng, count=12)
+        size = {"one word": 1, "part of a row": len(xs) - 1, "ragged rows": 2 * len(xs)}
+        monkeypatch.setattr(hashing, "_AND_WORDS", size[buffer])
+        masks = symbol_words(xs, spec)
+        cells = derive_coefficients_batch(77, 0, 5, 5, 3, spec)
+        coefs = rng.integers(0, 1 << 63, size=(15, 4), dtype=np.uint64) & np.uint64(spec.mask)
+        seeds = pack_words(coefs, width)
+        cases = [(cells, [derive_hashes(77, 3, spec, index=c) for c in range(5)]),
+                 (seeds, [SignHash(spec, SignHashSeed(*c), spec.order) for c in coefs.tolist()]),
+                 (seeds[3], SignHash(spec, SignHashSeed(*coefs[3].tolist()), spec.order))]
+        for words, hashes in cases:
+            table = batch_sign_eval(words, masks)
+            expect = np.vectorize(lambda h: np.array([h(int(x)) for x in xs]),
+                                  signature="()->(s)")(np.array(hashes, dtype=object))
+            assert table.dtype == np.int8 and np.array_equal(table, expect), (width, buffer)
+            out = np.empty(table.shape, np.int8)
+            assert np.shares_memory(batch_sign_eval(words, masks, out=out), out)
+            assert np.array_equal(out, expect), (width, buffer)
+
+
+def test_batch_holds_one_byte_per_sign_beside_the_and_buffer():
+    # 2048 hashes at 1024 symbols: beside the int8 result, only the
+    # _AND_WORDS-word AND buffer, chunk temporaries of one byte an entry and
+    # numpy's own iteration buffers for the broadcast AND (128 KiB).
+    for width in (16, 64):
+        spec = FieldSpec(width)
+        words = derive_coefficients_batch(7, 0, 2048, 2048, 1, spec)[:, 0]
+        masks = symbol_words(np.arange(1024, dtype=np.uint64), spec)
+        tracemalloc.start()
+        try:
+            table = batch_sign_eval(words, masks)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert table.shape == (2048, 1024)
+        assert peak <= table.size + 9 * hashing._AND_WORDS + (256 << 10), width
 
 
 def test_direct_enumeration_covers_every_seed_pair_once():
