@@ -100,7 +100,7 @@ def _build_parser() -> argparse.ArgumentParser:
     exact.add_argument("--k", type=int)
     exact.add_argument("--n", type=int)
     exact.add_argument("--memory-budget", type=int, default=1 << 24,
-                       help="refuse tables needing more than this many entries")
+                       help="refuse streams with more than this many distinct tuples")
     exact.set_defaults(func=cmd_exact)
 
     gen = sub.add_parser("gen", help="generate a synthetic stream file")
@@ -211,10 +211,6 @@ def cmd_exact(args) -> int:
     with _open_input(args.input) as fp:
         header, first = read_header(fp)
         k, n = _resolve_dims(args, header)
-        if k * n > args.memory_budget:
-            raise ValueError(
-                f"marginal tables need {k * n} entries, over the budget of {args.memory_budget}"
-            )
         blocks = iter_blocks(fp, first, k=k, n=n)
         table = FrequencyTable.from_blocks(blocks, k, n, max_support=args.memory_budget)
     value = exact_l2sq(table)
@@ -263,7 +259,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (OSError, ValueError) as exc:
+    except (OSError, ValueError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
 

@@ -14,19 +14,21 @@ An opt-in paper-constants mode pins s1 = ceil(72 / eps^2) at k = 2, the
 conventional constant for the two-dimensional case; for k != 2 it falls
 back to the derived formula.
 
-The bank's state is its counters, flat int64 arrays (cells row-major by
-(group, index)).  Every counter is linear in the stream's frequency vector,
-so ``ingest_blocks``, the one ingest path (``ingest_many`` gets its blocks
-from ``streamfile.tuple_blocks``), adds each run of ``streamfile.row_runs``,
-an exact histogram of distinct rows, to the counters at once: arithmetically
-``SketchInstance.update_item`` per item per cell, and ``instance_view``
-materializes any cell as one.  A run is walked in slabs of cells that fit in
-``_WORKING_ENTRIES`` (4 MiB).  Per slab ``hashing.derive_coefficients_batch``
-derives the hash words (no other operation on a bank derives them) and
-``batch_sign_eval`` fills each dimension's int8 signs at the run's distinct
-symbols.  t1 = sum_x f(x) prod_d h_d(x_d) factorises over dimensions: a run
-whose symbol grid is at most ``_DENSE_GRID`` times its support is contracted
-as a dense histogram, a sparser one row by row, both exactly (``_add_rows``).
+The bank's state is the item count m and one (cells, k + 1) int64 counter
+matrix in snapshot record order: a row per cell, row-major by (group,
+index), holding t1 and then the k marginal sums.  Every counter is linear in
+the stream's frequency vector, so ``ingest_blocks``, the one ingest path
+(``ingest_many`` gets its blocks from ``streamfile.tuple_blocks``), adds
+each run of ``streamfile.row_runs``, an exact histogram of distinct rows, to
+the counters at once: arithmetically ``SketchInstance.update_item`` per item
+per cell, and ``instance_view`` materializes any cell as one.  A run is
+walked in slabs of cells that fit in ``_WORKING_ENTRIES`` (4 MiB).  Per slab
+``hashing.derive_coefficients_batch`` derives the hash words (no other
+operation on a bank derives them) and ``batch_sign_eval`` fills each
+dimension's int8 signs at the run's distinct symbols.  t1 = sum_x f(x)
+prod_d h_d(x_d) factorises over dimensions: a run whose symbol grid is at
+most ``_DENSE_GRID`` times its support is contracted as a dense histogram, a
+sparser one row by row, both exactly (``_add_rows``).
 Ingestion is single-writer; estimation is read-only.
 
 Finalize uses the same rule as ``SketchInstance.finalize``
@@ -49,7 +51,6 @@ the file's size against the header, then reads and checks it slab by slab.
 
 from __future__ import annotations
 
-import copy
 import io
 import math
 import os
@@ -65,7 +66,6 @@ from .hashing import (
     MAX_INDEX,
     batch_sign_eval,
     derive_coefficients_batch,
-    derive_hashes,
     symbol_words,
 )
 from .sketch import EmptyStreamError, SketchConfig, SketchInstance, finalize_values
@@ -192,11 +192,7 @@ class EstimatorBank:
         self.config = config
         self.shape = shape
         self.master_seed = master_seed & ((1 << 64) - 1)
-
-        cells = shape.cells
-        k = config.k
-        self._t1 = np.zeros(cells, dtype=np.int64)
-        self._marg = np.zeros((cells, k), dtype=np.int64)
+        self._counts = np.zeros((shape.cells, config.k + 1), dtype=np.int64)
         self._m = 0
 
     # -- ingestion ----------------------------------------------------------
@@ -257,7 +253,7 @@ class EstimatorBank:
             signs = [buf[:, : hi - lo] for buf in held]
             for dim, (m, tally) in enumerate(zip(masks, tallies)):
                 matrix = batch_sign_eval(words[:, dim], m, out=scratch[: hi - lo, : len(m)])
-                self._marg[lo:hi, dim] += np.einsum("ij,j->i", matrix, tally).astype(np.int64)
+                self._counts[lo:hi, 1 + dim] += np.einsum("ij,j->i", matrix, tally).astype(np.int64)
                 np.copyto(signs[dim], matrix.T)
             if hist is None:
                 # A row's signs are whole rows of the matrices; take writes to
@@ -272,7 +268,7 @@ class EstimatorBank:
             else:
                 kron_a, kron_b = _kron_rows(signs[:j], hi - lo), _kron_rows(signs[j:], hi - lo)
                 part = np.einsum("ij,ij->j", hist.T @ kron_a, kron_b)
-            self._t1[lo:hi] += part.astype(np.int64)
+            self._counts[lo:hi, 0] += part.astype(np.int64)
         self._m += int(counts.sum())
 
     # -- estimation ---------------------------------------------------------
@@ -296,9 +292,8 @@ class EstimatorBank:
         y = np.empty(self.shape.cells, dtype=np.float64)
         for lo in range(0, len(y), SLAB_ENTRIES):
             sl = slice(lo, lo + SLAB_ENTRIES)
-            t1 = self._t1[sl].astype(dtype, copy=False)
-            marg = self._marg[sl].astype(dtype, copy=False)
-            y[sl] = finalize_values(t1 * m ** (k - 1) - marg.prod(axis=1), m, k)
+            counts = self._counts[sl].astype(dtype, copy=False)
+            y[sl] = finalize_values(counts[:, 0] * m ** (k - 1) - counts[:, 1:].prod(axis=1), m, k)
         return y.reshape(self.shape.s2, self.shape.s1)
 
     def estimate(self) -> Estimate:
@@ -316,27 +311,15 @@ class EstimatorBank:
         """Materialize one cell as a scalar SketchInstance (copied counters)."""
         if not (0 <= group < self.shape.s2 and 0 <= index < self.shape.s1):
             raise IndexError("cell outside bank shape")
-        hashes = derive_hashes(
-            self.master_seed,
-            self.config.k,
-            self.config.spec,
-            self.config.n,
-            group=group,
-            index=index,
+        inst = SketchInstance.from_master_seed(
+            self.config, self.master_seed, group=group, index=index
         )
-        inst = SketchInstance(self.config, hashes)
-        flat = group * self.shape.s1 + index
-        inst.t1 = int(self._t1[flat])
-        inst.marginal_sums = [int(v) for v in self._marg[flat]]
+        inst.t1, *inst.marginal_sums = self._counts[group * self.shape.s1 + index].tolist()
         inst.m = self._m
         return inst
 
     def counters_equal(self, other: "EstimatorBank") -> bool:
-        return (
-            self._m == other._m
-            and np.array_equal(self._t1, other._t1)
-            and np.array_equal(self._marg, other._marg)
-        )
+        return self._m == other._m and np.array_equal(self._counts, other._counts)
 
     # -- snapshots -----------------------------------------------------------
 
@@ -357,10 +340,9 @@ class EstimatorBank:
         )
         step = max(1, SLAB_ENTRIES // (self.config.k + 2))
         for lo in range(0, self.shape.cells, step):
-            t1 = self._t1[lo : lo + step]
-            body = np.empty((len(t1), self.config.k + 2), dtype="<i8")
-            body[:, 0] = t1
-            body[:, 1:-1] = self._marg[lo : lo + step]
+            counts = self._counts[lo : lo + step]
+            body = np.empty((len(counts), self.config.k + 2), dtype="<i8")
+            body[:, :-1] = counts
             body[:, -1] = self._m
             yield body
 
@@ -421,8 +403,7 @@ class EstimatorBank:
             parity = (np.bitwise_and if m & 1 else np.bitwise_or).reduce(slab, axis=None)
             if m < 0 or slab.min() < -m or slab.max() > m or parity & 1 != m & 1:
                 raise ValueError("snapshot counters are not sums of m signs")
-            bank._t1[lo : lo + len(slab)] = slab[:, 0]
-            bank._marg[lo : lo + len(slab)] = slab[:, 1:-1]
+            bank._counts[lo : lo + len(slab)] = slab[:, :-1]
         bank._m = m
         return bank
 
@@ -431,8 +412,7 @@ def merge_banks(a: EstimatorBank, b: EstimatorBank) -> EstimatorBank:
     """Cell-wise counter sum; equals ingesting the concatenated stream."""
     if a.config != b.config or a.shape != b.shape or a.master_seed != b.master_seed:
         raise ValueError("banks differ in configuration, shape or master seed")
-    out = copy.copy(a)
-    out._t1 = a._t1 + b._t1
-    out._marg = a._marg + b._marg
+    out = EstimatorBank(a.config, shape=a.shape, master_seed=a.master_seed)
+    np.add(a._counts, b._counts, out=out._counts)
     out._m = a._m + b._m
     return out

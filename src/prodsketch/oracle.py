@@ -21,8 +21,9 @@ v = m^(k-1) f - f_1 (x) ... (x) f_k, so a table's Y is the AMS square of
 v / m^k and a turnstile vector's Y is that of its own weights.
 
 A table's joint counts are sparse, its distinct rows with their counts
-(streams occupy few cells of [n]^k), while the per-dimension marginals are
-dense (alphabets are small).  A table is built as the bank ingests: blocks
+(streams occupy few cells of [n]^k), and the oracles sum each dimension's
+marginal over its present symbols only, so their memory follows the support
+at any alphabet size.  A table is built as the bank ingests: blocks
 through ``streamfile.row_runs``, tuples through ``streamfile.tuple_blocks``.
 Integer sums pick their dtype from a bound: int64 where it provably holds
 them, Python ints (object arrays) past it.
@@ -123,17 +124,21 @@ def exact_l2sq(table: FrequencyTable) -> Fraction:
 
     Scaled to integers by m^(2k): each cell with f > 0 and marginal product p
     adds (f S - p)^2 - p^2, S = m^(k-1), to prod_i sum_x f_i(x)^2, the sum over
-    all cells of p^2.  Array sums stay below m^(k+1): int64 while that fits,
-    Python ints past it.
+    all cells of p^2.  A marginal is summed over its dimension's present
+    symbols, the only ones where it is nonzero.  Array sums stay below
+    m^(k+1): int64 while that fits, Python ints past it.
     """
     if table.m == 0:
         raise EmptyStreamError("frequency table is empty")
     m, k = table.m, table.k
     dtype = np.int64 if m ** (k + 1) < 1 << 63 else object
-    f, margs = table.counts.astype(dtype), table.marginals.astype(dtype)
-    p = math.prod(marg[column] for column, marg in zip(table.rows.T, margs))
+    f, p, squares = table.counts.astype(dtype), 1, 1
+    for column in table.rows.T:
+        inverse = np.unique(column, return_inverse=True)[1]
+        marg = np.bincount(inverse, table.counts).astype(np.int64).astype(dtype)  # exact: m < 2^53
+        p, squares = p * marg[inverse], squares * int(marg @ marg)
     s = m ** (k - 1)
-    total = math.prod(int(marg @ marg) for marg in margs) + s * s * int(f @ f) - 2 * s * int(f @ p)
+    total = squares + s * s * int(f @ f) - 2 * s * int(f @ p)
     return Fraction(total, m ** (2 * k))
 
 
@@ -148,11 +153,9 @@ def exact_y_from_table(table: FrequencyTable, hashes: tuple[SignHash, ...]) -> F
     if len(hashes) != table.k:
         raise ValueError("hash tuple arity does not match the table")
     rows, counts = table.rows.tolist(), table.counts.tolist()
-    t1 = sum(f * math.prod(h(x) for h, x in zip(hashes, row)) for row, f in zip(rows, counts))
-    margs = [
-        sum(c * h(x) for x, c in enumerate(marg) if c)
-        for h, marg in zip(hashes, table.marginals.tolist())
-    ]
+    signs = [[h(x) for h, x in zip(hashes, row)] for row in rows]
+    t1 = sum(f * math.prod(row) for row, f in zip(signs, counts))
+    margs = [sum(f * x for x, f in zip(column, counts)) for column in zip(*signs)]
     u = t1 * table.m ** (table.k - 1) - math.prod(margs)
     return Fraction(u * u, table.m ** (2 * table.k))
 

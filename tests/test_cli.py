@@ -109,6 +109,25 @@ def test_exact_hand_computed_quarter(tmp_path, capsys):
     assert float(rep["exact_l2_squared"]) == 0.25
 
 
+def test_exact_reads_a_64_bit_alphabet_under_the_default_budget(tmp_path, capsys):
+    # Only the support counts against the budget: n = 2^64 holds no (k, n) table.
+    path = tmp_path / "full.txt"
+    path.write_text("# n=18446744073709551616\n5,7\n18446744073709551615,7\n5,0\n")
+    code, out, err = run(capsys, "exact", "--input", str(path), "--k", "2")
+    assert (code, err) == (EXIT_OK, "")
+    rep = parse_report(out)
+    assert rep["n"] == str(1 << 64) and rep["exact_l2_squared_fraction"] == "4/81"
+
+
+def test_memory_error_is_a_clean_data_error(stream_file, capsys, monkeypatch):
+    def no_memory(*args, **kwargs):
+        raise MemoryError("Unable to allocate 33.5 TiB")
+
+    monkeypatch.setattr(cli, "EstimatorBank", no_memory)
+    code, out, err = run(capsys, "estimate", "--input", str(stream_file))
+    assert (code, out, err) == (EXIT_DATA, "", "error: Unable to allocate 33.5 TiB\n")
+
+
 def test_reports_are_byte_stable(stream_file, tmp_path, capsys):
     # Key order, report_version first, floats by repr and the num/den fraction,
     # byte for byte; only elapsed_ms varies between runs.
@@ -227,7 +246,7 @@ def test_exact_memory_budget_refusal(stream_file, capsys):
     code, _, err = run(capsys, "exact", "--input", str(stream_file),
                        "--memory-budget", "4")
     assert code == EXIT_DATA and "budget" in err
-    # k*n = 8 entries pass; the 200 items occupy more than 8 of the 16 joint cells.
+    # The 200 items occupy more than 8 of the 16 joint cells.
     code, out, err = run(capsys, "exact", "--input", str(stream_file), "--memory-budget", "8")
     assert code == EXIT_DATA and out == ""
     assert err == "error: joint support exceeds the memory budget of 8 entries\n"

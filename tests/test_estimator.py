@@ -221,6 +221,21 @@ def test_merge_banks_identity_split_commute():
     assert left.item_count == 37 and right.item_count == 53
 
 
+def test_merged_bank_shares_no_counters_with_its_operands():
+    stream = list(generate(GenSpec(n=4, k=2, m=60, lam=0.2, rng_seed=12)))
+    left, right, empty = small_bank(1), small_bank(1), small_bank(1)
+    left.ingest_many(stream[:25])
+    right.ingest_many(stream[25:])
+    merged, alone = merge_banks(left, right), merge_banks(left, empty)
+    whole, part = small_bank(1), small_bank(1)
+    whole.ingest_many(stream)
+    part.ingest_many(stream[:25])
+    for operand in (left, right, empty):
+        operand.ingest_many(stream[:7])
+    assert merged.counters_equal(whole) and alone.counters_equal(part)
+    assert merged.item_count == 60 and alone.item_count == 25
+
+
 def test_merge_banks_mismatch_rejected():
     with pytest.raises(ValueError):
         merge_banks(small_bank(1), small_bank(2))
@@ -406,9 +421,8 @@ def test_slabbed_finalize_past_2_52_stays_within_one_slab(monkeypatch):
     m = (1 << 21) + 1
     rng = np.random.default_rng(2)
     bank._m = m
-    bank._t1[:] = 2 * rng.integers(-(m // 2), m // 2, bank.shape.cells) + 1
-    bank._marg[:] = 2 * rng.integers(-(m // 2), m // 2, bank._marg.shape) + 1
-    counters = bank._t1.nbytes + bank._marg.nbytes
+    bank._counts[:] = 2 * rng.integers(-(m // 2), m // 2, bank._counts.shape) + 1
+    counters = bank._counts.nbytes
     tracemalloc.start()
     try:
         values = bank.instance_values()
@@ -419,7 +433,8 @@ def test_slabbed_finalize_past_2_52_stays_within_one_slab(monkeypatch):
     for flat in (0, slab - 1, slab, bank.shape.cells - 1):
         g, j = divmod(flat, bank.shape.s1)
         assert values[g, j] == bank.instance_view(g, j).finalize()
-        u = int(bank._t1[flat]) * m**2 - math.prod(int(v) for v in bank._marg[flat])
+        t1, *marg = bank._counts[flat].tolist()
+        u = t1 * m**2 - math.prod(marg)
         assert values[g, j] == float(Fraction(u * u, m**6))
 
 
@@ -485,12 +500,12 @@ def test_big_item_count_uses_exact_fallback():
 
     bank = small_bank(master_seed=1, s1=2, s2=1)
     bank._m = 1 << 32
-    bank._t1[:] = [1 << 31, -(1 << 30)]
-    bank._marg[:] = [[1 << 31, 1 << 29], [-(3 << 29), 1 << 31]]
+    bank._counts[:] = [[1 << 31, 1 << 31, 1 << 29], [-(1 << 30), -(3 << 29), 1 << 31]]
     values = bank.instance_values()
     m = 1 << 32
     for j in range(2):
-        u = int(bank._t1[j]) * m - int(bank._marg[j][0]) * int(bank._marg[j][1])
+        t1, a, b = bank._counts[j].tolist()
+        u = t1 * m - a * b
         assert values[0, j] == float(Fraction(u * u, m**4))
 
 

@@ -129,6 +129,25 @@ def test_duplicating_the_stream_preserves_l2sq(stream, copies):
     assert exact_l2sq(one) == exact_l2sq(many)
 
 
+def test_oracles_read_the_present_symbols_of_a_64_bit_alphabet():
+    # n = 2^64: a cell with an absent symbol has joint count and marginal
+    # product both 0, so the definition sums over present symbols only.
+    top = (1 << 64) - 1
+    stream = [(5, 7), (top, 7), (5, 0), (1 << 63, top), (top, 7), ((1 << 63) + 1, 0)]
+    table = FrequencyTable.from_stream(stream, k=2, n=1 << 64)
+    m, counts = len(stream), collections.Counter(stream)
+    margs = [collections.Counter(p[i] for p in stream) for i in range(2)]
+    want = sum((Fraction(counts[p], m) - Fraction(margs[0][p[0]] * margs[1][p[1]], m * m)) ** 2
+               for p in itertools.product(*margs))
+    assert exact_l2sq(table) == want
+    config = SketchConfig(k=2, n=1 << 64, spec=FieldSpec(64))
+    for seed in range(3):
+        inst = SketchInstance.from_master_seed(config, master_seed=seed)
+        for a in stream:
+            inst.update_item(a)
+        assert exact_y_from_table(table, inst.hashes) == inst.finalize_exact()
+
+
 def test_frequency_table_invariants():
     stream = list(generate(GenSpec(n=4, k=2, m=50, lam=0.5, rng_seed=6)))
     t = FrequencyTable.from_stream(stream, k=2, n=4)

@@ -63,7 +63,7 @@ def test_zero_full_enumeration_fails_on_a_broken_bank_marginal(monkeypatch):
 
     def off_by_one(self, rows, counts):
         add_rows(self, rows, counts)
-        self._marg[:, 0] += 1
+        self._counts[:, 1] += 1
 
     monkeypatch.setattr(EstimatorBank, "_add_rows", off_by_one)
     assert not _zero_check(run_selftest(quick=True))
