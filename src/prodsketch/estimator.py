@@ -39,8 +39,8 @@ that, and every cell's Y is the correctly rounded float of (U/m^k)^2.
 Snapshot format (version 1, little-endian):
 
     magic  b"PSKBANK1"
-    header <8q>: version=1, k, n, width, s1, s2, master_seed (as signed
-           64-bit bit pattern), mode (always 0; other values are refused)
+    header <6qQq>: version=1, k, n, width, s1, s2, master_seed (unsigned
+           64-bit), mode (always 0; other values are refused)
     body   s2*s1 cell records, row-major (group, index), each <q>-packed:
            t1, marginal_sums[0..k-1], m
 
@@ -72,7 +72,7 @@ from .sketch import EmptyStreamError, SketchConfig, SketchInstance, finalize_val
 from .streamfile import row_runs, tuple_blocks
 
 _MAGIC = b"PSKBANK1"
-_HEADER = struct.Struct("<8q")
+_HEADER = struct.Struct("<6qQq")
 _SNAPSHOT_VERSION = 1
 
 # Entries of one cache-sized slab (512 KiB of int64 or float64) of finalize
@@ -327,7 +327,6 @@ class EstimatorBank:
         """Magic and header, then the body in slabs of about ``SLAB_ENTRIES`` words."""
         if self.config.n >= 1 << 63:
             raise ValueError("snapshot v1 stores n as int64; alphabet size too large")
-        seed_signed = struct.unpack("<q", struct.pack("<Q", self.master_seed))[0]
         yield _MAGIC + _HEADER.pack(
             _SNAPSHOT_VERSION,
             self.config.k,
@@ -335,7 +334,7 @@ class EstimatorBank:
             self.config.spec.width,
             self.shape.s1,
             self.shape.s2,
-            seed_signed,
+            self.master_seed,
             0,
         )
         step = max(1, SLAB_ENTRIES // (self.config.k + 2))
@@ -375,7 +374,7 @@ class EstimatorBank:
             raise ValueError("not a bank snapshot (bad magic)")
         if len(head) < len(_MAGIC) + _HEADER.size:
             raise ValueError("snapshot truncated inside its header")
-        version, k, n, width, s1, s2, seed_signed, mode = _HEADER.unpack_from(head, len(_MAGIC))
+        version, k, n, width, s1, s2, master_seed, mode = _HEADER.unpack_from(head, len(_MAGIC))
         if version != _SNAPSHOT_VERSION:
             raise ValueError(f"unsupported snapshot version {version}")
         if mode != 0:
@@ -383,7 +382,6 @@ class EstimatorBank:
         cells = s1 * s2
         if size != len(head) + 8 * cells * (k + 2):
             raise ValueError("snapshot body length does not match header")
-        master_seed = struct.unpack("<Q", struct.pack("<q", seed_signed))[0]
         bank = cls(
             SketchConfig(k=k, n=n, spec=FieldSpec(width)),
             shape=BankShape(s1=s1, s2=s2),

@@ -21,14 +21,12 @@ hash functions and recorded sketches would stop being replayable.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 # A field element is an int < 2^w; the alias marks intent in signatures.
 FieldElement = int
-
-SUPPORTED_WIDTHS = (1, 2, 4, 8, 16, 32, 64)
 
 REDUCTION_POLYNOMIALS: dict[int, int] = {
     1: 0b11,
@@ -40,31 +38,27 @@ REDUCTION_POLYNOMIALS: dict[int, int] = {
     64: (1 << 64) | 0x1B,
 }
 
+SUPPORTED_WIDTHS = tuple(REDUCTION_POLYNOMIALS)
+
 
 @dataclass(frozen=True)
 class FieldSpec:
-    """The field GF(2^w) with its reduction polynomial.
+    """The field GF(2^w), which is its width: the polynomial is pinned.
 
     ``reduction_polynomial`` is the full bitmask including the leading
-    ``x^w`` term.  It defaults to the pinned polynomial for the width;
-    passing another value is supported only as a fault-injection hook
-    for the self-test's negative control.
+    ``x^w`` term, a plain attribute for ``field_mul``'s hot read.  A
+    snapshot records only the width, so no spec can choose another.
     """
 
     width: int
-    reduction_polynomial: int | None = None
+    reduction_polynomial: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.width not in SUPPORTED_WIDTHS:
             raise ValueError(
                 f"unsupported field width {self.width}; must be one of {SUPPORTED_WIDTHS}"
             )
-        if self.reduction_polynomial is None:
-            object.__setattr__(
-                self, "reduction_polynomial", REDUCTION_POLYNOMIALS[self.width]
-            )
-        elif self.reduction_polynomial.bit_length() != self.width + 1:
-            raise ValueError("reduction polynomial degree must equal the field width")
+        object.__setattr__(self, "reduction_polynomial", REDUCTION_POLYNOMIALS[self.width])
 
     @property
     def order(self) -> int:

@@ -198,25 +198,23 @@ def batch_sign_eval(
     :func:`pack_words`, ``masks`` each symbol's masks by :func:`symbol_words`.
     Returns int8 signs of shape (..., len(masks)), in ``out`` if given (of
     that shape, and C-contiguous unless 2-D).  The ANDs run through one buffer
-    of at most ``_AND_WORDS`` words, whole hash rows (or spans of one) at a
+    of at most max(``_AND_WORDS``, ``len(masks)``) words, whole hash rows at a
     time; beside it every temporary takes one byte an entry.
     """
     flat = words.reshape(-1, words.shape[-1])
     shape = (len(flat), len(masks))
     parity = np.empty(shape, np.uint8) if out is None else out.view(np.uint8).reshape(shape)
-    span = max(1, min(len(masks), _AND_WORDS))
-    step = max(1, _AND_WORDS // span)
-    buf = np.empty(min(step, len(flat)) * span, dtype=np.uint64)
+    step = max(1, _AND_WORDS // max(1, len(masks)))
+    buf = np.empty((min(step, len(flat)), len(masks)), dtype=np.uint64)
     for lo in range(0, len(flat), step):
-        for at in range(0, len(masks), span):
-            chunk = parity[lo : lo + step, at : at + span]
-            tmp = buf[: chunk.size].reshape(chunk.shape)
-            for p in range(flat.shape[1]):
-                np.bitwise_and(flat[lo : lo + step, p, None], masks[at : at + span, p], out=tmp)
-                if p:
-                    chunk ^= np.bitwise_count(tmp)
-                else:
-                    np.bitwise_count(tmp, out=chunk)
+        chunk = parity[lo : lo + step]
+        tmp = buf[: len(chunk)]
+        for p in range(flat.shape[1]):
+            np.bitwise_and(flat[lo : lo + step, p, None], masks[:, p], out=tmp)
+            if p:
+                chunk ^= np.bitwise_count(tmp)
+            else:
+                np.bitwise_count(tmp, out=chunk)
     parity &= 1  # the low bit b becomes 1 - 2b in place: 0 -> 1, 1 -> -1
     signs = parity.view(np.int8)
     np.negative(signs, out=signs)

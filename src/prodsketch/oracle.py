@@ -166,7 +166,7 @@ def exact_y_from_table(table: FrequencyTable, hashes: tuple[SignHash, ...]) -> F
 
 # A plain dict, not an lru_cache: the benchmark clears it by this name to
 # measure enumeration with a cold table, and an lru_cache would stay warm.
-_sign_table_cache: dict[tuple[int, int, int], np.ndarray] = {}
+_sign_table_cache: dict[tuple[int, int], np.ndarray] = {}
 
 
 def all_seed_signs(spec: FieldSpec, n: int) -> np.ndarray:
@@ -181,7 +181,7 @@ def all_seed_signs(spec: FieldSpec, n: int) -> np.ndarray:
         )
     if not (1 <= n <= spec.order):
         raise ValueError(f"domain size {n} does not fit the field")
-    key = (spec.width, spec.reduction_polynomial, n)
+    key = (spec.width, n)
     cached = _sign_table_cache.get(key)
     if cached is None:
         # For w <= 16 a seed is its own packed hash word (hashing.pack_words).

@@ -12,8 +12,8 @@ computed expectation, in exact arithmetic wherever the claim is exact:
   * exact-zero streams (through the sketch, enumeration and a bank), and
   * table-vs-incremental agreement of Y.
 
-``quick`` skips the k = 3 enumerations.  ``field_fault`` swaps in a
-reducible polynomial for the w = 4 axiom check; it exists so the negative
+``quick`` skips the k = 3 enumerations.  ``field_fault`` checks a reducible
+ring of its own for w = 4, which no ``FieldSpec`` can denote, so the negative
 control can demonstrate the battery actually fails on a broken field.
 """
 
@@ -21,13 +21,14 @@ from __future__ import annotations
 
 import itertools
 import random
+import types
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
 from .estimator import BankShape, EstimatorBank
-from .field import FieldSpec, field_mul, field_pow, is_irreducible
+from .field import REDUCTION_POLYNOMIALS, FieldSpec, field_mul, field_pow, is_irreducible
 from .hashing import SignHash, SignHashSeed
 from .oracle import (
     FrequencyTable,
@@ -117,16 +118,15 @@ def run_selftest(quick: bool = False, field_fault: bool = False) -> list[CheckRe
     results: list[CheckResult] = []
     w1, w2 = FieldSpec(1), FieldSpec(2)
 
-    # Field axioms; the fault hook corrupts w=4 with (x^2+x+1)^2.
+    # Field axioms; the fault hook checks the ring modulo (x^2+x+1)^2 at w=4.
     for width in (1, 2, 4, 8):
+        spec = FieldSpec(width)
         if width == 4 and field_fault:
-            spec = FieldSpec(4, reduction_polynomial=0b10101)
-        else:
-            spec = FieldSpec(width)
+            spec = types.SimpleNamespace(width=4, order=16, reduction_polynomial=0b10101)
         ok, detail = check_field_axioms(spec)
         results.append(_result(f"field-axioms-w{width}", ok, "all axioms hold", detail))
 
-    irr = {w: is_irreducible(FieldSpec(w).reduction_polynomial) for w in (1, 2, 4, 8, 16, 32, 64)}
+    irr = {w: is_irreducible(poly) for w, poly in REDUCTION_POLYNOMIALS.items()}
     results.append(
         _result("reduction-polynomials-irreducible", all(irr.values()),
                 "irreducible for every width", irr)

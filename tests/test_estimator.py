@@ -2,6 +2,7 @@
 
 import io
 import math
+import struct
 import tracemalloc
 from fractions import Fraction
 
@@ -329,7 +330,7 @@ def test_snapshot_loader_refuses_disagreeing_item_counts():
     st.binary(max_size=200).map(lambda b: estimator._MAGIC + b),
     st.tuples(st.lists(st.integers(-(1 << 63), (1 << 63) - 1), min_size=8, max_size=8),
               st.binary(max_size=160)).map(
-        lambda t: estimator._MAGIC + estimator._HEADER.pack(*t[0]) + t[1]),
+        lambda t: estimator._MAGIC + struct.pack("<8q", *t[0]) + t[1]),
     # Well-formed version-1 headers with small, possibly invalid fields and a
     # body of about the length they announce.
     st.builds(

@@ -1,5 +1,7 @@
 """Field arithmetic against independent oracles and exhaustive axiom checks."""
 
+import types
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -65,15 +67,22 @@ def test_pinned_polynomials_are_irreducible():
 def test_reducible_polynomial_rejected_by_rabin_and_axioms():
     # (x^2 + x + 1)^2 = x^4 + x^2 + 1
     assert not is_irreducible(0b10101)
-    ok, detail = check_field_axioms(FieldSpec(4, reduction_polynomial=0b10101))
+    ring = types.SimpleNamespace(width=4, order=16, reduction_polynomial=0b10101)
+    ok, detail = check_field_axioms(ring)
     assert not ok and "inverse" in detail
 
 
 def test_fieldspec_validation():
     with pytest.raises(ValueError):
         FieldSpec(3)
-    with pytest.raises(ValueError):
-        FieldSpec(4, reduction_polynomial=0b111)  # degree 2 != width
+
+
+def test_fieldspec_is_its_width():
+    # A snapshot records only the width, so a spec cannot take another
+    # polynomial, even an irreducible one (x^4 + x^3 + 1).
+    with pytest.raises(TypeError):
+        FieldSpec(4, reduction_polynomial=0b11001)
+    assert FieldSpec(4).reduction_polynomial == REDUCTION_POLYNOMIALS[4]
 
 
 @pytest.mark.parametrize("width", SUPPORTED_WIDTHS)
