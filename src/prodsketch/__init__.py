@@ -20,7 +20,7 @@ _MODULE_OF = {
         "estimator": ("AccuracyParams", "BankShape", "Estimate", "EstimatorBank", "StateSize",
                       "derive_shape", "merge_banks"),
         "field": ("REDUCTION_POLYNOMIALS", "SUPPORTED_WIDTHS", "FieldSpec", "field_mul"),
-        "hashing": ("SignHash", "SignHashSeed", "sign_hash_eval"),
+        "hashing": ("SignHash",),
         "oracle": ("EnumerationBudgetError", "ExactMoments", "FrequencyTable", "exact_l2sq",
                    "exact_y_from_table", "exhaustive_moments", "seed_uniformity_census"),
         "sketch": ("EmptyStreamError", "SketchConfig", "SketchInstance", "merge_sketches"),

@@ -185,10 +185,9 @@ class EstimatorBank:
         shape: BankShape | None = None,
         master_seed: int = 0,
     ) -> None:
-        if shape is None:
-            if params is None:
-                raise ValueError("provide either params or an explicit shape")
-            shape = derive_shape(params, config.k)
+        if (params is None) == (shape is None):
+            raise ValueError("provide exactly one of params and an explicit shape")
+        shape = shape or derive_shape(params, config.k)
         self.config = config
         self.shape = shape
         self.master_seed = master_seed & ((1 << 64) - 1)

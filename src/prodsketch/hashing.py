@@ -9,7 +9,7 @@ uniform and each of the 16 sign patterns is hit by exactly a 1/16 fraction
 of seeds.  Independence is exact, not approximate, which is what lets the
 oracle verify moment bounds with zero tolerance by enumerating seeds.
 
-Evaluation.  ``sign_hash_eval`` is the scalar reference (Horner's rule).
+Evaluation.  ``SignHash.__call__`` is the scalar reference (Horner's rule).
 The vectorised path rests on the low bit of ``c * y`` being GF(2)-linear in
 ``c``: it equals ``parity(c & L(y))``, where bit ``i`` of the w-bit mask
 ``L(y)`` is the low bit of ``x^i * y``, so
@@ -18,8 +18,9 @@ The vectorised path rests on the low bit of ``c * y`` being GF(2)-linear in
 
 in GF(2)[x]/(f) for any f of degree w.  Both sides are packed the same way
 into ceil(4w/64) uint64 words (one word for w <= 16): a hash as its
-coefficients (``pack_words``), a symbol as its masks ``(1, L(y), L(y^2),
-L(y^3))`` (``symbol_words``, built once per distinct symbol).
+coefficients (``pack_words``), the limbs of its seed, and a symbol as its
+masks ``(1, L(y), L(y^2), L(y^3))`` (``symbol_words``, built once per
+distinct symbol).
 ``batch_sign_eval`` then costs one AND and popcount per word for each
 (hash, symbol) pair, with no field multiplication.
 
@@ -32,8 +33,8 @@ so counters never collide for ``group < 2^22``, ``index < 2^32``,
 ``dim < 256`` and seeds of an instance do not depend on the bank shape
 (growing a bank never re-seeds existing cells).  Module-level hash tuples
 are cell ``(0, 0)``.  ``derive_coefficients_batch`` derives the packed
-words of a range of cells at once, bit-identical to packing
-``derive_hashes`` cell by cell.
+words of a range of cells at once: each cell's words are the limbs of its
+``derive_hashes`` seeds.
 """
 
 from __future__ import annotations
@@ -42,7 +43,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .field import FieldElement, FieldSpec, field_mul, field_mul_vec
+from .field import FieldSpec, field_mul, field_mul_vec
 from .rng import MAX_DIMS, word_at, words_at
 
 MAX_GROUP = 1 << 22
@@ -51,34 +52,15 @@ _AND_WORDS = 1 << 16  # words of batch_sign_eval's AND buffer (512 KiB)
 
 
 @dataclass(frozen=True)
-class SignHashSeed:
-    """Coefficients (c0, c1, c2, c3) of one cubic, c0 the constant term."""
-
-    c0: FieldElement
-    c1: FieldElement
-    c2: FieldElement
-    c3: FieldElement
-
-    def as_tuple(self) -> tuple[int, int, int, int]:
-        return (self.c0, self.c1, self.c2, self.c3)
-
-    @classmethod
-    def from_int(cls, packed: int, width: int) -> "SignHashSeed":
-        mask = (1 << width) - 1
-        return cls(
-            packed & mask,
-            (packed >> width) & mask,
-            (packed >> (2 * width)) & mask,
-            (packed >> (3 * width)) & mask,
-        )
-
-
-@dataclass(frozen=True)
 class SignHash:
-    """One member of the family: a seeded cubic over ``spec`` on domain [0, n)."""
+    """One member of the family: a seeded cubic over ``spec`` on domain [0, n).
+
+    ``seed`` is the 4w-bit string ``c0 | c1 << w | c2 << 2w | c3 << 3w``,
+    the integer of the hash's :func:`pack_words` limbs, little-endian.
+    """
 
     spec: FieldSpec
-    seed: SignHashSeed
+    seed: int
     n: int
 
     def __post_init__(self) -> None:
@@ -86,23 +68,20 @@ class SignHash:
             raise ValueError(
                 f"domain size {self.n} exceeds field order 2^{self.spec.width}"
             )
-        for c in self.seed.as_tuple():
-            if not (0 <= c < self.spec.order):
-                raise ValueError("seed coefficient outside the field")
+        if not (0 <= self.seed < 1 << 4 * self.spec.width):
+            raise ValueError("seed outside the family")
 
     def __call__(self, x: int) -> int:
-        return sign_hash_eval(self, x)
-
-
-def sign_hash_eval(h: SignHash, x: int) -> int:
-    """Sign of ``h`` at symbol ``x``; Horner evaluation, then the low bit."""
-    if not (0 <= x < h.n):
-        raise ValueError(f"symbol {x} outside hash domain [0, {h.n})")
-    seed, spec = h.seed, h.spec
-    p = field_mul(seed.c3, x, spec) ^ seed.c2
-    p = field_mul(p, x, spec) ^ seed.c1
-    p = field_mul(p, x, spec) ^ seed.c0
-    return 1 - 2 * (p & 1)
+        """Sign at symbol ``x``; Horner evaluation, then the low bit."""
+        if not (0 <= x < self.n):
+            raise ValueError(f"symbol {x} outside hash domain [0, {self.n})")
+        seed, spec = self.seed, self.spec
+        w = spec.width
+        mask = (1 << w) - 1
+        p = field_mul(seed >> 3 * w, x, spec) ^ (seed >> 2 * w & mask)
+        p = field_mul(p, x, spec) ^ (seed >> w & mask)
+        p = field_mul(p, x, spec) ^ seed  # only the low bit is read
+        return 1 - 2 * (p & 1)
 
 
 def coefficient_counter(group: int, index: int, dim: int, coef: int) -> int:
@@ -136,11 +115,12 @@ def derive_hashes(
     mask = spec.mask
     out = []
     for dim in range(k):
-        coefs = tuple(
-            word_at(master_seed, coefficient_counter(group, index, dim, c)) & mask
+        seed = sum(
+            (word_at(master_seed, coefficient_counter(group, index, dim, c)) & mask)
+            << c * spec.width
             for c in range(4)
         )
-        out.append(SignHash(spec, SignHashSeed(*coefs), n))
+        out.append(SignHash(spec, seed, n))
     return tuple(out)
 
 
@@ -154,7 +134,7 @@ def derive_coefficients_batch(
     """Packed hash words (hi - lo, k, ceil(4w/64)) of bank cells [lo, hi).
 
     Cells are row-major by (group, index), ``indexes`` to a group; each
-    cell's words equal packing :func:`derive_hashes` of that cell.
+    cell's words are the limbs of its :func:`derive_hashes` seeds.
     """
     group, index = np.divmod(np.arange(lo, hi, dtype=np.uint64), np.uint64(indexes))
     cell = ((group << np.uint64(32)) | index) << np.uint64(10)
@@ -192,7 +172,7 @@ def symbol_words(xs: np.ndarray, spec: FieldSpec) -> np.ndarray:
 def batch_sign_eval(
     words: np.ndarray, masks: np.ndarray, out: np.ndarray | None = None
 ) -> np.ndarray:
-    """Signs of many hashes at many symbols, bit-identical to :func:`sign_hash_eval`.
+    """Signs of many hashes at many symbols, bit-identical to :class:`SignHash`.
 
     ``words`` (..., ceil(4w/64)) packs each hash's coefficients by
     :func:`pack_words`, ``masks`` each symbol's masks by :func:`symbol_words`.

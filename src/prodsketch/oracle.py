@@ -54,15 +54,14 @@ class EnumerationBudgetError(ValueError):
 
 
 class FrequencyTable:
-    """Exact joint and marginal counts of a tuple stream, held as arrays.
+    """Exact joint counts of a tuple stream, held as arrays.
 
     ``rows`` are the distinct items as a (support, k) uint64 array,
     ``counts`` their int64 multiplicities and ``m`` the item total, the
-    only counts a table holds; ``marginals`` are summed from them when read,
-    a (k, n) int64 array.  Counts are merged with ``merge_rows``, exact while
-    ``m`` stays below ``streamfile._EXACT_ITEMS`` (2^53), so ``add`` refuses
-    a count that would reach it; each ``add`` sorts the whole support, so
-    large tables are built with ``from_stream`` or ``from_blocks``.
+    only counts a table holds.  Counts are merged with ``merge_rows``, exact
+    while ``m`` stays below ``streamfile._EXACT_ITEMS`` (2^53), so ``add``
+    refuses a count that would reach it; each ``add`` sorts the whole
+    support, so large tables are built with ``from_stream`` or ``from_blocks``.
     """
 
     def __init__(self, k: int, n: int) -> None:
@@ -95,11 +94,6 @@ class FrequencyTable:
             raise ValueError("a frequency table holds fewer than 2^53 items")
         table.m = int(table.counts.sum())
         return table
-
-    @property
-    def marginals(self) -> np.ndarray:
-        sums = [np.bincount(c.astype(np.intp), self.counts, minlength=self.n) for c in self.rows.T]
-        return np.array(sums, dtype=np.int64)  # exact: m < 2^53
 
     def add(self, item: tuple[int, ...], count: int = 1) -> None:
         (block,) = tuple_blocks([item], self.k, self.n)
@@ -172,8 +166,8 @@ _sign_table_cache: dict[tuple[int, int], np.ndarray] = {}
 def all_seed_signs(spec: FieldSpec, n: int) -> np.ndarray:
     """Sign table of every hash in the family: shape (2^(4w), n), int8.
 
-    Seed s encodes its coefficients as base-2^w digits, c0 lowest.  The
-    returned array is cached and read-only.
+    Row s holds the signs of ``SignHash(spec, s, n)``.  The returned array
+    is cached and read-only.
     """
     if spec.width > _MAX_ENUM_WIDTH:
         raise EnumerationBudgetError(
@@ -184,7 +178,8 @@ def all_seed_signs(spec: FieldSpec, n: int) -> np.ndarray:
     key = (spec.width, n)
     cached = _sign_table_cache.get(key)
     if cached is None:
-        # For w <= 16 a seed is its own packed hash word (hashing.pack_words).
+        # Seed s is SignHash(spec, s, n); for w <= 16 it is its own packed
+        # hash word (hashing.pack_words).
         seeds = np.arange(1 << (4 * spec.width), dtype=np.uint64)
         cached = batch_sign_eval(seeds[:, None], symbol_words(np.arange(n), spec))
         cached.setflags(write=False)
@@ -221,28 +216,28 @@ def exhaustive_moments(
     source: FrequencyTable | Mapping[tuple[int, ...], object],
     *,
     spec: FieldSpec,
-    k: int | None = None,
     n: int | None = None,
 ) -> ExactMoments:
     """E[Y] and Var[Y] of Y = (sum_p v_p H(p))^2 over every seed tuple, exactly.
 
     ``source`` is a mapping from k-tuples to weights v_p (turnstile vector)
-    or a :class:`FrequencyTable`.  A table's Y is that of its deviation
-    vector v / m^k, v_p = m^(k-1) f(p) - prod_i f_i(p_i): a cell's
-    U = t1 m^(k-1) - prod_i marg_i is sum_p H(p) v_p.  Weights may be ints,
-    Fractions or floats; they are scaled to one integer grid, so the result
-    is exact for the binary values actually supplied.  Refusals come before
-    anything is expanded over [n]^k.
+    over [n]^k, or a :class:`FrequencyTable`, which carries its own k and n.
+    A table's Y is that of its deviation vector v / m^k, v_p = m^(k-1) f(p)
+    - prod_i f_i(p_i): a cell's U = t1 m^(k-1) - prod_i marg_i is
+    sum_p H(p) v_p.  Weights may be ints, Fractions or floats; they are
+    scaled to one integer grid, so the result is exact for the binary values
+    actually supplied.  Refusals come before anything is expanded over [n]^k.
     """
     if isinstance(source, FrequencyTable):
+        if n is not None:
+            raise ValueError("a frequency table has its own n")
         k, n = source.k, source.n
         if source.m == 0:
             raise EmptyStreamError("frequency table is empty")
     else:
         if not source:
             raise ValueError("turnstile vector is empty")
-        if k is None:
-            k = len(next(iter(source)))
+        k = len(next(iter(source)))
         if n is None:
             raise ValueError("n is required for a turnstile vector")
 
@@ -292,6 +287,8 @@ def exhaustive_moments(
 
 def _deviation_vector(table: FrequencyTable) -> np.ndarray:
     """v over all of [n]^k as Python ints, v_p = m^(k-1) f(p) - prod_i f_i(p_i)."""
-    v = -functools.reduce(np.multiply.outer, table.marginals.astype(object))
+    # The marginals over [n], n <= 4 under the budget; int64 is exact: m < 2^53.
+    margs = (np.bincount(c.astype(np.intp), table.counts, minlength=table.n) for c in table.rows.T)
+    v = -functools.reduce(np.multiply.outer, (f.astype(np.int64).astype(object) for f in margs))
     v[tuple(table.rows.T.astype(np.intp))] += table.counts.astype(object) * table.m ** (table.k - 1)
     return v

@@ -29,7 +29,7 @@ import numpy as np
 
 from .estimator import BankShape, EstimatorBank
 from .field import REDUCTION_POLYNOMIALS, FieldSpec, field_mul, field_pow, is_irreducible
-from .hashing import SignHash, SignHashSeed
+from .hashing import SignHash
 from .oracle import (
     FrequencyTable,
     exact_l2sq,
@@ -171,7 +171,7 @@ def run_selftest(quick: bool = False, field_fault: bool = False) -> list[CheckRe
 
     # Tightness of the 3^k law on the all-ones vector.
     for k in (1, 2) if quick else (1, 2, 3):
-        moments = exhaustive_moments(uniform_vector(4, k), spec=w2, k=k, n=4)
+        moments = exhaustive_moments(uniform_vector(4, k), spec=w2, n=4)
         pinned = PINNED_TIGHTNESS[k]
         ok = moments.ratio == pinned and moments.ratio >= Fraction(3**k, 2)
         results.append(
@@ -205,8 +205,8 @@ def run_selftest(quick: bool = False, field_fault: bool = False) -> list[CheckRe
     zero_ok = True
     spec2 = w2
     for s in range(256):
-        h1 = SignHash(spec2, SignHashSeed.from_int(s, 2), 4)
-        h2 = SignHash(spec2, SignHashSeed.from_int(255 - s, 2), 4)
+        h1 = SignHash(spec2, s, 4)
+        h2 = SignHash(spec2, 255 - s, 4)
         inst = SketchInstance(SketchConfig(k=2, n=4, spec=spec2), (h1, h2))
         inst.update_item((1, 2))
         if inst.finalize_exact() != 0:

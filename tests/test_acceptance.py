@@ -22,7 +22,7 @@ import prodsketch
 from prodsketch.cli import main
 from prodsketch.estimator import AccuracyParams, BankShape, EstimatorBank, derive_shape
 from prodsketch.field import FieldSpec
-from prodsketch.hashing import SignHash, SignHashSeed
+from prodsketch.hashing import SignHash
 from prodsketch.oracle import (
     FrequencyTable,
     exact_l2sq,
@@ -103,7 +103,7 @@ def test_criterion_2_variance_bounds():
 def test_criterion_3_tightness_ratios():
     with criterion(3, "Omega(3^k) tightness of the variance"):
         for k in (1, 2):
-            moments = exhaustive_moments(uniform_vector(4, k), spec=W2, k=k, n=4)
+            moments = exhaustive_moments(uniform_vector(4, k), spec=W2, n=4)
             assert moments.ratio == PINNED_TIGHTNESS[k]
             assert moments.ratio >= Fraction(3**k, 2)
 
@@ -145,8 +145,8 @@ def test_criterion_6_exact_zero_cases():
         config = SketchConfig(k=2, n=4, spec=W2)
         for s in range(256):
             hashes = (
-                SignHash(W2, SignHashSeed.from_int(s, 2), 4),
-                SignHash(W2, SignHashSeed.from_int((151 * s + 40) % 256, 2), 4),
+                SignHash(W2, s, 4),
+                SignHash(W2, (151 * s + 40) % 256, 4),
             )
             single = SketchInstance(config, hashes)
             single.update_item((1, 3))

@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import prodsketch
-from prodsketch import cli
+from prodsketch import cli, streamfile
 from prodsketch.cli import EXIT_DATA, EXIT_OK, EXIT_SELFTEST, EXIT_USAGE, main, smallest_width
 from prodsketch.estimator import AccuracyParams, EstimatorBank, StateSize, derive_shape
 from prodsketch.streamfile import _BLOCK_LINES
@@ -226,6 +226,35 @@ def test_non_ascii_input_fails_alike_from_file_and_stdin(tmp_path, capsys, monke
     assert from_file == from_stdin
     code, out, err = from_file
     assert code == EXIT_DATA and out == "" and err.startswith(f"error: {message}")
+
+
+def test_crlf_stream_reads_as_its_lf_stream_from_file_and_stdin(stream_file, tmp_path, capsys,
+                                                                monkeypatch):
+    # Universal newlines turn each \r\n into \n for a file and for stdin
+    # alike, so a CRLF stream takes the vectorised pass: with the per-line
+    # parser made to raise, it reports and snapshots what the LF stream does.
+    def report(code_out_err):
+        code, out, err = code_out_err
+        assert code == EXIT_OK, err
+        return {k: v for k, v in parse_report(out).items() if k != "elapsed_ms"}
+
+    crlf = tmp_path / "crlf.txt"
+    crlf.write_bytes(stream_file.read_bytes().replace(b"\n", b"\r\n"))
+    snaps = [tmp_path / f"{name}.snap" for name in ("lf", "file", "stdin")]
+    want = report(run(capsys, "estimate", "--input", str(stream_file),
+                      "--snapshot-out", str(snaps[0])))
+
+    def no_line_parser(*args):
+        raise AssertionError("a CRLF line reached the per-line parser")
+
+    monkeypatch.setattr(streamfile, "_parse_line", no_line_parser)
+    got_file = report(run(capsys, "estimate", "--input", str(crlf),
+                          "--snapshot-out", str(snaps[1])))
+    stdin = io.TextIOWrapper(io.BytesIO(crlf.read_bytes()), encoding="utf-8")
+    monkeypatch.setattr("sys.stdin", stdin)
+    got_stdin = report(run(capsys, "estimate", "--input", "-", "--snapshot-out", str(snaps[2])))
+    assert got_file == got_stdin == want and want["m"] == "200"
+    assert snaps[0].read_bytes() == snaps[1].read_bytes() == snaps[2].read_bytes()
 
 
 def test_usage_errors_exit_1(capsys):

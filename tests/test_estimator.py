@@ -92,6 +92,16 @@ def test_bank_shape_validation():
         SketchConfig(k=0, n=4, spec=W2)
 
 
+def test_bank_takes_exactly_one_of_params_and_shape():
+    # With both, one of them would be read nowhere.
+    params, shape = AccuracyParams(0.5, 0.1), BankShape(3, 2)
+    for kwargs in ({}, {"params": params, "shape": shape}):
+        with pytest.raises(ValueError, match="exactly one of params"):
+            EstimatorBank(CFG, **kwargs)
+    assert EstimatorBank(CFG, shape=shape).shape == shape
+    assert EstimatorBank(CFG, params=params).shape == derive_shape(params, CFG.k)
+
+
 def test_state_size_accounting():
     assert small_bank(s1=1, s2=1, config=SketchConfig(k=1, n=2, spec=W2)).state_size().counters == 2
     b = small_bank(s1=64, s2=4)

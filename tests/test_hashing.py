@@ -14,13 +14,11 @@ from prodsketch.hashing import (
     MAX_GROUP,
     MAX_INDEX,
     SignHash,
-    SignHashSeed,
     batch_sign_eval,
     coefficient_counter,
     derive_coefficients_batch,
     derive_hashes,
     pack_words,
-    sign_hash_eval,
     symbol_words,
 )
 
@@ -28,18 +26,30 @@ W1 = FieldSpec(1)
 W2 = FieldSpec(2)
 
 
+def _seed(coefs, width):
+    """The packed seed c0 | c1 << w | c2 << 2w | c3 << 3w of coefficients (c0, c1, c2, c3)."""
+    return sum(int(c) << j * width for j, c in enumerate(coefs))
+
+
+def _limb_seeds(words):
+    """The integer of each hash's little-endian uint64 limbs (last axis): a
+    derived seed must equal it, which holds the scalar derivation against
+    the batch one without packing through ``pack_words``."""
+    return [int.from_bytes(w.astype("<u8").tobytes(), "little") for w in words]
+
+
 def test_zero_polynomial_is_plus_one_everywhere():
-    h = SignHash(W2, SignHashSeed(0, 0, 0, 0), 4)
+    h = SignHash(W2, 0, 4)
     assert [h(x) for x in range(4)] == [1, 1, 1, 1]
 
 
 def test_constant_one_polynomial_is_minus_one_everywhere():
-    h = SignHash(W2, SignHashSeed(1, 0, 0, 0), 4)
+    h = SignHash(W2, 1, 4)
     assert [h(x) for x in range(4)] == [-1, -1, -1, -1]
 
 
 def test_eval_is_pure_and_in_range():
-    h = SignHash(W2, SignHashSeed(3, 1, 2, 0), 4)
+    h = SignHash(W2, _seed((3, 1, 2, 0), 2), 4)
     first = [h(x) for x in range(4)]
     assert all(s in (-1, 1) for s in first)
     assert [h(x) for x in range(4)] == first
@@ -47,12 +57,13 @@ def test_eval_is_pure_and_in_range():
 
 def test_domain_preconditions():
     with pytest.raises(ValueError):
-        SignHash(W2, SignHashSeed(0, 0, 0, 0), 5)  # n > 2^w
-    h = SignHash(W2, SignHashSeed(0, 0, 0, 0), 3)
+        SignHash(W2, 0, 5)  # n > 2^w
+    h = SignHash(W2, 0, 3)
     with pytest.raises(ValueError):
-        sign_hash_eval(h, 3)
-    with pytest.raises(ValueError):
-        SignHash(W2, SignHashSeed(4, 0, 0, 0), 4)  # coefficient outside field
+        h(3)
+    for seed in (-1, 256):  # outside the 4w-bit family, never read as seed 0
+        with pytest.raises(ValueError, match="seed outside the family"):
+            SignHash(W2, seed, 4)
 
 
 def test_exact_4wise_uniformity_by_full_enumeration():
@@ -60,7 +71,7 @@ def test_exact_4wise_uniformity_by_full_enumeration():
     # 256/16 seeds; scalar evaluation, independent of the oracle tables.
     counts = Counter()
     for s in range(256):
-        h = SignHash(W2, SignHashSeed.from_int(s, 2), 4)
+        h = SignHash(W2, s, 4)
         counts[tuple(h(x) for x in (0, 1, 2, 3))] += 1
     assert len(counts) == 16
     assert set(counts.values()) == {16}
@@ -70,7 +81,7 @@ def test_singleton_and_pairwise_uniformity_follow():
     for points in [(2,), (0, 3)]:
         counts = Counter()
         for s in range(256):
-            h = SignHash(W2, SignHashSeed.from_int(s, 2), 4)
+            h = SignHash(W2, s, 4)
             counts[tuple(h(x) for x in points)] += 1
         assert set(counts.values()) == {256 // 2 ** len(points)}
 
@@ -83,10 +94,12 @@ def test_make_independent_hashes_deterministic():
 
 def test_derivation_fixed_vectors_differ_between_masters():
     # Frozen regression of the documented counter-mode derivation.
-    seeds_1 = [h.seed.as_tuple() for h in derive_hashes(1, 3, W2, 4)]
-    seeds_2 = [h.seed.as_tuple() for h in derive_hashes(2, 3, W2, 4)]
-    assert seeds_1 == [(1, 3, 2, 3), (1, 0, 1, 1), (0, 2, 1, 2)]
-    assert seeds_2 == [(2, 2, 3, 0), (1, 3, 2, 3), (3, 0, 1, 3)]
+    # The seeds pack coefficients (1, 3, 2, 3), (1, 0, 1, 1), (0, 2, 1, 2)
+    # and (2, 2, 3, 0), (1, 3, 2, 3), (3, 0, 1, 3), c0 first.
+    seeds_1 = [h.seed for h in derive_hashes(1, 3, W2, 4)]
+    seeds_2 = [h.seed for h in derive_hashes(2, 3, W2, 4)]
+    assert seeds_1 == [237, 81, 152]
+    assert seeds_2 == [58, 237, 211]
     assert seeds_1 != seeds_2
 
 
@@ -114,14 +127,9 @@ def _symbols_across_field(spec, rng, count=40):
     return np.array(sorted({0, 1, top, *randoms, *highs}), dtype=np.uint64)
 
 
-def _packed(hashes, width):
-    """The scalar derivation's coefficients, packed as the batch path packs them."""
-    return pack_words(np.array([h.seed.as_tuple() for h in hashes], dtype=np.uint64), width)
-
-
 def test_batch_matches_scalar_across_widths():
-    # One cell at a time, the first and one past it: its words are its
-    # scalar hashes packed, and its signs are theirs, at every width.
+    # One cell at a time, the first and one past it: its words are the limbs
+    # of its scalar hashes' seeds, and its signs are theirs, at every width.
     for width in SUPPORTED_WIDTHS:
         spec = FieldSpec(width)
         xs = _symbols_across_field(spec, np.random.default_rng(width))
@@ -130,7 +138,7 @@ def test_batch_matches_scalar_across_widths():
             words = derive_coefficients_batch(12345, cell, cell + 1, 5, 3, spec)
             assert words.shape == (1, 3, -(-4 * width // 64)) and words.dtype == np.uint64
             hashes = derive_hashes(12345, 3, spec, group=group, index=index)
-            assert np.array_equal(words[0], _packed(hashes, width))
+            assert _limb_seeds(words[0]) == [h.seed for h in hashes]
             table = batch_sign_eval(words[0], symbol_words(xs, spec))
             assert table.dtype == np.int8 and table.shape == (3, len(xs))
             for dim, h in enumerate(hashes):
@@ -138,12 +146,12 @@ def test_batch_matches_scalar_across_widths():
 
 
 def _assert_range_matches_scalar(seed, lo, hi, indexes, k, spec):
-    """Cells [lo, hi) of a bank of ``indexes`` cells a group, each its scalar hashes packed."""
+    """Cells [lo, hi) of a bank of ``indexes`` cells a group, each the limbs of its scalar seeds."""
     words = derive_coefficients_batch(seed, lo, hi, indexes, k, spec)
     assert words.shape == (hi - lo, k, -(-4 * spec.width // 64)) and words.dtype == np.uint64
     for cell, row in enumerate(words, lo):
         hashes = derive_hashes(seed, k, spec, group=cell // indexes, index=cell % indexes)
-        assert np.array_equal(row, _packed(hashes, spec.width)), (spec.width, lo, hi, cell)
+        assert _limb_seeds(row) == [h.seed for h in hashes], (spec.width, lo, hi, cell)
 
 
 def test_batch_matches_scalar_on_ragged_ranges():
@@ -181,8 +189,8 @@ def test_batch_matches_scalar_on_reducible_polynomial(width, poly):
     coefs &= np.uint64(spec.mask)
     table = batch_sign_eval(pack_words(coefs, width), symbol_words(xs, spec))
     for row, c in zip(table, coefs.tolist()):
-        h = SignHash(spec, SignHashSeed(*c), spec.order)
-        assert [sign_hash_eval(h, int(x)) for x in xs] == row.tolist()
+        h = SignHash(spec, _seed(c, width), spec.order)
+        assert [h(int(x)) for x in xs] == row.tolist()
 
 
 @pytest.mark.parametrize("buffer", ["one word", "part of a row", "ragged rows"])
@@ -203,8 +211,8 @@ def test_batch_matches_scalar_through_any_and_buffer(monkeypatch, buffer):
         coefs = rng.integers(0, 1 << 63, size=(15, 4), dtype=np.uint64) & np.uint64(spec.mask)
         seeds = pack_words(coefs, width)
         cases = [(cells, [derive_hashes(77, 3, spec, index=c) for c in range(5)]),
-                 (seeds, [SignHash(spec, SignHashSeed(*c), spec.order) for c in coefs.tolist()]),
-                 (seeds[3], SignHash(spec, SignHashSeed(*coefs[3].tolist()), spec.order))]
+                 (seeds, [SignHash(spec, _seed(c, width), spec.order) for c in coefs]),
+                 (seeds[3], SignHash(spec, _seed(coefs[3], width), spec.order))]
         for words, hashes in cases:
             table = batch_sign_eval(words, masks)
             expect = np.vectorize(lambda h: np.array([h(int(x)) for x in xs]),
@@ -233,16 +241,15 @@ def test_batch_holds_one_byte_per_sign_beside_the_and_buffer():
         assert peak <= table.size + 9 * hashing._AND_WORDS + (256 << 10), width
 
 
-def test_direct_enumeration_covers_every_seed_pair_once():
-    # The oracle configuration enumerates seed tuples directly; at w=1 the
-    # full product space is 16 x 16 with every pair hit exactly once.
-    pairs = Counter(
-        (s, t) for s in range(16) for t in range(16)
-    )
-    assert len(pairs) == 256 and set(pairs.values()) == {1}
-    # and each packed seed decodes to a distinct coefficient tuple
-    decoded = {SignHashSeed.from_int(s, 1).as_tuple() for s in range(16)}
-    assert len(decoded) == 16
+def test_family_is_exactly_the_4w_bit_seeds():
+    # The oracle enumerates seeds 0 .. 2^(4w) - 1 directly: at w=1 each of
+    # the 16 constructs, and at every width the next seed is past the family.
+    assert [SignHash(W1, s, 2).seed for s in range(16)] == list(range(16))
+    for width in SUPPORTED_WIDTHS:
+        top = (1 << 4 * width) - 1
+        assert SignHash(FieldSpec(width), top, 2).seed == top
+        with pytest.raises(ValueError, match="seed outside the family"):
+            SignHash(FieldSpec(width), top + 1, 2)
 
 
 def test_k_bounds():

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 from prodsketch import oracle
 from prodsketch.estimator import BankShape, EstimatorBank
 from prodsketch.field import FieldSpec
-from prodsketch.hashing import SignHash, SignHashSeed, batch_sign_eval
+from prodsketch.hashing import SignHash, batch_sign_eval
 from prodsketch.oracle import (
     EnumerationBudgetError,
     FrequencyTable,
@@ -35,6 +35,15 @@ W2 = FieldSpec(2)
 def joint(table):
     """The table's joint counts as a dict from k-tuples to counts."""
     return dict(zip(map(tuple, table.rows.tolist()), table.counts.tolist()))
+
+
+def marginals(table):
+    """Each dimension's counts by symbol, summed from the joint counts."""
+    margs = [collections.Counter() for _ in range(table.k)]
+    for item, f in joint(table).items():
+        for i, x in enumerate(item):
+            margs[i][x] += f
+    return margs
 
 
 def brute_l2sq(stream, k, n):
@@ -58,8 +67,8 @@ def brute_l2sq(stream, k, n):
 
 def scalar_l2sq(table):
     """The distance from the table one joint cell at a time, in Python ints."""
-    m, k, margs = table.m, table.k, table.marginals.tolist()
-    total = math.prod(sum(c * c for c in marg) for marg in margs)
+    m, k, margs = table.m, table.k, marginals(table)
+    total = math.prod(sum(c * c for c in marg.values()) for marg in margs)
     scale = m ** (k - 1)
     for item, f in joint(table).items():
         p = math.prod(margs[i][x] for i, x in enumerate(item))
@@ -75,9 +84,7 @@ def brute_moments(stream, k, n, spec):
     e_y = Fraction(0)
     e_y2 = Fraction(0)
     for packed in itertools.product(range(seeds), repeat=k):
-        hashes = tuple(
-            SignHash(spec, SignHashSeed.from_int(s, spec.width), n) for s in packed
-        )
+        hashes = tuple(SignHash(spec, s, n) for s in packed)
         inst = SketchInstance(config, hashes)
         for a in stream:
             inst.update_item(a)
@@ -152,12 +159,6 @@ def test_frequency_table_invariants():
     stream = list(generate(GenSpec(n=4, k=2, m=50, lam=0.5, rng_seed=6)))
     t = FrequencyTable.from_stream(stream, k=2, n=4)
     assert sum(joint(t).values()) == t.m == 50
-    for i in range(2):
-        assert sum(t.marginals.tolist()[i]) == t.m
-        for x in range(4):
-            assert t.marginals.tolist()[i][x] == sum(
-                f for item, f in joint(t).items() if item[i] == x
-            )
     with pytest.raises(ValueError):
         t.add((9, 0))
     with pytest.raises(ValueError):
@@ -179,7 +180,6 @@ def test_table_refuses_what_the_bank_refuses():
         with pytest.raises(ValueError):
             table.add(item)
         assert (joint(table), table.m) == ({(1, 2): 2}, 2)
-        assert table.marginals.tolist() == [[0, 2, 0, 0], [0, 0, 2, 0]]
         assert exact_l2sq(table) == 0
     assert bank.item_count == 0
     # Python ints, numpy ints of any width and bools are integers.
@@ -202,7 +202,6 @@ def test_add_is_exact_or_refused():
         with pytest.raises(ValueError):
             table.add(item, count)
     assert joint(table) == {(0, 1): (1 << 53) - 1} and table.m == (1 << 53) - 1
-    assert table.marginals.tolist() == [[(1 << 53) - 1, 0], [0, (1 << 53) - 1]]
 
 
 def test_enumerated_moments_match_instance_bruteforce_w1_k2():
@@ -218,13 +217,13 @@ def test_enumerated_moments_match_instance_bruteforce_w1_k2():
 
 def test_enumerated_turnstile_matches_definition_w1_k2():
     vec = {(0, 0): Fraction(1, 2), (0, 1): -1, (1, 1): Fraction(3, 4)}
-    fast = exhaustive_moments(vec, spec=W1, k=2, n=2)
+    fast = exhaustive_moments(vec, spec=W1, n=2)
     # direct: iterate all 256 seed pairs, Y = (sum w * h1 * h2)^2
     e_y = Fraction(0)
     e_y2 = Fraction(0)
     for s, t in itertools.product(range(16), repeat=2):
-        h1 = SignHash(W1, SignHashSeed.from_int(s, 1), 2)
-        h2 = SignHash(W1, SignHashSeed.from_int(t, 1), 2)
+        h1 = SignHash(W1, s, 2)
+        h2 = SignHash(W1, t, 2)
         acc = sum((Fraction(w) * h1(p[0]) * h2(p[1]) for p, w in vec.items()),
                   Fraction(0))
         y = acc * acc
@@ -270,7 +269,7 @@ def test_uniform_vector_tightness_pinned():
     from prodsketch.selftest import PINNED_TIGHTNESS, uniform_vector
 
     for k in (1, 2):
-        m = exhaustive_moments(uniform_vector(4, k), spec=W2, k=k, n=4)
+        m = exhaustive_moments(uniform_vector(4, k), spec=W2, n=4)
         assert m.ratio == PINNED_TIGHTNESS[k]
         assert m.variance <= (3**k - 1) * m.expectation**2
 
@@ -291,7 +290,7 @@ def test_refusals_come_before_any_expansion(monkeypatch):
     # neither its counts nor the sign table may be read first.
     class Untouchable(FrequencyTable):
         def __getattribute__(self, name):
-            if name in ("rows", "counts", "joint", "marginals"):
+            if name in ("rows", "counts", "joint"):
                 raise AssertionError("counts read before the refusal")
             return super().__getattribute__(name)
 
@@ -311,11 +310,11 @@ def test_refusals_come_before_any_expansion(monkeypatch):
 
 
 def test_sign_table_row_is_its_seeds_hash():
-    # Row s holds the hash of SignHashSeed.from_int(s): for w <= 16 a seed is
-    # its own packed hash word.  Moments cannot see this, since they are
+    # Row s holds the hash SignHash(spec, s, n): for w <= 16 a seed is its
+    # own packed hash word.  Moments cannot see this, since they are
     # invariant under any permutation of the seeds.
     for spec, n in ((W1, 2), (W2, 4)):
-        want = [[SignHash(spec, SignHashSeed.from_int(s, spec.width), n)(x) for x in range(n)]
+        want = [[SignHash(spec, s, n)(x) for x in range(n)]
                 for s in range(1 << (4 * spec.width))]
         assert oracle.all_seed_signs(spec, n).tolist() == want
 
@@ -336,7 +335,7 @@ def test_cleared_sign_table_cache_is_built_again(monkeypatch):
 # below shares nothing with the oracle's sign tables.
 W1_HASHES = [
     [h(0), h(1)].__getitem__
-    for h in (SignHash(W1, SignHashSeed.from_int(s, 1), 2) for s in range(16))
+    for h in (SignHash(W1, s, 2) for s in range(16))
 ]
 
 
@@ -384,7 +383,7 @@ def test_enumeration_matches_per_seed_vector_loop(k, n, weights):
                   Fraction(0))
         return acc * acc
 
-    fast = exhaustive_moments(vec, spec=W1, k=k, n=n)
+    fast = exhaustive_moments(vec, spec=W1, n=n)
     assert (fast.expectation, fast.variance) == per_tuple_moments(direct_y, k)
 
 
@@ -420,7 +419,7 @@ def test_w2_enumeration_matches_every_seed_tuple():
         grid[p] = int(w * 3)
     # The same weights at k = 1 (their first symbols are distinct) and at k = 2.
     for vec, v in (({p[:1]: w for p, w in big.items()}, grid.sum(1)), (big, grid)):
-        fast = exhaustive_moments(vec, spec=W2, k=v.ndim, n=4)
+        fast = exhaustive_moments(vec, spec=W2, n=4)
         assert (fast.expectation, fast.variance) == seed_table_moments(v, 3)
 
 
@@ -442,9 +441,9 @@ def test_a_flipped_seed_sign_is_caught(monkeypatch):
 def test_negating_the_sign_table_leaves_the_moments(k, n, weights):
     # Y is even in each dimension's sign, so negating every seed's row is invisible.
     vec = dict(zip(itertools.product(range(n), repeat=k), weights))
-    moments, negated = exhaustive_moments(vec, spec=W2, k=k, n=n), -oracle.all_seed_signs(W2, n)
+    moments, negated = exhaustive_moments(vec, spec=W2, n=n), -oracle.all_seed_signs(W2, n)
     with mock.patch.object(oracle, "all_seed_signs", lambda spec, n: negated):
-        assert exhaustive_moments(vec, spec=W2, k=k, n=n) == moments
+        assert exhaustive_moments(vec, spec=W2, n=n) == moments
 
 
 def test_full_budget_enumeration_stays_small():
@@ -453,7 +452,7 @@ def test_full_budget_enumeration_stays_small():
     oracle.all_seed_signs(W2, 4)  # the cached sign table is not counted
     tracemalloc.start()
     try:
-        exhaustive_moments(uniform_vector(4, 3), spec=W2, k=3, n=4)  # 2^24 seed tuples
+        exhaustive_moments(uniform_vector(4, 3), spec=W2, n=4)  # 2^24 seed tuples
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -507,7 +506,7 @@ def test_bounded_dtype_enumeration_equals_python_int_contraction(width, k, n_fra
     n = max(1, math.ceil(n_frac * spec.order))
     vec = dict(zip(itertools.product(range(n), repeat=k), itertools.cycle(weights)))
     assume(any(vec.values()))
-    got = exhaustive_moments(vec, spec=spec, k=k, n=n)
+    got = exhaustive_moments(vec, spec=spec, n=n)
     assert (got.expectation, got.variance) == object_moments(vec, k, n, spec)
 
 
@@ -570,7 +569,19 @@ def test_turnstile_requires_n():
     with pytest.raises(ValueError):
         exhaustive_moments({(0, 0): 1}, spec=W1)
     with pytest.raises(ValueError):
-        exhaustive_moments({}, spec=W1, k=2, n=2)
+        exhaustive_moments({}, spec=W1, n=2)
+
+
+def test_arguments_read_nowhere_are_refused():
+    # A table carries its own k and n, and a vector's arity is the length
+    # of its keys: neither may be overridden by an argument that is ignored.
+    table = FrequencyTable.from_stream([(0, 1), (1, 1), (2, 0)], k=2, n=4)
+    with pytest.raises(ValueError, match="its own n"):
+        exhaustive_moments(table, spec=W2, n=3)
+    with pytest.raises(ValueError, match="its own n"):
+        exhaustive_moments(table, spec=W2, n=4)
+    with pytest.raises(TypeError):
+        exhaustive_moments({(0, 0): 1}, spec=W1, k=2, n=2)
 
 
 @settings(max_examples=150, deadline=None)
@@ -584,22 +595,18 @@ def test_from_blocks_equals_scalar_table(k, n, data):
     table = FrequencyTable.from_blocks(iter(blocks), k, n)
     # The reference is built outside FrequencyTable: from_stream shares its code.
     counts = dict(collections.Counter(items))
-    marginals = [[sum(f for p, f in counts.items() if p[i] == x) for x in range(n)]
-                 for i in range(k)]
-    assert (table.m, table.marginals.tolist(), joint(table)) == (len(items), marginals, counts)
-    assert table.marginals.dtype == np.int64
+    assert (table.m, joint(table)) == (len(items), counts)
     assert joint(FrequencyTable.from_stream(items, k=k, n=n)) == counts
     assert exact_l2sq(table) == scalar_l2sq(table) == brute_l2sq(items, k, n)
     support = len(counts)
     FrequencyTable.from_blocks(iter(blocks), k, n, max_support=support)
     with pytest.raises(ValueError, match=f"memory budget of {support - 1} entries"):
         FrequencyTable.from_blocks(iter(blocks), k, n, max_support=support - 1)
-    # One more add: the marginals read afterwards count the new item too.
+    # One more add: the counts read afterwards count the new item too.
     extra = data.draw(st.tuples(*[st.integers(0, n - 1)] * k))
     table.add(extra)
     items.append(extra)
-    marginals = [[sum(1 for p in items if p[i] == x) for x in range(n)] for i in range(k)]
-    assert (table.m, table.marginals.tolist()) == (len(items), marginals)
+    assert (table.m, joint(table)) == (len(items), dict(collections.Counter(items)))
 
 
 @settings(max_examples=150, deadline=None)
@@ -620,7 +627,7 @@ def test_exact_l2sq_equals_scalar_formula_at_any_count(k, n, counts, data):
 
 def brute_table_l2sq(table):
     """The definition over all of [n]^k, from the table's counts."""
-    m, total, margs, counts = table.m, Fraction(0), table.marginals.tolist(), joint(table)
+    m, total, margs, counts = table.m, Fraction(0), marginals(table), joint(table)
     for omega in itertools.product(range(table.n), repeat=table.k):
         prod = math.prod(Fraction(margs[i][x], m) for i, x in enumerate(omega))
         total += (Fraction(counts.get(omega, 0), m) - prod) ** 2

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from prodsketch import sketch
 from prodsketch.field import FieldSpec
-from prodsketch.hashing import SignHash, SignHashSeed, derive_hashes
+from prodsketch.hashing import SignHash, derive_hashes
 from prodsketch.sketch import (
     EmptyStreamError,
     SketchConfig,
@@ -43,8 +43,8 @@ def test_product_hash_is_plain_hash_at_k1():
 
 
 def test_product_hash_example_and_closure():
-    h1 = SignHash(W2, SignHashSeed.from_int(0, 2), 4)   # +1 everywhere
-    h2 = SignHash(W2, SignHashSeed.from_int(4, 2), 4)   # the polynomial x
+    h1 = SignHash(W2, 0, 4)   # +1 everywhere
+    h2 = SignHash(W2, 4, 4)   # the polynomial x
     inst = SketchInstance(CFG22, (h1, h2))
     assert h1(1) == 1 and h2(3) == -1
     inst.update_item((1, 3))
@@ -67,8 +67,8 @@ def test_tuple_validation():
 
 def test_single_item_is_exact_zero_for_every_seed():
     for s in range(256):
-        h1 = SignHash(W2, SignHashSeed.from_int(s, 2), 4)
-        h2 = SignHash(W2, SignHashSeed.from_int((s * 7 + 3) % 256, 2), 4)
+        h1 = SignHash(W2, s, 4)
+        h2 = SignHash(W2, (s * 7 + 3) % 256, 4)
         inst = SketchInstance(CFG22, (h1, h2))
         inst.update_item((2, 1))
         assert inst.finalize_exact() == 0
@@ -77,8 +77,8 @@ def test_single_item_is_exact_zero_for_every_seed():
 
 def test_constant_stream_is_exact_zero():
     for s in (0, 5, 77, 200, 255):
-        h1 = SignHash(W2, SignHashSeed.from_int(s, 2), 4)
-        h2 = SignHash(W2, SignHashSeed.from_int(255 - s, 2), 4)
+        h1 = SignHash(W2, s, 4)
+        h2 = SignHash(W2, 255 - s, 4)
         inst = SketchInstance(CFG22, (h1, h2))
         for _ in range(9):
             inst.update_item((3, 0))
@@ -87,7 +87,7 @@ def test_constant_stream_is_exact_zero():
 
 def test_worked_two_item_stream():
     # h(x) = x gives h(0)=+1, h(1)=-1; stream {(0,0),(1,1)} has Y = 1.
-    h = SignHash(W2, SignHashSeed(0, 1, 0, 0), 2)
+    h = SignHash(W2, 1 << 2, 2)  # c1 = 1
     inst = SketchInstance(SketchConfig(k=2, n=2, spec=W2), (h, h))
     inst.update_item((0, 0))
     inst.update_item((1, 1))
