@@ -22,14 +22,17 @@ the stream's frequency vector, so ``ingest_blocks``, the one ingest path
 each run of ``streamfile.row_runs``, an exact histogram of distinct rows, to
 the counters at once: arithmetically ``SketchInstance.update_item`` per item
 per cell, and ``instance_view`` materializes any cell as one.  A run is
-walked in slabs of cells that fit in ``_WORKING_ENTRIES`` (4 MiB).  Per slab
-``hashing.derive_coefficients_batch`` derives the hash words (no other
-operation on a bank derives them) and ``batch_sign_eval`` fills each
-dimension's int8 signs at the run's distinct symbols.  t1 = sum_x f(x)
-prod_d h_d(x_d) factorises over dimensions: a run whose symbol grid is at
-most ``_DENSE_GRID`` times its support is contracted as a dense histogram, a
-sparser one row by row, both exactly (``_add_rows``).
-Ingestion is single-writer; estimation is read-only.
+walked in slabs of cells that fit in ``_WORKING_ENTRIES`` (4 MiB) beside the
+run's tables.  Per slab ``hashing.derive_coefficients_batch`` derives the
+hash words (no other operation on a bank derives them).  A sign is the
+parity of a hash word and a symbol's masks, so a cell's signs over a
+dimension's distinct symbols pack into a code, the XOR of one byte-table
+lookup per byte of its word (``hashing.sign_codes``).  A run whose symbol
+grid is at most ``_DENSE_GRID`` times its support is dense: its codes index
+tables of the marginal sums and of the histogram contracted over the sign
+patterns of the first dimensions, the Method of Four Russians (``_DenseRun``).
+A sparser run is contracted row by row over int8 signs (``_RowRun``).  Both
+are exact.  Ingestion is single-writer; estimation is read-only.
 
 Finalize uses the same rule as ``SketchInstance.finalize``
 (``sketch.finalize_values``), ``SLAB_ENTRIES`` cells at a time: U
@@ -62,10 +65,14 @@ import numpy as np
 
 from .field import FieldSpec
 from .hashing import (
+    BYTE_SIGNS,
     MAX_GROUP,
     MAX_INDEX,
     batch_sign_eval,
+    code_signs,
     derive_coefficients_batch,
+    sign_codes,
+    sign_tables,
     symbol_words,
 )
 from .sketch import EmptyStreamError, SketchConfig, SketchInstance, finalize_values
@@ -80,13 +87,15 @@ _SNAPSHOT_VERSION = 1
 SLAB_ENTRIES = 1 << 16
 # An ingest run ends once its merged support passes _CHUNK_ITEMS rows.
 _CHUNK_ITEMS = 8192
-# Cap on the bytes of one cell slab of an ingest run, 4 MiB: a cell's int8
-# signs, float64 entries and derived hash coefficients (see _add_rows).
+# Cap on the bytes of an ingest run's tables and one slab of its cells, 4 MiB
+# (``EstimatorBank._run`` counts them).
 _WORKING_ENTRIES = 1 << 22
 # A run whose symbol grid (the product over dimensions of its distinct
 # symbol counts) has at most _DENSE_GRID cells per distinct row is
 # contracted as a dense histogram instead of row by row.
 _DENSE_GRID = 4
+# Cap on the bytes of a dense run's pattern and tail tables, a third of the working set.
+_TABLE_BYTES = _WORKING_ENTRIES // 3
 
 
 @dataclass(frozen=True)
@@ -166,12 +175,171 @@ def _median_lower(values: np.ndarray) -> float:
     return float(ordered[(len(ordered) - 1) // 2])
 
 
+def _pattern_sums(t: np.ndarray) -> np.ndarray:
+    """(..., g, n) -> (..., 2^g, n): row p sums t's rows x times (-1)^(bit x of p).
+
+    Up to 8 rows by ``BYTE_SIGNS``; past that, row p is row p mod 256 of the
+    first 8 rows' sums plus row p >> 8 of the rest's.  It holds little more
+    than its result.
+    """
+    g = t.shape[-2]
+    if g <= 8:
+        return BYTE_SIGNS[: 1 << g, :g] @ t
+    low, high = _pattern_sums(t[..., :8, :]), _pattern_sums(t[..., 8:, :])
+    return (high[..., :, None, :] + low[..., None, :, :]).reshape(t.shape[:-2] + (1 << g, t.shape[-1]))
+
+
 def _kron_rows(matrices: list[np.ndarray], cells: int) -> np.ndarray:
-    """Kronecker product, cell by cell, of (g_d, cells) int8 sign matrices: (prod g_d, cells)."""
-    out = np.ones((1, cells), dtype=np.int8)
+    """Kronecker product, cell by cell, of (cells, g_d) int8 sign rows: (cells, prod g_d)."""
+    out = np.ones((cells, 1), dtype=np.int8)
     for matrix in matrices:
-        out = np.einsum("ij,kj->ikj", out, matrix).reshape(-1, cells)
+        out = np.einsum("ci,cj->cij", out, matrix).reshape(cells, -1)
     return out
+
+
+def _dense_plan(grid: list[int]) -> tuple[int, int] | None:
+    """How a dense run's tables split (``_DenseRun``): the (j, c) within
+    ``_TABLE_BYTES`` that gathers the fewest entries a cell, or None (the
+    split product) where that is a quarter of the grid or more."""
+    best, cost = None, math.prod(grid) // 4
+    for j in range(1, len(grid) + 1):
+        width = math.prod(grid[j:])
+        for c in (1, 2, 4, 8):
+            chunks = -(-grid[0] // c)
+            size = (4 * chunks << c + sum(grid[1:j])) * width + (width << sum(grid[j:]))
+            if size <= _TABLE_BYTES and (chunks + 1) * width < cost:
+                best, cost = (j, c), (chunks + 1) * width
+    return best
+
+
+class _DenseRun:
+    """A dense run, read from tables by each cell's codes (Four Russians).
+
+    Dimension d's code packs a cell's parities over its g_d symbols
+    (``hashing.sign_codes``); its marginal sum adds, over the code's bytes b,
+    M[b][v] = sum_x tally_d(x) (-1)^(bit x of v).  A pattern table row is
+    indexed by a c-bit chunk of dimension 0's code and the codes of
+    dimensions 1 .. j-1, and holds the histogram contracted over them:
+    ceil(g_0/c) tables of 2^(c + g_1 + ... + g_(j-1)) rows of g_j ... g_(k-1)
+    int32 entries.  t1 is the sum of the cell's rows dotted with its tail
+    sign row, the Kronecker product of its signs from dimension j on, read
+    from a table by their joint code.  A run too wide for tables takes the
+    split product: with the histogram as a (G_A, G_B) matrix H split after
+    dimension j, t1 = K_A H K_B, K_A and K_B the Kronecker products of the
+    cell's sign rows before and after j.
+    """
+
+    def __init__(self, grid, masks, tallies, hist, total):
+        self.grid, self.plan = grid, _dense_plan(grid)
+        self.tables = [sign_tables(m) for m in masks]
+        padded = [np.append(t, np.zeros(-len(t) % 8)).reshape(-1, 8, 1) for t in tallies]
+        self.marg = [_pattern_sums(p)[..., 0].astype(np.int64) for p in padded]
+        self.fixed = sum(t.nbytes + 8 * t[0].size for t in self.tables)
+        self.cell = sum(9 * t.shape[2] for t in self.tables)  # a cell's codes and a marginal lookup
+        if self.plan is None:
+            # A cell holds its sign rows, K_A and K_B, K_A widened to float64
+            # for BLAS, and K_A H: G_A + G_B is fewest at j.
+            split = range(1, len(grid) + 1)
+            self.j = min(split, key=lambda d: math.prod(grid[:d]) + math.prod(grid[d:]))
+            self.pattern = hist.reshape(math.prod(grid[: self.j]), -1)
+            self.cell += 9 * sum(self.pattern.shape) + sum(8 * t.shape[2] for t in self.tables)
+        else:
+            self.j, c = self.plan
+            chunks, width = -(-grid[0] // c), math.prod(grid[self.j :])
+            pattern = np.zeros((chunks * c, hist.size // grid[0]))
+            pattern[: grid[0]] = hist.reshape(grid[0], -1)
+            pattern = pattern.reshape(chunks, c, -1)
+            for g in grid[1 : self.j]:
+                pattern = _pattern_sums(pattern).reshape(-1, g, pattern.shape[-1] // g)
+            pattern = _pattern_sums(pattern)
+            # Entries and partial sums are bounded by the run's item total.
+            self.pattern = pattern.reshape(-1, width).astype(np.int32 if total < 1 << 31 else np.int64)
+            self.tail = np.eye(width, dtype=np.int8).reshape(1, -1)  # sign rows, a dimension at a time
+            for g in grid[self.j :]:
+                self.tail = _pattern_sums(self.tail.reshape(-1, g, self.tail.shape[-1] // g))
+            self.tail = self.tail.reshape(-1, width)
+            # Chunk i's first row for each value of its byte of dimension 0's code.
+            bits, i = c + sum(grid[1 : self.j]), np.arange(chunks)[:, None]
+            chunk = np.arange(256) >> c * (i % (8 // c)) & (1 << c) - 1
+            self.chunk_rows = chunk << bits - c | i << bits
+            self.fixed += self.tail.nbytes + self.chunk_rows.nbytes
+            # Its joint code, its chunks' row indexes and rows, and its tail sign row.
+            self.cell += 8 * (1 + chunks) + self.pattern.itemsize * chunks * width + width
+        self.fixed += self.pattern.nbytes
+
+    def allocate(self, most):
+        if self.plan:
+            self.index = np.empty((len(self.chunk_rows), most), np.intp)
+            shape = (len(self.chunk_rows), most, self.pattern.shape[1])
+            self.gathered = np.empty(shape, self.pattern.dtype)
+
+    def add(self, words, counts):
+        cells, grid, j = len(words), self.grid, self.j
+        codes = [sign_codes(words[:, d], t) for d, t in enumerate(self.tables)]
+        for d, (code, marg) in enumerate(zip(codes, self.marg)):
+            for b, table in enumerate(marg):
+                counts[:, 1 + d] += np.take(table, code[:, b])
+        if self.plan is None:
+            signs = [code_signs(code)[:, :g] for code, g in zip(codes, grid)]
+            part = _kron_rows(signs[:j], cells).astype(np.float64) @ self.pattern
+            counts[:, 0] += np.einsum("ij,ij->i", part, _kron_rows(signs[j:], cells)).astype(np.int64)
+            return
+        joint, shift = np.zeros(cells, np.intp), sum(grid[1:])  # dimensions 1 .. k-1, the last lowest
+        for d in range(1, len(grid)):
+            shift -= grid[d]
+            for b in range(codes[d].shape[1]):
+                joint += np.left_shift(codes[d][:, b], shift + 8 * b, dtype=np.intp)
+        index, c, tail = self.index[:, :cells], self.plan[1], sum(grid[j:])
+        for i, rows in enumerate(self.chunk_rows):
+            np.take(rows, codes[0][:, i // (8 // c)], out=index[i])
+        index += joint >> tail
+        gathered = np.take(self.pattern, index, axis=0, out=self.gathered[:, :cells], mode="clip")
+        for rows in gathered[1:]:
+            gathered[0] += rows
+        joint &= (1 << tail) - 1
+        counts[:, 0] += np.einsum("ci,ci->c", gathered[0], np.take(self.tail, joint, axis=0))
+
+
+class _RowRun:
+    """A sparse run, contracted row by row over its cells' int8 signs.
+
+    A slab's (symbol, cell) signs are ``batch_sign_eval(masks, words)``, the
+    byte tables built from its hash words, or where far fewer symbols than
+    cells make that cheaper, the transpose of ``batch_sign_eval(words,
+    masks)``.  A cell holds its signs, their tables, and 8 bytes counted for
+    each (row, cell) product, 2 of them used.
+    """
+
+    def __init__(self, grid, masks, tallies, idx, weights, width):
+        self.masks, self.tallies, self.idx, self.weights = masks, tallies, idx, weights
+        self.table = 32 * -(-width // 2)  # table bytes a word or symbol adds: 256 a seed byte / 8
+        self.fixed, self.cell = 0, sum(grid) + 8 * len(weights) + self.table + 8
+
+    def allocate(self, most):
+        self.held = [np.empty((len(m), -(-most // 8), 8), np.int8) for m in self.masks]
+        self.prod, self.into = np.empty((2, len(self.weights), most), np.int8)
+
+    def add(self, words, counts):
+        cells, signs = len(words), []
+        for d, (m, held) in enumerate(zip(self.masks, self.held)):
+            held = held[:, : -(-cells // 8)]
+            # Tables from the symbols cost 256 + cells lookups a symbol byte and
+            # a transposing copy; from the words, 256 + symbols a cell byte.
+            if len(m) * (cells + self.table) < self.table * cells:
+                held = held.reshape(len(m), -1)[:, :cells]
+                held[...] = batch_sign_eval(words[:, d], m).T
+                signs.append(held)
+            else:
+                signs.append(batch_sign_eval(m, words[:, d], out=held))
+        for d, (matrix, tally) in enumerate(zip(signs, self.tallies)):
+            counts[:, 1 + d] += np.einsum("ij,i->j", matrix, tally).astype(np.int64)
+        # A row's signs are whole rows of the matrices; take writes to ``out``
+        # in place only in "clip" mode (no index is out of range).
+        part, gathered = self.prod[:, :cells], self.into[:, :cells]
+        part[...] = 1
+        for matrix, inverse in zip(signs, self.idx):
+            part *= np.take(matrix, inverse, axis=0, out=gathered, mode="clip")
+        counts[:, 0] += np.einsum("ij,i->j", part, self.weights).astype(np.int64)
 
 
 class EstimatorBank:
@@ -211,63 +379,42 @@ class EstimatorBank:
             self._add_rows(rows, counts)
         return self._m - m0
 
-    def _add_rows(self, rows: np.ndarray, counts: np.ndarray) -> None:
-        """Add distinct (rows, k) uint64 rows, each ``counts`` times, to every cell."""
+    def _run(self, rows: np.ndarray, counts: np.ndarray):
+        """The run of distinct (rows, k) uint64 rows, each ``counts`` times:
+        dense or row by row, with its ``fixed`` bytes and bytes a ``cell``."""
         k, spec = self.config.k, self.config.spec
         syms, idx = zip(*(np.unique(column, return_inverse=True) for column in rows.T))
         masks = [symbol_words(s, spec) for s in syms]
         weights = counts.astype(np.float64)
         tallies = [np.bincount(inverse, weights) for inverse in idx]
         grid = [len(s) for s in syms]
-        size, hist = math.prod(grid), None
-        int8s, floats = sum(grid), len(rows)  # the row path's (cell, row) products
-        if size <= _DENSE_GRID * len(rows):
-            # t1 = sum_x f(x) prod_d h_d(x_d) factorises over dimensions: with
-            # the dense histogram as a (G_A, G_B) matrix H split after
-            # dimension j, t1 = K_A H K_B, K_A and K_B being the Kronecker
-            # products of the cell's sign rows before and after j.  A cell
-            # holds K_A and K_B, K_A widened to float64 and K_A H; the G_A +
-            # 2 G_B floats counted for them are fewest at j.
-            j = min(range(1, k + 1), key=lambda d: math.prod(grid[:d]) + 2 * math.prod(grid[d:]))
-            hist = np.bincount(np.ravel_multi_index(idx, grid), weights, size)
-            hist = hist.reshape(math.prod(grid[:j]), -1)
-            int8s += sum(hist.shape)
-            floats = hist.shape[0] + 2 * hist.shape[1]
-        # A cell's bytes: its int8 signs, its float64 entries, and the 4k
-        # uint64 coefficients it derives beside a mixing temporary of their size.
-        # The row path holds 2 bytes of the 8 counted a (cell, row).
-        slab = max(1, _WORKING_ENTRIES // (int8s + 8 * (floats + 8 * k)))
-        # Every partial sum is bounded by the run's item total, below 2^53
-        # (``streamfile.row_runs``): the products are exact in any order.  A
-        # run's buffers, reused by each slab (new ones would fault in anew),
-        # hold the (symbol, cell) signs and the (cell, symbol) scratch that
-        # evaluates them with its AND loops along the symbols.
+        if math.prod(grid) <= _DENSE_GRID * len(rows):
+            hist = np.bincount(np.ravel_multi_index(idx, grid), weights, math.prod(grid))
+            run = _DenseRun(grid, masks, tallies, hist, int(counts.sum()))
+        else:
+            run = _RowRun(grid, masks, tallies, idx, weights, spec.width)
+        # Deriving takes 12 words a dimension at most (w = 64): 4 coefficients,
+        # their mixing temporary and the packed words.
+        run.cell += 96 * k
+        return run
+
+    def _add_rows(self, rows: np.ndarray, counts: np.ndarray) -> None:
+        """Add distinct (rows, k) uint64 rows, each ``counts`` times, to every cell.
+
+        Every partial sum is bounded by the run's item total, below 2^53
+        (``streamfile.row_runs``): the float64 ones are exact in any order.
+        The run's buffers are made once and reused by each slab (new ones
+        would fault in anew).
+        """
+        run, k, spec = self._run(rows, counts), self.config.k, self.config.spec
         cells, s1 = self.shape.cells, self.shape.s1
-        most = min(slab, cells)
-        held = [np.empty((g, most), np.int8) for g in grid]
-        scratch = np.empty((most, max(grid)), np.int8)
+        slab = max(1, (_WORKING_ENTRIES - run.fixed) // run.cell)
+        coefs = np.empty((min(slab, cells), k, 4), np.uint64)
+        run.allocate(len(coefs))
         for lo in range(0, cells, slab):
             hi = min(lo + slab, cells)
-            words = derive_coefficients_batch(self.master_seed, lo, hi, s1, k, spec)
-            signs = [buf[:, : hi - lo] for buf in held]
-            for dim, (m, tally) in enumerate(zip(masks, tallies)):
-                matrix = batch_sign_eval(words[:, dim], m, out=scratch[: hi - lo, : len(m)])
-                self._counts[lo:hi, 1 + dim] += np.einsum("ij,j->i", matrix, tally).astype(np.int64)
-                np.copyto(signs[dim], matrix.T)
-            if hist is None:
-                # A row's signs are whole rows of the matrices; take writes to
-                # ``out`` in place only in "clip" mode (no index is out of range).
-                if lo == 0:  # once the first slab's signs have freed their AND buffer
-                    prod, into = np.empty((2, len(rows), most), np.int8)
-                part, gathered = prod[:, : hi - lo], into[:, : hi - lo]
-                part[...] = 1
-                for matrix, inverse in zip(signs, idx):
-                    part *= np.take(matrix, inverse, axis=0, out=gathered, mode="clip")
-                part = np.einsum("ij,i->j", part, weights)
-            else:
-                kron_a, kron_b = _kron_rows(signs[:j], hi - lo), _kron_rows(signs[j:], hi - lo)
-                part = np.einsum("ij,ij->j", hist.T @ kron_a, kron_b)
-            self._counts[lo:hi, 0] += part.astype(np.int64)
+            words = derive_coefficients_batch(self.master_seed, lo, hi, s1, k, spec, out=coefs[: hi - lo])
+            run.add(words, self._counts[lo:hi])
         self._m += int(counts.sum())
 
     # -- estimation ---------------------------------------------------------

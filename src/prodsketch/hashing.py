@@ -21,8 +21,11 @@ into ceil(4w/64) uint64 words (one word for w <= 16): a hash as its
 coefficients (``pack_words``), the limbs of its seed, and a symbol as its
 masks ``(1, L(y), L(y^2), L(y^3))`` (``symbol_words``, built once per
 distinct symbol).
-``batch_sign_eval`` then costs one AND and popcount per word for each
-(hash, symbol) pair, with no field multiplication.
+A sign is then the parity of a hash word and a symbol's masks, linear in
+each, so a hash's signs over g symbols pack into a code, the XOR of one
+256-entry table lookup per byte of its word (``sign_tables``,
+``sign_codes``), with no field multiplication; ``batch_sign_eval``
+unpacks the codes to int8 signs.
 
 Seed derivation is counter-mode SplitMix64.  Coefficient ``c`` of dimension
 ``dim`` of the hash tuple for bank cell ``(group, index)`` uses the counter
@@ -48,7 +51,9 @@ from .rng import MAX_DIMS, word_at, words_at
 
 MAX_GROUP = 1 << 22
 MAX_INDEX = 1 << 32
-_AND_WORDS = 1 << 16  # words of batch_sign_eval's AND buffer (512 KiB)
+# Row v holds the signs that code byte v packs: (-1)^(bit x), bit 0 first.
+BYTE_SIGNS = 1 - 2 * np.unpackbits(np.arange(256, dtype=np.uint8)[:, None], axis=1,
+                                   bitorder="little").astype(np.int8)
 
 
 @dataclass(frozen=True)
@@ -129,35 +134,38 @@ def derive_hashes(
 # ---------------------------------------------------------------------------
 
 def derive_coefficients_batch(
-    master_seed: int, lo: int, hi: int, indexes: int, k: int, spec: FieldSpec
+    master_seed: int, lo: int, hi: int, indexes: int, k: int, spec: FieldSpec, out=None
 ) -> np.ndarray:
     """Packed hash words (hi - lo, k, ceil(4w/64)) of bank cells [lo, hi).
 
     Cells are row-major by (group, index), ``indexes`` to a group; each
-    cell's words are the limbs of its :func:`derive_hashes` seeds.
+    cell's words are the limbs of its :func:`derive_hashes` seeds.  The
+    coefficients are mixed and packed in ``out``, a uint64 (hi - lo, k, 4)
+    array, if given, and the words are a view of it.
     """
-    group, index = np.divmod(np.arange(lo, hi, dtype=np.uint64), np.uint64(indexes))
-    cell = ((group << np.uint64(32)) | index) << np.uint64(10)
-    dim_coef = np.arange(4 * k, dtype=np.uint64).reshape(k, 4)  # (dim << 2) | c
-    coefs = cell[:, None, None] | dim_coef
-    words_at(master_seed, coefs, out=coefs)
-    coefs &= np.uint64(spec.mask)
-    return pack_words(coefs, spec.width)
+    coefs = np.empty((hi - lo, k, 4), np.uint64) if out is None else out
+    # Cell lo + t of group g: (g << 32 | index) << 10 = (lo + t + g (2^32 - indexes)) << 10.
+    cell = np.arange(lo, hi, dtype=np.uint64)
+    cell += cell // np.uint64(indexes) * np.uint64((1 << 32) - indexes)
+    cell <<= np.uint64(10)
+    np.bitwise_or(cell[:, None, None], np.arange(4 * k, dtype=np.uint64).reshape(k, 4), out=coefs)
+    return pack_words(words_at(master_seed, coefs, out=coefs), spec.width, out=coefs)
 
 
-def pack_words(fields: np.ndarray, width: int) -> np.ndarray:
-    """Pack the four w-bit fields of the last axis into ceil(4w/64) uint64 words.
+def pack_words(fields: np.ndarray, width: int, out: np.ndarray | None = None) -> np.ndarray:
+    """Pack the four fields of the last axis, each cut to w bits, into ceil(4w/64) uint64 words.
 
-    The first field takes the lowest bits.  Every supported width divides 64, so no field straddles two words.  For
-    w <= 16 the one word of coefficients (c0, c1, c2, c3) is the seed
-    ``c0 | c1 << w | c2 << 2w | c3 << 3w``.
+    The first field takes the lowest bits.  Every supported width divides 64,
+    so no field straddles two words.  For w <= 16 the one word of coefficients
+    (c0, c1, c2, c3) is the seed ``c0 | c1 << w | c2 << 2w | c3 << 3w``.  The
+    fields are cut in ``out``, an array of their shape (it may be ``fields``),
+    if given; each word is then the sum of its fields times their powers of 2.
     """
     fields = np.asarray(fields, dtype=np.uint64)
-    out = np.zeros(fields.shape[:-1] + (-(-4 * width // 64),), dtype=np.uint64)
-    for j in range(4):
-        word, shift = divmod(j * width, 64)
-        out[..., word] |= fields[..., j] << np.uint64(shift)
-    return out
+    cut = np.bitwise_and(fields, np.uint64((1 << width) - 1), out=out)
+    words = -(-4 * width // 64)
+    powers = np.uint64(1) << np.arange(0, 64, width, dtype=np.uint64)[: 4 // words]
+    return cut.reshape(fields.shape[:-1] + (words, len(powers))) @ powers
 
 
 def symbol_words(xs: np.ndarray, spec: FieldSpec) -> np.ndarray:
@@ -169,6 +177,46 @@ def symbol_words(xs: np.ndarray, spec: FieldSpec) -> np.ndarray:
     return pack_words(np.column_stack([np.ones_like(xs), masks]), spec.width)
 
 
+def sign_tables(masks: np.ndarray) -> np.ndarray:
+    """Byte tables of packed parity codes over ``masks``: (bytes, 256, ceil(len(masks)/8)) uint8.
+
+    Bit x (little-endian) of entry [b, v] is the parity of ``v << 8b & masks[x]``;
+    ``bytes`` runs to the last byte any mask sets.  Each table is XOR-doubled
+    from the codes of its byte's eight single bits.
+    """
+    raw = masks.astype("<u8", copy=False).view(np.uint8).reshape(len(masks), -1)
+    used = np.flatnonzero(raw.any(axis=0))
+    raw = raw[:, : used[-1] + 1 if len(used) else 1]
+    bits = np.packbits(np.unpackbits(raw, axis=1, bitorder="little"), axis=0, bitorder="little")
+    rows = bits.T.reshape(raw.shape[1], 8, -1)  # [b, j]: the code of seed bit 8b + j
+    tables = np.zeros((len(rows), 256, rows.shape[2]), np.uint8)
+    for j in range(8):
+        np.bitwise_xor(tables[:, : 1 << j], rows[:, j, None], out=tables[:, 1 << j : 2 << j])
+    return tables
+
+
+def sign_codes(words: np.ndarray, tables: np.ndarray) -> np.ndarray:
+    """Packed parity codes (len(words), tables.shape[2]) uint8 of 2-D ``words`` over
+    :func:`sign_tables`' masks: the XOR of each word's byte lookups."""
+    seeds = words.astype("<u8", copy=False).view(np.uint8).reshape(len(words), -1)
+    codes = np.take(tables[0], seeds[:, 0], axis=0)
+    for b in range(1, len(tables)):
+        codes ^= np.take(tables[b], seeds[:, b], axis=0)
+    return codes
+
+
+def code_signs(codes: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """The int8 signs (len(codes), 8 * codes.shape[1]) that 2-D uint8 codes
+    pack, bit 0 first: each byte's row of ``BYTE_SIGNS``, written to ``out``,
+    a (len(codes), codes.shape[1], 8) array, if given.  ``np.take`` copies
+    its indices as intp, 8,192 codes at a time here."""
+    out = np.empty(codes.shape + (8,), np.int8) if out is None else out
+    step = max(1, 8192 // codes.shape[1])
+    for lo in range(0, len(codes), step):
+        np.take(BYTE_SIGNS, codes[lo : lo + step], axis=0, out=out[lo : lo + step], mode="clip")
+    return out.reshape(len(codes), -1)
+
+
 def batch_sign_eval(
     words: np.ndarray, masks: np.ndarray, out: np.ndarray | None = None
 ) -> np.ndarray:
@@ -176,30 +224,14 @@ def batch_sign_eval(
 
     ``words`` (..., ceil(4w/64)) packs each hash's coefficients by
     :func:`pack_words`, ``masks`` each symbol's masks by :func:`symbol_words`.
-    Returns int8 signs of shape (..., len(masks)), in ``out`` if given (of
-    that shape, and C-contiguous unless 2-D).  The ANDs run through one buffer
-    of at most max(``_AND_WORDS``, ``len(masks)``) words, whole hash rows at a
-    time; beside it every temporary takes one byte an entry.
+    Returns int8 signs of shape (..., len(masks)), each hash's code over the
+    symbols through :func:`code_signs` (into ``out`` if given).  The parity is
+    symmetric in its two words, so ``batch_sign_eval(masks, words)`` is the
+    transpose, its tables built from the hashes.
     """
     flat = words.reshape(-1, words.shape[-1])
-    shape = (len(flat), len(masks))
-    parity = np.empty(shape, np.uint8) if out is None else out.view(np.uint8).reshape(shape)
-    step = max(1, _AND_WORDS // max(1, len(masks)))
-    buf = np.empty((min(step, len(flat)), len(masks)), dtype=np.uint64)
-    for lo in range(0, len(flat), step):
-        chunk = parity[lo : lo + step]
-        tmp = buf[: len(chunk)]
-        for p in range(flat.shape[1]):
-            np.bitwise_and(flat[lo : lo + step, p, None], masks[:, p], out=tmp)
-            if p:
-                chunk ^= np.bitwise_count(tmp)
-            else:
-                np.bitwise_count(tmp, out=chunk)
-    parity &= 1  # the low bit b becomes 1 - 2b in place: 0 -> 1, 1 -> -1
-    signs = parity.view(np.int8)
-    np.negative(signs, out=signs)
-    signs |= 1
-    return signs.reshape(words.shape[:-1] + masks.shape[:1])
+    signs = code_signs(sign_codes(flat, sign_tables(masks)), out)
+    return signs[:, : len(masks)].reshape(words.shape[:-1] + masks.shape[:1])
 
 
 def _lowbit_masks(ys: np.ndarray, spec: FieldSpec) -> np.ndarray:

@@ -1,6 +1,7 @@
 """Bank behavior: shape derivation, scalar equivalence, merging, snapshots."""
 
 import io
+import itertools
 import math
 import struct
 import tracemalloc
@@ -392,7 +393,7 @@ def test_multi_run_ingest_derives_once(monkeypatch):
     derived = []
     derive = estimator.derive_coefficients_batch
     monkeypatch.setattr(estimator, "derive_coefficients_batch",
-                        lambda *args: derived.append(args[1:3]) or derive(*args))
+                        lambda *args, **out: derived.append(args[1:3]) or derive(*args, **out))
     monkeypatch.setattr(estimator, "_CHUNK_ITEMS", 8)
     runs = []
     add_rows = EstimatorBank._add_rows
@@ -551,50 +552,42 @@ def test_full_width_symbols_match_scalar_instances():
             assert bank.instance_view(g, j).counters() == inst.counters()
 
 
-def _cell_bytes(rows, dense):
-    """The bytes ``_add_rows`` counts per cell for a run of distinct ``rows``.
-
-    Int8 signs (the dense path adds its Kronecker rows of G_A and G_B
-    entries); 8 per float64 entry (the row path's products, or the dense
-    path's G_A + 2 G_B at the split where those are fewest); and 8 per
-    derived coefficient and mixing temporary, 8 per dimension.
-    """
-    grid = [len(np.unique(column)) for column in rows.T]
-    int8s, floats = sum(grid), len(rows)
-    if dense:
-        ga, gb = min(((math.prod(grid[:j]), math.prod(grid[j:])) for j in range(1, len(grid) + 1)),
-                     key=lambda split: split[0] + 2 * split[1])
-        int8s, floats = int8s + ga + gb, ga + 2 * gb
-    return int8s + 8 * (floats + 8 * len(grid))
+def _slab_bytes(bank, rows, cells, counts=None):
+    """The working set ``_add_rows`` counts for a slab of ``cells`` cells of
+    the run of distinct ``rows`` (each once by default): the run's fixed
+    bytes (its tables) and ``cells`` times a cell's."""
+    run = bank._run(rows, np.ones(len(rows), dtype=np.int64) if counts is None else counts)
+    return run.fixed + cells * run.cell
 
 
 def _spy_slabs(monkeypatch):
-    """Record the cells of every ``batch_sign_eval`` call: k calls a slab."""
-    cells, evaluate = [], estimator.batch_sign_eval
-    monkeypatch.setattr(estimator, "batch_sign_eval",
-                        lambda words, masks, **out: cells.append(len(words))
-                        or evaluate(words, masks, **out))
+    """Record the cells of every slab: one ``derive_coefficients_batch`` call each."""
+    cells, derive = [], estimator.derive_coefficients_batch
+    monkeypatch.setattr(estimator, "derive_coefficients_batch",
+                        lambda seed, lo, hi, *args, **out: cells.append(hi - lo)
+                        or derive(seed, lo, hi, *args, **out))
     return cells
 
 
 def test_working_set_cap_splits_chunks_exactly(monkeypatch):
     # 15 cells, on the row path ([16]^3, 300 items) and on the dense one
-    # ([4]^3): a cap of one byte puts every cell in a slab of its own, a
-    # cap of four cells' bytes gives slabs of 4 + 4 + 4 + 3, and the
-    # default cap holds every cell in one slab.  The counters must not change.
+    # ([4]^3, its pattern tables counted in the cap): a cap of one byte puts
+    # every cell in a slab of its own, a cap of the tables and four cells'
+    # bytes gives slabs of 4 + 4 + 4 + 3, and the default cap holds every
+    # cell in one slab.  The counters must not change.
     for n in (16, 4):
         items = list(generate(GenSpec(n=n, k=3, m=300, lam=0.4, rng_seed=4)))
         config = SketchConfig(k=3, n=n, spec=W4)
         whole = small_bank(3, s1=5, s2=3, config=config)
         whole.ingest_many(items)
-        cell = _cell_bytes(np.unique(np.array(items, dtype=np.uint64), axis=0), n == 4)
-        for cap, slabs in ((1, [1] * 15), (4 * cell, [4, 4, 4, 3]), (1 << 22, [15])):
+        four = _slab_bytes(whole, np.unique(np.array(items, dtype=np.uint64), axis=0), 4)
+        for cap, slabs in ((1, [1] * 15), (four, [4, 4, 4, 3]), (1 << 22, [15])):
             with pytest.MonkeyPatch.context() as mp:
                 mp.setattr(estimator, "_WORKING_ENTRIES", cap)
                 cells = _spy_slabs(mp)
                 split = small_bank(3, s1=5, s2=3, config=config)
                 split.ingest_many(items)
-            assert cells[::3] == slabs, (n, cap)
+            assert cells == slabs, (n, cap)
             assert split.counters_equal(whole) and split.item_count == 300, (n, cap)
 
 
@@ -826,23 +819,25 @@ def _flush_cases(draw):
 
 
 def _add_rows_by_both_paths(config, shape, seed, rows, counts, slab=None):
-    """Banks after one ``_add_rows`` call forced onto the row path and the dense path.
+    """Banks after one ``_add_rows`` call forced onto the row path, the dense
+    path and the dense path without tables (the split product).
 
     A ``slab`` of cells sets ``_WORKING_ENTRIES`` to that many cells' bytes
     on each path, and the slabs walked are checked; None keeps the default.
     """
     banks = []
-    for dense in (False, True):
+    for dense, tables in ((False, 0), (True, estimator._TABLE_BYTES), (True, 0)):
         bank = EstimatorBank(config, shape=shape, master_seed=seed)
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(estimator, "_DENSE_GRID", 1 << 64 if dense else 0)
+            mp.setattr(estimator, "_TABLE_BYTES", tables)
             if slab is not None:
-                mp.setattr(estimator, "_WORKING_ENTRIES", slab * _cell_bytes(rows, dense))
+                mp.setattr(estimator, "_WORKING_ENTRIES", _slab_bytes(bank, rows, slab, counts))
             cells = _spy_slabs(mp)
             bank._add_rows(rows, counts)
         if slab is not None:
             want = [min(slab, shape.cells - lo) for lo in range(0, shape.cells, slab)]
-            assert cells[:: config.k] == want, (dense, slab)
+            assert cells == want, (dense, tables, slab)
         banks.append(bank)
     return banks
 
@@ -855,8 +850,30 @@ def test_dense_and_row_contractions_agree(case, slab):
     # is shorter; "all" holds every cell in one slab.
     config, shape, seed, rows, counts = case
     cells = {"one": 1, "ragged": shape.cells // 2 + 1, "all": shape.cells, "default": None}
-    by_rows, dense = _add_rows_by_both_paths(config, shape, seed, rows, counts, cells[slab])
-    assert by_rows.counters_equal(dense) and dense.item_count == counts.sum()
+    by_rows, tables, split = _add_rows_by_both_paths(config, shape, seed, rows, counts, cells[slab])
+    assert by_rows.counters_equal(tables) and by_rows.counters_equal(split)
+    assert tables.item_count == counts.sum()
+
+
+@pytest.mark.parametrize("grid,plan", [
+    ((8, 8, 8), (2, 4)), ((4,) * 6, (3, 4)), ((2,) * 8, (8, 2)), ((2, 9, 3), (3, 2)),
+    ((12, 12), (2, 4)), ((16, 16, 16), None), ((256, 256), None)],
+    ids=["8^3", "4^6", "2^8", "2x9x3", "12^2", "16^3", "256^2"])
+def test_full_grids_agree_on_every_path(grid, plan):
+    # Each full grid with uneven counts, on the row path, the pattern tables
+    # (split as ``plan``) and the split product: [8]^3 reads two 4-bit
+    # chunks of dimension 0's code, [12]^2 three across its two code bytes,
+    # [4]^6 a three-dimension tail sign row, [2]^8 one entry a cell; [16]^3
+    # and [256]^2 are too wide for tables.
+    assert estimator._dense_plan(list(grid)) == plan
+    rows = np.array(list(itertools.product(*map(range, grid))), dtype=np.uint64)
+    counts = np.random.default_rng(len(rows)).integers(1, 1000, len(rows))
+    config = SketchConfig(k=len(grid), n=max(grid), spec=FieldSpec(8))
+    by_rows, tables, split = _add_rows_by_both_paths(config, BankShape(7, 2), 5, rows, counts, 3)
+    assert by_rows.counters_equal(tables) and by_rows.counters_equal(split)
+    view = tables.instance_view(1, 6)
+    assert view.marginal_sums == [int(np.dot(counts, [h(int(x)) for x in column]))
+                                  for h, column in zip(view.hashes, rows.T)]
 
 
 def test_dense_contraction_stays_within_a_few_slabs():
@@ -875,6 +892,28 @@ def test_dense_contraction_stays_within_a_few_slabs():
         tracemalloc.stop()
     assert peak <= 4 << 20
     view = bank.instance_view(4, 5199)
+    assert view.t1 == sum(int(c) * math.prod(h(int(x)) for h, x in zip(view.hashes, row))
+                          for row, c in zip(rows, counts))
+
+
+def test_pattern_tables_build_within_the_working_set():
+    # A full (2, 16) run reads dimension 1's 16-bit code whole: its
+    # 2^16-row pattern tables (1 MiB) are summed a byte of rows at a time,
+    # never through a 2^16 x 16 sign matrix (8 MiB as float64; the whole
+    # run then peaked at 18 MiB).
+    config = SketchConfig(k=2, n=16, spec=W4)
+    rows = np.array([(a, b) for a in range(2) for b in range(16)], dtype=np.uint64)
+    counts = np.arange(1, len(rows) + 1, dtype=np.int64)
+    bank = EstimatorBank(config, shape=BankShape(500, 2), master_seed=2)
+    assert estimator._dense_plan([2, 16]) == (2, 2)
+    tracemalloc.start()
+    try:
+        bank._add_rows(rows, counts)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 << 20
+    view = bank.instance_view(1, 499)
     assert view.t1 == sum(int(c) * math.prod(h(int(x)) for h, x in zip(view.hashes, row))
                           for row, c in zip(rows, counts))
 
@@ -950,20 +989,22 @@ def test_row_path_run_stays_within_the_slab_cap():
 
 def test_dense_contraction_is_exact_below_2_53():
     # Every (cell, symbol) partial sum of one flush is bounded by its item
-    # total, so float64 stays exact up to a total of 2^53 - 1.
+    # total, so float64 stays exact up to a total of 2^53 - 1, and the
+    # pattern tables of a total past 2^31 take int64 entries.
     config = SketchConfig(k=3, n=4, spec=W2)
     rows = np.array([(a, b, c) for a in range(4) for b in range(4) for c in range(3)],
                     dtype=np.uint64)
     counts = np.ones(len(rows), dtype=np.int64)
     counts[5] = (1 << 53) - len(rows)
-    by_rows, dense = _add_rows_by_both_paths(config, BankShape(3, 2), 7, rows, counts)
-    assert by_rows.counters_equal(dense) and dense.item_count == (1 << 53) - 1
+    by_rows, tables, split = _add_rows_by_both_paths(config, BankShape(3, 2), 7, rows, counts)
+    assert by_rows.counters_equal(tables) and by_rows.counters_equal(split)
+    assert tables.item_count == (1 << 53) - 1
     for g in range(2):
         for j in range(3):
-            hashes = dense.instance_view(g, j).hashes
+            hashes = tables.instance_view(g, j).hashes
             t1 = sum(int(c) * math.prod(h(int(x)) for h, x in zip(hashes, row))
                      for row, c in zip(rows, counts))
-            assert dense.instance_view(g, j).t1 == t1
+            assert tables.instance_view(g, j).t1 == t1
 
 
 @st.composite

@@ -8,17 +8,19 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from prodsketch import hashing
 from prodsketch.field import SUPPORTED_WIDTHS, FieldSpec, is_irreducible
 from prodsketch.hashing import (
     MAX_GROUP,
     MAX_INDEX,
     SignHash,
     batch_sign_eval,
+    code_signs,
     coefficient_counter,
     derive_coefficients_batch,
     derive_hashes,
     pack_words,
+    sign_codes,
+    sign_tables,
     symbol_words,
 )
 
@@ -193,19 +195,14 @@ def test_batch_matches_scalar_on_reducible_polynomial(width, poly):
         assert [h(int(x)) for x in xs] == row.tolist()
 
 
-@pytest.mark.parametrize("buffer", ["one word", "part of a row", "ragged rows"])
-def test_batch_matches_scalar_through_any_and_buffer(monkeypatch, buffer):
-    # The AND buffer cut to 1 word and to one word less than a row of
-    # symbols (both smaller than a row, so one hash row a chunk), and to two
-    # rows (15 hash rows end in a chunk of one), for the three shapes of
-    # words: one hash, a (cells, k) block of cells and a (seeds,
-    # ceil(4w/64)) stack.
+def test_batch_matches_scalar_for_every_words_shape():
+    # The three shapes of words: one hash, a (cells, k) block of cells and
+    # a (seeds, ceil(4w/64)) stack; into an ``out`` of padded code bytes,
+    # and transposed with the tables built from the hashes instead.
     for width in SUPPORTED_WIDTHS:
         spec = FieldSpec(width)
         rng = np.random.default_rng(width)
         xs = _symbols_across_field(spec, rng, count=12)
-        size = {"one word": 1, "part of a row": len(xs) - 1, "ragged rows": 2 * len(xs)}
-        monkeypatch.setattr(hashing, "_AND_WORDS", size[buffer])
         masks = symbol_words(xs, spec)
         cells = derive_coefficients_batch(77, 0, 5, 5, 3, spec)
         coefs = rng.integers(0, 1 << 63, size=(15, 4), dtype=np.uint64) & np.uint64(spec.mask)
@@ -217,16 +214,45 @@ def test_batch_matches_scalar_through_any_and_buffer(monkeypatch, buffer):
             table = batch_sign_eval(words, masks)
             expect = np.vectorize(lambda h: np.array([h(int(x)) for x in xs]),
                                   signature="()->(s)")(np.array(hashes, dtype=object))
-            assert table.dtype == np.int8 and np.array_equal(table, expect), (width, buffer)
-            out = np.empty(table.shape, np.int8)
+            assert table.dtype == np.int8 and np.array_equal(table, expect), width
+            flat = words.reshape(-1, words.shape[-1])
+            out = np.empty((len(flat), -(-len(xs) // 8), 8), np.int8)
             assert np.shares_memory(batch_sign_eval(words, masks, out=out), out)
-            assert np.array_equal(out, expect), (width, buffer)
+            assert np.array_equal(out.reshape(len(flat), -1)[:, : len(xs)],
+                                  expect.reshape(len(flat), -1)), width
+            assert np.array_equal(batch_sign_eval(masks, flat).T, expect.reshape(len(flat), -1))
 
 
-def test_batch_holds_one_byte_per_sign_beside_the_and_buffer():
-    # 2048 hashes at 1024 symbols: beside the int8 result, only the
-    # _AND_WORDS-word AND buffer, chunk temporaries of one byte an entry and
-    # numpy's own iteration buffers for the broadcast AND (128 KiB).
+def test_byte_table_codes_match_scalar_at_every_width():
+    # Codes over 63, 64 and 65 symbols (all of them below w = 8) end inside,
+    # at and past a uint64 word of bits; the seeds include all ones, which
+    # reads every byte table at 255, and 0.  Bit x of a code is the parity
+    # at symbol x: its unpacking is the scalar hash's signs.
+    for width in SUPPORTED_WIDTHS:
+        spec = FieldSpec(width)
+        rng = np.random.default_rng(width + 1)
+        top = (1 << 4 * width) - 1
+        seeds = [top, 0, *(int(v) & top for v in rng.integers(0, 1 << 63, size=6, dtype=np.uint64))]
+        words = np.array([[s >> 64 * p & (1 << 64) - 1 for p in range(-(-4 * width // 64))]
+                          for s in seeds], dtype=np.uint64)
+        for g in (63, 64, 65) if width >= 8 else (spec.order,):
+            xs = np.unique(np.concatenate([[0, spec.mask], _symbols_across_field(spec, rng)]))[:g]
+            if len(xs) < g:
+                xs = np.arange(g, dtype=np.uint64)
+            tables = sign_tables(symbol_words(xs, spec))
+            assert tables.shape == (-(-4 * width // 8), 256, -(-g // 8)), (width, g)
+            codes = sign_codes(words, tables)
+            want = [[SignHash(spec, s, spec.order)(int(x)) for x in xs] for s in seeds]
+            bits = np.unpackbits(codes, axis=1, count=g, bitorder="little")
+            assert (1 - 2 * bits.astype(int)).tolist() == want, (width, g)
+            assert code_signs(codes)[:, :g].tolist() == want, (width, g)
+
+
+def test_batch_holds_one_byte_per_sign_beside_its_codes():
+    # 2048 hashes at 1024 symbols: beside the int8 result, its packed codes
+    # (one byte per 8 signs) and the intp copy of 8,192 codes that take
+    # makes; the byte tables (256 KiB at w = 16, 1 MiB at w = 64) are gone
+    # before the result is made.
     for width in (16, 64):
         spec = FieldSpec(width)
         words = derive_coefficients_batch(7, 0, 2048, 2048, 1, spec)[:, 0]
@@ -238,7 +264,7 @@ def test_batch_holds_one_byte_per_sign_beside_the_and_buffer():
         finally:
             tracemalloc.stop()
         assert table.shape == (2048, 1024)
-        assert peak <= table.size + 9 * hashing._AND_WORDS + (256 << 10), width
+        assert peak <= table.size + table.size // 8 + (256 << 10), width
 
 
 def test_family_is_exactly_the_4w_bit_seeds():
