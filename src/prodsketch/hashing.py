@@ -54,6 +54,9 @@ MAX_INDEX = 1 << 32
 # Row v holds the signs that code byte v packs: (-1)^(bit x), bit 0 first.
 BYTE_SIGNS = 1 - 2 * np.unpackbits(np.arange(256, dtype=np.uint8)[:, None], axis=1,
                                    bitorder="little").astype(np.int8)
+# Codes a ``np.take`` in :func:`code_signs` unpacks: its intp index copy is
+# 8 bytes a code, so this bounds that copy at 64 KiB.
+_TAKE_CODES = 8192
 
 
 @dataclass(frozen=True)
@@ -209,9 +212,10 @@ def code_signs(codes: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """The int8 signs (len(codes), 8 * codes.shape[1]) that 2-D uint8 codes
     pack, bit 0 first: each byte's row of ``BYTE_SIGNS``, written to ``out``,
     a (len(codes), codes.shape[1], 8) array, if given.  ``np.take`` copies
-    its indices as intp, 8,192 codes at a time here."""
+    its indices as intp, whole rows of at most ``_TAKE_CODES`` codes at a
+    time here (one row where a row is longer)."""
     out = np.empty(codes.shape + (8,), np.int8) if out is None else out
-    step = max(1, 8192 // codes.shape[1])
+    step = max(1, _TAKE_CODES // codes.shape[1])
     for lo in range(0, len(codes), step):
         np.take(BYTE_SIGNS, codes[lo : lo + step], axis=0, out=out[lo : lo + step], mode="clip")
     return out.reshape(len(codes), -1)

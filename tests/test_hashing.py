@@ -8,6 +8,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
+from prodsketch import hashing
 from prodsketch.field import SUPPORTED_WIDTHS, FieldSpec, is_irreducible
 from prodsketch.hashing import (
     MAX_GROUP,
@@ -195,14 +196,21 @@ def test_batch_matches_scalar_on_reducible_polynomial(width, poly):
         assert [h(int(x)) for x in xs] == row.tolist()
 
 
-def test_batch_matches_scalar_for_every_words_shape():
-    # The three shapes of words: one hash, a (cells, k) block of cells and
-    # a (seeds, ceil(4w/64)) stack; into an ``out`` of padded code bytes,
-    # and transposed with the tables built from the hashes instead.
+@pytest.mark.parametrize("buffer", ["one word", "part of a row", "ragged rows"])
+def test_batch_matches_scalar_through_any_and_buffer(monkeypatch, buffer):
+    # The take chunk of code_signs (which replaced the AND buffer) cut to 1
+    # code and to one code less than a row (both smaller than a row, so one
+    # hash row a chunk), and to two rows (15 hash rows end in a chunk of
+    # one), for the three shapes of words: one hash, a (cells, k) block of
+    # cells and a (seeds, ceil(4w/64)) stack; into an ``out`` of padded code
+    # bytes, and transposed with the tables built from the hashes instead.
     for width in SUPPORTED_WIDTHS:
         spec = FieldSpec(width)
         rng = np.random.default_rng(width)
         xs = _symbols_across_field(spec, rng, count=12)
+        row = -(-len(xs) // 8)
+        size = {"one word": 1, "part of a row": max(1, row - 1), "ragged rows": 2 * row}
+        monkeypatch.setattr(hashing, "_TAKE_CODES", size[buffer])
         masks = symbol_words(xs, spec)
         cells = derive_coefficients_batch(77, 0, 5, 5, 3, spec)
         coefs = rng.integers(0, 1 << 63, size=(15, 4), dtype=np.uint64) & np.uint64(spec.mask)
@@ -214,12 +222,12 @@ def test_batch_matches_scalar_for_every_words_shape():
             table = batch_sign_eval(words, masks)
             expect = np.vectorize(lambda h: np.array([h(int(x)) for x in xs]),
                                   signature="()->(s)")(np.array(hashes, dtype=object))
-            assert table.dtype == np.int8 and np.array_equal(table, expect), width
+            assert table.dtype == np.int8 and np.array_equal(table, expect), (width, buffer)
             flat = words.reshape(-1, words.shape[-1])
-            out = np.empty((len(flat), -(-len(xs) // 8), 8), np.int8)
+            out = np.empty((len(flat), row, 8), np.int8)
             assert np.shares_memory(batch_sign_eval(words, masks, out=out), out)
             assert np.array_equal(out.reshape(len(flat), -1)[:, : len(xs)],
-                                  expect.reshape(len(flat), -1)), width
+                                  expect.reshape(len(flat), -1)), (width, buffer)
             assert np.array_equal(batch_sign_eval(masks, flat).T, expect.reshape(len(flat), -1))
 
 
@@ -250,7 +258,7 @@ def test_byte_table_codes_match_scalar_at_every_width():
 
 def test_batch_holds_one_byte_per_sign_beside_its_codes():
     # 2048 hashes at 1024 symbols: beside the int8 result, its packed codes
-    # (one byte per 8 signs) and the intp copy of 8,192 codes that take
+    # (one byte per 8 signs) and the intp copy of _TAKE_CODES codes that take
     # makes; the byte tables (256 KiB at w = 16, 1 MiB at w = 64) are gone
     # before the result is made.
     for width in (16, 64):
