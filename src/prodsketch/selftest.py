@@ -3,7 +3,8 @@
 Each check compares an implementation quantity against an independently
 computed expectation, in exact arithmetic wherever the claim is exact:
 
-  * field axioms of GF(2^w) (exhaustive for small widths),
+  * field axioms of GF(2^w) (exhaustive at order <= 16; at w = 8 on sampled
+    triples, with a witnessed inverse for every nonzero element),
   * the 1/16 seed census of the sign-hash family,
   * enumerated E[Y] against the exact squared L2 distance,
   * enumerated Var[Y] against the (3^k - 1) E^2 bound,
@@ -24,12 +25,13 @@ import random
 import types
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 
 import numpy as np
 
 from .estimator import BankShape, EstimatorBank
-from .field import REDUCTION_POLYNOMIALS, FieldSpec, field_mul, field_pow, is_irreducible
-from .hashing import SignHash
+from .field import REDUCTION_POLYNOMIALS, FieldSpec, field_mul, is_irreducible
+from .hashing import SignHash, derive_hashes
 from .oracle import (
     FrequencyTable,
     exact_l2sq,
@@ -76,37 +78,55 @@ def uniform_vector(n: int, k: int) -> dict[tuple[int, ...], int]:
     return {p: 1 for p in itertools.product(range(n), repeat=k)}
 
 
+_AXIOMS = ("commutativity violated at ({},{})", "associativity violated at ({},{},{})",
+           "distributivity violated at ({},{},{})")
+
+
 def check_field_axioms(spec: FieldSpec) -> tuple[bool, str]:
     """Identity, commutativity, associativity, distributivity, inverses.
 
-    Exhaustive for order <= 16; at larger orders inverses stay exhaustive
-    (order <= 256) and the ternary axioms run on a fixed random sample.
+    Exhaustive for order <= 16: every triple, read from one table of all
+    products, and ``a * a**(order - 2) == 1`` for every ``a != 0``.  At
+    w = 8 the ternary axioms run on a fixed random sample, and the powers
+    of the generator g = x + 1 must be the 255 nonzero elements, each with
+    its inverse witnessed as g^i * g^(255 - i) == 1.  The detail names the
+    first failing element, or triple and axiom, in the order checked.
     """
-    order = spec.order
-    elements = range(order)
-    for a in elements:
-        if field_mul(0, a, spec) != 0 or field_mul(1, a, spec) != a:
-            return False, f"identity/zero violated at a={a}"
+    order, product = spec.order, partial(field_mul, spec=spec)
+    e = np.arange(order)
     if order <= 16:
-        triples = itertools.product(elements, repeat=3)
+        table = np.array([[product(a, b) for b in range(order)] for a in range(order)])
+        mul = lambda x, y: table[x, y]
+        triples = np.indices((order,) * 3).reshape(3, -1)  # lexicographic
     else:
+        mul = np.frompyfunc(product, 2, 1)
         rng = random.Random(0xF1E1D)
-        triples = (
-            tuple(rng.randrange(order) for _ in range(3)) for _ in range(300)
-        )
-    for a, b, c in triples:
-        ab = field_mul(a, b, spec)
-        if ab != field_mul(b, a, spec):
-            return False, f"commutativity violated at ({a},{b})"
-        if field_mul(ab, c, spec) != field_mul(a, field_mul(b, c, spec), spec):
-            return False, f"associativity violated at ({a},{b},{c})"
-        if field_mul(a, b ^ c, spec) != ab ^ field_mul(a, c, spec):
-            return False, f"distributivity violated at ({a},{b},{c})"
-    if order <= 256:
-        for a in range(1, order):
-            inv = field_pow(a, order - 2, spec)
-            if field_mul(a, inv, spec) != 1:
-                return False, f"no inverse for a={a}"
+        triples = np.array([rng.randrange(order) for _ in range(900)], dtype=object).reshape(-1, 3).T
+    bad = np.flatnonzero((mul(0, e) != 0) | (mul(1, e) != e))
+    if bad.size:
+        return False, f"identity/zero violated at a={bad[0]}"
+    a, b, c = triples
+    ab = mul(a, b)
+    violated = np.array([ab != mul(b, a), mul(ab, c) != mul(a, mul(b, c)),
+                         mul(a, b ^ c) != ab ^ mul(a, c)], dtype=bool)
+    bad = np.flatnonzero(violated.any(axis=0))
+    if bad.size:
+        return False, _AXIOMS[np.argmax(violated[:, bad[0]])].format(*triples[:, bad[0]])
+    if order <= 16:
+        power, base, exponent = np.ones_like(e[1:]), e[1:], order - 2
+        while exponent:
+            if exponent & 1:
+                power = mul(power, base)
+            base, exponent = mul(base, base), exponent >> 1
+        bad = np.flatnonzero(mul(e[1:], power) != 1) + 1
+    elif order == 256:
+        powers = list(itertools.accumulate([3] * 254, product, initial=1))
+        # powers[-i] is g^(255 - i), and g^0 for i = 0.
+        bad = sorted(set(range(1, 256)).difference(powers)) or [
+            p for i, p in enumerate(powers) if product(p, powers[-i]) != 1
+        ]
+    if len(bad):
+        return False, f"no inverse for a={bad[0]}"
     return True, "all axioms hold"
 
 
@@ -186,9 +206,8 @@ def run_selftest(quick: bool = False, field_fault: bool = False) -> list[CheckRe
     for i in range(splits):
         stream = list(generate(GenSpec(n=4, k=2, m=20 + i % 60, lam=0.4, rng_seed=8000 + i)))
         cut = (7 * i) % (len(stream) + 1)
-        whole = SketchInstance.from_master_seed(config, master_seed=i)
-        left = SketchInstance.from_master_seed(config, master_seed=i)
-        right = SketchInstance.from_master_seed(config, master_seed=i)
+        hashes = derive_hashes(i, config.k, config.spec, config.n)
+        whole, left, right = (SketchInstance(config, hashes) for _ in range(3))
         for a in stream:
             whole.update_item(a)
         for a in stream[:cut]:

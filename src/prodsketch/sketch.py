@@ -114,9 +114,10 @@ def finalize_values(u: np.ndarray, m: int, k: int) -> np.ndarray:
 
 
 class SketchInstance:
-    """Single-writer sketch state for one hash tuple."""
+    """Single-writer sketch state for one hash tuple; it keeps each h_i(x) it
+    evaluates, so a repeated symbol of dimension i costs a lookup, not a hash."""
 
-    __slots__ = ("config", "hashes", "t1", "marginal_sums", "m")
+    __slots__ = ("config", "hashes", "t1", "marginal_sums", "m", "_signs")
 
     def __init__(self, config: SketchConfig, hashes: tuple[SignHash, ...]) -> None:
         if len(hashes) != config.k:
@@ -129,6 +130,7 @@ class SketchInstance:
         self.t1 = 0
         self.marginal_sums = [0] * config.k
         self.m = 0
+        self._signs: list[dict[int, int]] = [{} for _ in hashes]
 
     @classmethod
     def from_master_seed(
@@ -148,6 +150,8 @@ class SketchInstance:
         if len(p) != self.config.k:
             raise ValueError(f"expected a {self.config.k}-tuple, got arity {len(p)}")
         for x in p:
+            if not isinstance(x, (int, np.integer, np.bool_)):
+                raise ValueError("symbols must be integers")
             if not (0 <= x < self.config.n):
                 raise ValueError(f"symbol {x} outside [0, {self.config.n})")
 
@@ -155,8 +159,10 @@ class SketchInstance:
         """Count one stream item."""
         self._check_tuple(a)
         sign = 1
-        for i, (h, x) in enumerate(zip(self.hashes, a)):
-            s = h(x)
+        for i, (h, signs, x) in enumerate(zip(self.hashes, self._signs, a)):
+            s = signs.get(x)
+            if s is None:
+                s = signs[x] = h(x)
             self.marginal_sums[i] += s
             sign *= s
         self.t1 += sign

@@ -1,8 +1,23 @@
 """Self-test battery semantics: coverage, quick mode, fault injection."""
 
-from prodsketch import oracle
+import itertools
+import random
+import sys
+import types
+
+import pytest
+
+from prodsketch import field, oracle, selftest
 from prodsketch.estimator import EstimatorBank
-from prodsketch.selftest import all_passed, battery_streams_k2, battery_streams_k3, run_selftest
+from prodsketch.field import FieldSpec
+from prodsketch.hashing import SignHash
+from prodsketch.selftest import (
+    all_passed,
+    battery_streams_k2,
+    battery_streams_k3,
+    check_field_axioms,
+    run_selftest,
+)
 
 
 def test_full_battery_passes_and_covers_k3():
@@ -67,3 +82,106 @@ def test_zero_full_enumeration_fails_on_a_broken_bank_marginal(monkeypatch):
 
     monkeypatch.setattr(EstimatorBank, "_add_rows", off_by_one)
     assert not _zero_check(run_selftest(quick=True))
+
+
+def _loop_axioms(spec):
+    """``check_field_axioms`` as it was before its product table: one loop.
+
+    The reference for the (ok, detail) of ``check_field_axioms``.  It reads
+    ``field_mul`` and ``field_pow`` from ``prodsketch.field`` at call time,
+    so a test that patches the product there patches it here too.
+    """
+    field_mul, field_pow = field.field_mul, field.field_pow
+    order = spec.order
+    elements = range(order)
+    for a in elements:
+        if field_mul(0, a, spec) != 0 or field_mul(1, a, spec) != a:
+            return False, f"identity/zero violated at a={a}"
+    if order <= 16:
+        triples = itertools.product(elements, repeat=3)
+    else:
+        rng = random.Random(0xF1E1D)
+        triples = (
+            tuple(rng.randrange(order) for _ in range(3)) for _ in range(300)
+        )
+    for a, b, c in triples:
+        ab = field_mul(a, b, spec)
+        if ab != field_mul(b, a, spec):
+            return False, f"commutativity violated at ({a},{b})"
+        if field_mul(ab, c, spec) != field_mul(a, field_mul(b, c, spec), spec):
+            return False, f"associativity violated at ({a},{b},{c})"
+        if field_mul(a, b ^ c, spec) != ab ^ field_mul(a, c, spec):
+            return False, f"distributivity violated at ({a},{b},{c})"
+    if order <= 256:
+        for a in range(1, order):
+            inv = field_pow(a, order - 2, spec)
+            if field_mul(a, inv, spec) != 1:
+                return False, f"no inverse for a={a}"
+    return True, "all axioms hold"
+
+
+def _break_products(monkeypatch, *pairs):
+    """Patch ``field_mul`` to flip the low bit of the products ``a * b`` in ``pairs``."""
+    real = field.field_mul
+
+    def broken(a, b, spec):
+        return real(a, b, spec) ^ ((a, b) in pairs)
+
+    monkeypatch.setattr(field, "field_mul", broken)
+    monkeypatch.setattr(selftest, "field_mul", broken)
+
+
+@pytest.mark.parametrize("width", [1, 2, 4, 8])
+def test_axioms_match_the_loop_on_every_field(width):
+    spec = FieldSpec(width)
+    assert check_field_axioms(spec) == _loop_axioms(spec) == (True, "all axioms hold")
+
+
+def test_axioms_match_the_loop_on_the_reducible_ring():
+    ring = types.SimpleNamespace(width=4, order=16, reduction_polynomial=0b10101)
+    assert check_field_axioms(ring) == _loop_axioms(ring) == (False, "no inverse for a=2")
+
+
+@pytest.mark.parametrize("width, pairs, detail", [
+    (4, [(1, 9)], "identity/zero violated at a=9"),
+    (4, [(3, 2)], "commutativity violated at (2,3)"),
+    (4, [(5, 6), (6, 5)], "associativity violated at (2,3,5)"),
+    (2, [(3, 3)], "associativity violated at (2,2,3)"),
+    (4, [(2, 3), (3, 2)], "distributivity violated at (2,1,2)"),
+    (8, [(3, 0xF6), (0xF6, 3)], "distributivity violated at (3,110,152)"),  # a sampled triple
+])
+def test_axioms_match_the_loop_on_a_broken_product(monkeypatch, width, pairs, detail):
+    _break_products(monkeypatch, *pairs)
+    spec = FieldSpec(width)
+    assert check_field_axioms(spec) == _loop_axioms(spec) == (False, detail)
+
+
+@pytest.mark.parametrize("pair, detail", [
+    ((5, 0x52), "no inverse for a=5"),  # g^2 * g^253, a witness product
+    ((5, 3), "no inverse for a=2"),  # g^2 * g: the powers miss elements
+])
+def test_w8_witness_fails_on_one_broken_product(monkeypatch, pair, detail):
+    _break_products(monkeypatch, pair)
+    assert check_field_axioms(FieldSpec(8)) == (False, detail)
+
+
+def test_battery_work_is_bounded(monkeypatch):
+    # Counts, not timings: evaluating per triple or per item again fails here.
+    calls = {"field_mul": 0, "sign": 0}
+    real_mul, real_call = field.field_mul, SignHash.__call__
+
+    def counted_mul(a, b, spec):
+        calls["field_mul"] += 1
+        return real_mul(a, b, spec)
+
+    def counted_call(self, x):
+        calls["sign"] += 1
+        return real_call(self, x)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("prodsketch") and getattr(module, "field_mul", None) is real_mul:
+            monkeypatch.setattr(module, "field_mul", counted_mul)
+    monkeypatch.setattr(SignHash, "__call__", counted_call)
+    assert all_passed(run_selftest())
+    assert 0 < calls["field_mul"] <= 20_000
+    assert 0 < calls["sign"] <= 5_000

@@ -1,6 +1,8 @@
 """Sketch instance semantics: counters, exact zeros, finalize, merging."""
 
 import itertools
+import math
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -63,6 +65,64 @@ def test_tuple_validation():
         inst.update_item((1, 4))
     with pytest.raises(ValueError):
         inst.update_item((0, -1))
+
+
+@pytest.mark.parametrize("refused, message", [
+    ((1, 2.0), "symbols must be integers"),
+    ((1.0, 2), "symbols must be integers"),
+    ((1, "2"), "symbols must be integers"),
+    ((None, 2), "symbols must be integers"),
+    ((1, 4), "outside"),
+    ((1,), "arity"),
+])
+@pytest.mark.parametrize("memoized", [False, True])
+def test_refused_items_leave_counters_unchanged(refused, message, memoized):
+    inst = fresh()
+    inst.update_item((3, 3))
+    if memoized:  # h_0(1) and h_1(2) are known, and 1.0 == 1
+        inst.update_item((1, 2))
+    before = inst.counters()
+    with pytest.raises(ValueError, match=message):
+        inst.update_item(refused)
+    assert inst.counters() == before
+
+
+def test_integer_like_symbols_count_as_their_ints():
+    inst, ref = fresh(), fresh()
+    for item in [(True, np.int64(3)), (np.uint8(2), np.bool_(False)), (1, 2)]:
+        inst.update_item(item)
+        ref.update_item(tuple(int(x) for x in item))
+    assert inst.counters() == ref.counters()
+
+
+def _replay_counters(hashes, stream):
+    """Counters of ``stream`` with one ``SignHash.__call__`` per symbol of each item."""
+    t1, margs = 0, [0] * len(hashes)
+    for item in stream:
+        signs = [h(x) for h, x in zip(hashes, item)]
+        margs = [m + s for m, s in zip(margs, signs)]
+        t1 += math.prod(signs)
+    return t1, tuple(margs), len(stream)
+
+
+@pytest.mark.parametrize("width, n", [(2, 4), (16, 1000), (64, 1 << 64)])
+def test_memoized_counters_equal_a_per_item_replay(width, n):
+    rng = random.Random(width)
+    config = SketchConfig(k=3, n=n, spec=FieldSpec(width))
+    pool = [0, n - 1] + [rng.randrange(n) for _ in range(6)]
+    for seed in range(5):
+        stream = [tuple(rng.choice(pool) for _ in range(3)) for _ in range(rng.randrange(1, 80))]
+        cut = rng.randrange(len(stream) + 1)
+        whole, left, right = (fresh(seed, config) for _ in range(3))
+        for item in stream:
+            whole.update_item(item)
+        for item in stream[:cut]:
+            left.update_item(item)
+        for item in stream[cut:]:
+            right.update_item(item)
+        expected = _replay_counters(whole.hashes, stream)
+        assert whole.counters() == expected
+        assert merge_sketches(left, right).counters() == expected
 
 
 def test_single_item_is_exact_zero_for_every_seed():
