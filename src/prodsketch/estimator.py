@@ -303,11 +303,11 @@ class _DenseRun:
 class _RowRun:
     """A sparse run, contracted row by row over its cells' int8 signs.
 
-    A slab's (symbol, cell) signs are ``batch_sign_eval(masks, words)``, the
-    byte tables built from its hash words, or where far fewer symbols than
-    cells make that cheaper, the transpose of ``batch_sign_eval(words,
-    masks)``.  A cell holds its signs, their tables, and 8 bytes counted for
-    each (row, cell) product, 2 of them used.
+    A slab's (symbol, cell) signs are ``batch_sign_eval(masks, words)``, by
+    tables of its hash words, or where far fewer symbols than cells make it
+    cheaper, ``batch_sign_eval(words, masks)`` transposed.  A cell holds its
+    signs, their tables and 8 bytes a row: 2 its product, 6 a margin for
+    sign codes and run arrays (fixed is 0).
     """
 
     def __init__(self, grid, masks, tallies, idx, weights, width):

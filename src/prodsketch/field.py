@@ -8,7 +8,9 @@ polynomial multiplication reduced modulo a fixed irreducible polynomial.
 One reduction polynomial is pinned per supported width (the low-weight
 irreducibles of the Seroussi table; w=8 is the Rijndael polynomial).
 Changing any of them is a breaking change: seeds would map to different
-hash functions and recorded sketches would stop being replayable.
+hash functions and recorded sketches would stop being replayable.  This
+module holds only the field; the ``selftest`` battery certifies it (each
+polynomial irreducible, the axioms on GF(2^w) for w <= 8).
 
     w=1  : x + 1                      -> 0b11
     w=2  : x^2 + x + 1                -> 0b111
@@ -24,9 +26,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-
-# A field element is an int < 2^w; the alias marks intent in signatures.
-FieldElement = int
 
 REDUCTION_POLYNOMIALS: dict[int, int] = {
     1: 0b11,
@@ -74,7 +73,7 @@ class FieldSpec:
         return self.reduction_polynomial ^ (1 << self.width)
 
 
-def field_mul(a: FieldElement, b: FieldElement, spec: FieldSpec) -> FieldElement:
+def field_mul(a: int, b: int, spec: FieldSpec) -> int:
     """Product of two field elements, reduced modulo the field polynomial.
 
     Peasant multiplication: the partial product stays inside w bits by
@@ -95,18 +94,6 @@ def field_mul(a: FieldElement, b: FieldElement, spec: FieldSpec) -> FieldElement
         if a & order:
             a ^= poly
     return acc
-
-
-def field_pow(a: FieldElement, e: int, spec: FieldSpec) -> FieldElement:
-    """``a**e`` by square-and-multiply; ``a**0 == 1``."""
-    result = 1
-    base = a
-    while e > 0:
-        if e & 1:
-            result = field_mul(result, base, spec)
-        base = field_mul(base, base, spec)
-        e >>= 1
-    return result
 
 
 def field_mul_vec(a: np.ndarray, b: np.ndarray, spec: FieldSpec) -> np.ndarray:
@@ -135,71 +122,3 @@ def field_mul_vec(a: np.ndarray, b: np.ndarray, spec: FieldSpec) -> np.ndarray:
             a = ((a << one) & mask) ^ (carry * low)
     return acc
 
-
-# ---------------------------------------------------------------------------
-# GF(2)[x] helpers on raw bitmasks, used to certify the pinned polynomials.
-# ---------------------------------------------------------------------------
-
-def clmul(a: int, b: int) -> int:
-    """Carry-less (XOR) product of two GF(2)[x] bitmasks, unreduced."""
-    acc = 0
-    while b:
-        if b & 1:
-            acc ^= a
-        a <<= 1
-        b >>= 1
-    return acc
-
-
-def poly_mod(a: int, mod: int) -> int:
-    """Remainder of ``a`` modulo ``mod`` in GF(2)[x] (long division)."""
-    dm = mod.bit_length() - 1
-    while a.bit_length() - 1 >= dm and a:
-        a ^= mod << (a.bit_length() - 1 - dm)
-    return a
-
-
-def poly_gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, poly_mod(a, b)
-    return a
-
-
-def is_irreducible(poly: int) -> bool:
-    """Rabin's irreducibility test for a GF(2)[x] bitmask.
-
-    ``poly`` of degree n is irreducible iff x^(2^n) = x (mod poly) and
-    gcd(x^(2^(n/q)) - x, poly) = 1 for every prime q dividing n.
-    """
-    n = poly.bit_length() - 1
-    if n <= 0:
-        return False
-    if n == 1:
-        return True
-
-    def x_pow_pow2(e: int) -> int:
-        t = 0b10  # the polynomial x
-        for _ in range(e):
-            t = poly_mod(clmul(t, t), poly)
-        return t
-
-    if x_pow_pow2(n) != 0b10:
-        return False
-    for q in _prime_factors(n):
-        if poly_gcd(x_pow_pow2(n // q) ^ 0b10, poly) != 1:
-            return False
-    return True
-
-
-def _prime_factors(n: int) -> list[int]:
-    out = []
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            while n % d == 0:
-                n //= d
-        d += 1
-    if n > 1:
-        out.append(n)
-    return out

@@ -468,7 +468,8 @@ def test_selftest_quick_passes(capsys):
 def test_selftest_fault_injection_fails(capsys):
     code, out, _ = run(capsys, "selftest", "--quick", "--inject-field-fault")
     assert code == EXIT_SELFTEST
-    assert "FAIL field-axioms-w4" in out
+    (line,) = [line for line in out.splitlines() if line.startswith("FAIL")]
+    assert line.startswith("FAIL field-axioms-w4 ") and line.endswith("no inverse for a=7")
 
 
 def test_smallest_width():

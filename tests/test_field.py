@@ -8,22 +8,24 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from prodsketch.field import (
-    REDUCTION_POLYNOMIALS,
-    SUPPORTED_WIDTHS,
-    FieldSpec,
-    clmul,
-    field_mul,
-    field_mul_vec,
-    field_pow,
-    is_irreducible,
-    poly_mod,
+    REDUCTION_POLYNOMIALS, SUPPORTED_WIDTHS, FieldSpec, field_mul, field_mul_vec,
 )
-from prodsketch.selftest import check_field_axioms
+from prodsketch.selftest import check_field_axioms, clmul, is_irreducible, poly_mod
 
 
 def long_division_mul(a: int, b: int, spec: FieldSpec) -> int:
     """Reference multiplier: full carry-less product, then long division."""
     return poly_mod(clmul(a, b), spec.reduction_polynomial)
+
+
+def field_pow(a: int, e: int, spec: FieldSpec) -> int:
+    """``a**e`` by square-and-multiply; ``a**0 == 1``."""
+    result = 1
+    while e:
+        if e & 1:
+            result = field_mul(result, a, spec)
+        a, e = field_mul(a, a, spec), e >> 1
+    return result
 
 
 def test_gf4_exhaustive_table_matches_long_division():
@@ -65,11 +67,30 @@ def test_pinned_polynomials_are_irreducible():
 
 
 def test_reducible_polynomial_rejected_by_rabin_and_axioms():
-    # (x^2 + x + 1)^2 = x^4 + x^2 + 1
+    # (x^2 + x + 1)^2 = x^4 + x^2 + 1; x^2 + x + 1 (7) is the ring's first non-unit.
     assert not is_irreducible(0b10101)
     ring = types.SimpleNamespace(width=4, order=16, reduction_polynomial=0b10101)
-    ok, detail = check_field_axioms(ring)
-    assert not ok and "inverse" in detail
+    assert check_field_axioms(ring) == (False, "no inverse for a=7")
+
+
+def _trial_division_irreducible(poly: int) -> bool:
+    """Irreducible iff no polynomial of degree 1 .. n/2 divides it."""
+    n = poly.bit_length() - 1
+    return all(poly_mod(poly, d) for d in range(2, 1 << (n // 2 + 1)))
+
+
+@pytest.mark.parametrize("degree, count", [(1, 2), (2, 1), (4, 3), (8, 30)])
+def test_irreducible_counts_match_gauss(degree, count):
+    # Gauss: (1/n) sum over d | n of mu(d) 2^(n/d) monic irreducibles of degree n.
+    monic = range(1 << degree, 1 << (degree + 1))
+    found = [p for p in monic if is_irreducible(p)]
+    assert len(found) == count
+    assert found == [p for p in monic if _trial_division_irreducible(p)]
+
+
+def test_irreducibility_refuses_other_degrees():
+    with pytest.raises(ValueError):
+        is_irreducible(0b1011)  # x^3 + x + 1, degree 3
 
 
 def test_fieldspec_validation():
@@ -112,15 +133,6 @@ def test_w8_ring_laws_match_long_division(a, b, c):
     spec = FieldSpec(8)
     assert field_mul(a, b, spec) == long_division_mul(a, b, spec)
     assert field_mul(a, b ^ c, spec) == field_mul(a, b, spec) ^ field_mul(a, c, spec)
-
-
-def test_field_pow_agrees_with_repeated_mul():
-    spec = FieldSpec(4)
-    for a in range(16):
-        acc = 1
-        for e in range(8):
-            assert field_pow(a, e, spec) == acc
-            acc = field_mul(acc, a, spec)
 
 
 def test_operand_range_enforced():

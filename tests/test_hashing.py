@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from prodsketch import hashing
-from prodsketch.field import SUPPORTED_WIDTHS, FieldSpec, is_irreducible
+from prodsketch.field import SUPPORTED_WIDTHS, FieldSpec
 from prodsketch.hashing import (
     MAX_GROUP,
     MAX_INDEX,
@@ -24,6 +24,7 @@ from prodsketch.hashing import (
     sign_tables,
     symbol_words,
 )
+from prodsketch.selftest import is_irreducible
 
 W1 = FieldSpec(1)
 W2 = FieldSpec(2)
