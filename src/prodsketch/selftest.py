@@ -15,9 +15,9 @@ computed expectation, in exact arithmetic wherever the claim is exact:
   * exact-zero streams (through the sketch, enumeration and a bank), and
   * table-vs-incremental agreement of Y.
 
-``quick`` skips the k = 3 enumerations.  ``field_fault`` checks a reducible
-ring of its own for w = 4, which no ``FieldSpec`` can denote, so the negative
-control can demonstrate the battery actually fails on a broken field.
+``field_fault`` checks a reducible ring of its own for w = 4, which no
+``FieldSpec`` can denote, so the negative control can demonstrate the
+battery actually fails on a broken field.
 """
 
 from __future__ import annotations
@@ -58,22 +58,15 @@ class CheckResult:
     actual: str
 
 
-def battery_streams_k2() -> list[list[tuple[int, ...]]]:
-    """Ten fixed short streams on [4]^2 (m <= 8) for the w=2 enumerations."""
-    specs = [
-        GenSpec(n=4, k=2, m=3 + (i % 6), lam=(i % 11) / 10, rng_seed=7000 + i)
-        for i in range(10)
-    ]
-    return [list(generate(s)) for s in specs]
+# (n, stream count, first rng_seed) of the streams enumerated at each k.
+_BATTERY = {2: (4, 10, 7000), 3: (2, 6, 7100)}
 
 
-def battery_streams_k3() -> list[list[tuple[int, ...]]]:
-    """Six fixed short streams on [2]^3 (m <= 8) for the w=1 enumerations."""
-    specs = [
-        GenSpec(n=2, k=3, m=3 + (i % 6), lam=(i % 11) / 10, rng_seed=7100 + i)
-        for i in range(6)
-    ]
-    return [list(generate(s)) for s in specs]
+def battery_streams(k: int) -> list[list[tuple[int, ...]]]:
+    """The fixed short streams on [n]^k (m <= 8) that the battery enumerates at ``k``."""
+    n, count, seed = _BATTERY[k]
+    return [list(generate(GenSpec(n=n, k=k, m=3 + i % 6, lam=(i % 11) / 10, rng_seed=seed + i)))
+            for i in range(count)]
 
 
 def uniform_vector(n: int, k: int) -> dict[tuple[int, ...], int]:
@@ -127,10 +120,13 @@ def check_field_axioms(spec: FieldSpec) -> tuple[bool, str]:
     products, and a nonzero ``a`` has an inverse iff its row holds a 1.  At
     w = 8 the ternary axioms run on a fixed random sample, and the powers
     of the generator g = x + 1 must be the 255 nonzero elements, each with
-    its inverse witnessed as g^i * g^(255 - i) == 1.  The detail names the
-    first failing element, or triple and axiom, in the order checked.
+    its inverse witnessed as g^i * g^(255 - i) == 1.  Any other order
+    raises ``ValueError``: its inverses would go unchecked.  The detail
+    names the first failing element, or triple and axiom, in the order checked.
     """
     order, product = spec.order, partial(field_mul, spec=spec)
+    if order > 16 and order != 256:
+        raise ValueError(f"cannot check inverses at order {order}")
     e = np.arange(order)
     if order <= 16:
         table = np.array([[product(a, b) for b in range(order)] for a in range(order)])
@@ -154,7 +150,7 @@ def check_field_axioms(spec: FieldSpec) -> tuple[bool, str]:
         bad = np.flatnonzero((table[1:] != 1).all(axis=1)) + 1
         if bad.size:
             return False, f"no inverse for a={bad[0]}"
-    elif order == 256:
+    else:
         powers = list(itertools.accumulate([3] * 254, product, initial=1))
         # powers[-i] is g^(255 - i), and g^0 for i = 0.
         bad = sorted(set(range(1, 256)).difference(powers)) or [
@@ -169,7 +165,7 @@ def _result(name: str, ok: bool, expected, actual) -> CheckResult:
     return CheckResult(name, ok, str(expected), str(actual))
 
 
-def run_selftest(quick: bool = False, field_fault: bool = False) -> list[CheckResult]:
+def run_selftest(field_fault: bool = False) -> list[CheckResult]:
     results: list[CheckResult] = []
     w1, w2 = FieldSpec(1), FieldSpec(2)
 
@@ -198,34 +194,23 @@ def run_selftest(quick: bool = False, field_fault: bool = False) -> list[CheckRe
 
     # Enumerated expectation equals the exact distance, and the enumerated
     # variance clears the (3^k - 1) E^2 bound, with zero tolerance.
-    def moment_checks(streams, n, k, spec, tag):
-        exp_ok, var_ok = True, True
-        worst = Fraction(0)
-        for stream in streams:
-            table = FrequencyTable.from_stream(stream, k=k, n=n)
+    for k, spec in ((2, w2), (3, w1)):
+        exp_ok, var_ok, worst = True, True, Fraction(0)
+        for stream in battery_streams(k):
+            table = FrequencyTable.from_stream(stream, k=k, n=_BATTERY[k][0])
             moments = exhaustive_moments(table, spec=spec)
-            if moments.expectation != exact_l2sq(table):
-                exp_ok = False
-            bound = (3**k - 1) * moments.expectation**2
-            if moments.variance > bound:
-                var_ok = False
+            exp_ok &= moments.expectation == exact_l2sq(table)
+            var_ok &= moments.variance <= (3**k - 1) * moments.expectation**2
             if moments.ratio is not None and moments.ratio > worst:
                 worst = moments.ratio
-        results.append(
-            _result(f"expectation-matches-l2sq-{tag}", exp_ok,
-                    "E[Y] == exact l2^2 on every stream", exp_ok)
-        )
-        results.append(
-            _result(f"variance-bound-{tag}", var_ok,
-                    f"Var <= {3 ** k - 1} E^2", f"worst ratio {worst}")
-        )
-
-    moment_checks(battery_streams_k2(), n=4, k=2, spec=w2, tag="k2-w2")
-    if not quick:
-        moment_checks(battery_streams_k3(), n=2, k=3, spec=w1, tag="k3-w1")
+        tag = f"k{k}-w{spec.width}"
+        results.append(_result(f"expectation-matches-l2sq-{tag}", exp_ok,
+                               "E[Y] == exact l2^2 on every stream", exp_ok))
+        results.append(_result(f"variance-bound-{tag}", var_ok,
+                               f"Var <= {3 ** k - 1} E^2", f"worst ratio {worst}"))
 
     # Tightness of the 3^k law on the all-ones vector.
-    for k in (1, 2) if quick else (1, 2, 3):
+    for k in (1, 2, 3):
         moments = exhaustive_moments(uniform_vector(4, k), spec=w2, n=4)
         pinned = PINNED_TIGHTNESS[k]
         ok = moments.ratio == pinned and moments.ratio >= Fraction(3**k, 2)
@@ -235,10 +220,9 @@ def run_selftest(quick: bool = False, field_fault: bool = False) -> list[CheckRe
         )
 
     # Merge/replay: sketching two halves and merging equals one pass.
-    splits = 10 if quick else 100
     config = SketchConfig(k=2, n=4, spec=w2)
     merge_ok = True
-    for i in range(splits):
+    for i in range(100):
         stream = list(generate(GenSpec(n=4, k=2, m=20 + i % 60, lam=0.4, rng_seed=8000 + i)))
         cut = (7 * i) % (len(stream) + 1)
         hashes = derive_hashes(i, config.k, config.spec, config.n)
@@ -252,7 +236,7 @@ def run_selftest(quick: bool = False, field_fault: bool = False) -> list[CheckRe
         if merge_sketches(left, right).counters() != whole.counters():
             merge_ok = False
     results.append(
-        _result("merge-replay", merge_ok, f"{splits} split replays bit-exact", merge_ok)
+        _result("merge-replay", merge_ok, "100 split replays bit-exact", merge_ok)
     )
 
     # Exact zeros: single item, constant stream, full enumeration.
@@ -292,7 +276,7 @@ def run_selftest(quick: bool = False, field_fault: bool = False) -> list[CheckRe
     # Incremental sketch vs table recomputation, exact equality.
     agree_ok = True
     config = SketchConfig(k=2, n=4, spec=w2)
-    for i in range(10 if quick else 25):
+    for i in range(25):
         stream = list(generate(GenSpec(n=4, k=2, m=30, lam=0.3, rng_seed=8200 + i)))
         table = FrequencyTable.from_stream(stream, k=2, n=4)
         inst = SketchInstance.from_master_seed(config, master_seed=900 + i)
@@ -305,7 +289,3 @@ def run_selftest(quick: bool = False, field_fault: bool = False) -> list[CheckRe
     )
 
     return results
-
-
-def all_passed(results: list[CheckResult]) -> bool:
-    return all(r.ok for r in results)

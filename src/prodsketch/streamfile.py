@@ -15,8 +15,8 @@ string per block.
 ``tuple_blocks`` turns Python tuples into the same blocks, with the same
 checks, for the bank and the frequency table: tuples or lists of k integers
 in [0, n) are packed into one flat buffer by ``array("Q")``, and any other
-chunk (``np.bool_`` symbols, or one to refuse) goes through ``np.asarray`` as
-every chunk once did, so the same inputs are accepted and refused alike.
+chunk (``np.bool_`` symbols, or one to refuse) goes through ``np.asarray``,
+so the same inputs are accepted and refused alike.
 
 ``row_runs`` is the one way from blocks to counts: it checks each block
 and yields exact histograms of consecutive blocks, which

@@ -31,8 +31,7 @@ from prodsketch.oracle import (
 )
 from prodsketch.selftest import (
     PINNED_TIGHTNESS,
-    battery_streams_k2,
-    battery_streams_k3,
+    battery_streams,
     uniform_vector,
 )
 from prodsketch.sketch import SketchConfig, SketchInstance, merge_sketches
@@ -80,7 +79,7 @@ def e2e_file(tmp_path_factory):
 def test_criterion_1_exact_expectation():
     with criterion(1, "exact expectation, zero tolerance"):
         start = time.monotonic()
-        streams = battery_streams_k2()
+        streams = battery_streams(2)
         assert len(streams) == 10 and all(len(s) <= 8 for s in streams)
         for stream in streams:
             table = FrequencyTable.from_stream(stream, k=2, n=4)
@@ -92,10 +91,10 @@ def test_criterion_1_exact_expectation():
 
 def test_criterion_2_variance_bounds():
     with criterion(2, "variance bounds, exact arithmetic"):
-        for stream in battery_streams_k2():
+        for stream in battery_streams(2):
             m = exhaustive_moments(FrequencyTable.from_stream(stream, k=2, n=4), spec=W2)
             assert m.variance <= (3**2 - 1) * m.expectation**2
-        for stream in battery_streams_k3():
+        for stream in battery_streams(3):
             m = exhaustive_moments(FrequencyTable.from_stream(stream, k=3, n=2), spec=W1)
             assert m.variance <= (3**3 - 1) * m.expectation**2
 

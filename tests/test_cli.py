@@ -347,7 +347,7 @@ def test_patched_module_attributes_are_what_subcommands_call(stream_file, capsys
     assert run(capsys, "exact", "--input", str(stream_file))[0] == EXIT_OK
     assert run(capsys, "gen", "--n", "4", "--k", "2", "--m", "3", "--out", "-")[0] == EXIT_OK
     assert calls == ["exact_l2sq", "write_stream"]
-    code, out, _ = run(capsys, "selftest", "--quick")
+    code, out, _ = run(capsys, "selftest")
     assert code == EXIT_SELFTEST and "FAIL patched" in out
 
 
@@ -458,18 +458,48 @@ def test_paper_constants_shape(stream_file, capsys):
     assert parse_report(out)["s1"] == "72"
 
 
-def test_selftest_quick_passes(capsys):
-    code, out, _ = run(capsys, "selftest", "--quick")
+def test_selftest_passes(capsys):
+    code, out, _ = run(capsys, "selftest")
     assert code == EXIT_OK
-    assert "checks passed" in out
+    assert out.endswith("selftest: 17 checks passed\n")
     assert "FAIL" not in out
 
 
+def test_selftest_has_no_quick_mode(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["selftest", "--quick"])
+    assert exc.value.code == EXIT_USAGE
+    assert "unrecognized arguments: --quick" in capsys.readouterr().err
+
+
 def test_selftest_fault_injection_fails(capsys):
-    code, out, _ = run(capsys, "selftest", "--quick", "--inject-field-fault")
+    code, out, _ = run(capsys, "selftest", "--inject-field-fault")
     assert code == EXIT_SELFTEST
     (line,) = [line for line in out.splitlines() if line.startswith("FAIL")]
     assert line.startswith("FAIL field-axioms-w4 ") and line.endswith("no inverse for a=7")
+
+
+@pytest.mark.parametrize("closed, argv", [
+    ("stdin", ("estimate", "--k", "2", "--n", "4")),
+    ("stdin", ("exact", "--k", "2", "--n", "4")),
+    ("stdout", ("gen", "--n", "4", "--k", "2", "--m", "3", "--out", "-")),
+    ("stdout", ("estimate", "--input", "{stream}", "--snapshot-out", "{snap}")),
+    ("stdout", ("estimate", "--input", "{stream}")),
+], ids=["estimate-stdin", "exact-stdin", "gen-stdout", "snapshot-stdout", "estimate-stdout"])
+def test_closed_standard_streams_are_data_errors(stream_file, tmp_path, capsys, monkeypatch,
+                                                 closed, argv):
+    # A process started with descriptor 0 or 1 closed has sys.stdin or
+    # sys.stdout None.  A closed stdout is refused before any work, so no
+    # estimate is made only to be lost and no snapshot is written.
+    snap = tmp_path / "bank.snap"
+    argv = [arg.format(stream=stream_file, snap=snap) for arg in argv]
+    with monkeypatch.context() as patch:
+        patch.setattr(sys, closed, None)
+        code = main(argv)
+    name = {"stdin": "input", "stdout": "output"}[closed]
+    assert code == EXIT_DATA
+    assert capsys.readouterr().err == f"error: standard {name} is closed\n"
+    assert not snap.exists()
 
 
 def test_smallest_width():

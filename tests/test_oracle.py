@@ -237,23 +237,23 @@ def test_enumerated_turnstile_matches_definition_w1_k2():
 
 
 def test_expectation_equals_l2sq_on_fixed_batteries():
-    from prodsketch.selftest import battery_streams_k2, battery_streams_k3
+    from prodsketch.selftest import battery_streams
 
-    for stream in battery_streams_k2():
+    for stream in battery_streams(2):
         table = FrequencyTable.from_stream(stream, k=2, n=4)
         assert exhaustive_moments(table, spec=W2).expectation == exact_l2sq(table)
-    for stream in battery_streams_k3():
+    for stream in battery_streams(3):
         table = FrequencyTable.from_stream(stream, k=3, n=2)
         assert exhaustive_moments(table, spec=W1).expectation == exact_l2sq(table)
 
 
 def test_variance_bounds_hold_exactly():
-    from prodsketch.selftest import battery_streams_k2, battery_streams_k3
+    from prodsketch.selftest import battery_streams
 
-    for stream in battery_streams_k2():
+    for stream in battery_streams(2):
         m = exhaustive_moments(FrequencyTable.from_stream(stream, k=2, n=4), spec=W2)
         assert m.variance <= 8 * m.expectation**2
-    for stream in battery_streams_k3():
+    for stream in battery_streams(3):
         m = exhaustive_moments(FrequencyTable.from_stream(stream, k=3, n=2), spec=W1)
         assert m.variance <= 26 * m.expectation**2
 
@@ -403,9 +403,9 @@ def seed_table_moments(vector, scale):
 
 
 def test_w2_enumeration_matches_every_seed_tuple():
-    from prodsketch.selftest import battery_streams_k2
+    from prodsketch.selftest import battery_streams
 
-    for stream in battery_streams_k2():
+    for stream in battery_streams(2):
         m, counts = len(stream), collections.Counter(stream)
         f1, f2 = (collections.Counter(column) for column in zip(*stream))
         v = np.array([[m * counts[a, b] - f1[a] * f2[b] for b in range(4)] for a in range(4)],
@@ -427,12 +427,12 @@ def test_a_flipped_seed_sign_is_caught(monkeypatch):
     # Negative control: one wrong sign (seed 0, symbol 2) must change E[Y] on
     # some battery table.  Swapping the rows of seeds that differ only in c0
     # would not: those rows are negations of each other and Y is even in them.
-    from prodsketch.selftest import battery_streams_k2
+    from prodsketch.selftest import battery_streams
 
     flipped = oracle.all_seed_signs(W2, 4).copy()
     flipped[0, 2] *= -1
     monkeypatch.setattr(oracle, "all_seed_signs", lambda spec, n: flipped)
-    tables = [FrequencyTable.from_stream(s, k=2, n=4) for s in battery_streams_k2()]
+    tables = [FrequencyTable.from_stream(s, k=2, n=4) for s in battery_streams(2)]
     assert any(exhaustive_moments(t, spec=W2).expectation != exact_l2sq(t) for t in tables)
 
 

@@ -1,4 +1,4 @@
-"""Self-test battery semantics: coverage, quick mode, fault injection."""
+"""Self-test battery semantics: coverage, fault injection, the field check."""
 
 import itertools
 import random
@@ -11,47 +11,43 @@ from prodsketch import field, oracle, selftest
 from prodsketch.estimator import EstimatorBank
 from prodsketch.field import FieldSpec
 from prodsketch.hashing import SignHash
-from prodsketch.selftest import (
-    all_passed,
-    battery_streams_k2,
-    battery_streams_k3,
-    check_field_axioms,
-    run_selftest,
-)
+from prodsketch.selftest import battery_streams, check_field_axioms, run_selftest
 
 
 def test_full_battery_passes_and_covers_k3():
-    results = run_selftest(quick=False)
-    assert all_passed(results)
+    results = run_selftest()
+    assert all(x.ok for x in results)
     names = {r.name for r in results}
     assert "tightness-k3" in names
     assert "expectation-matches-l2sq-k3-w1" in names
     assert "variance-bound-k3-w1" in names
 
 
-def test_quick_skips_k3_but_keeps_k2():
-    results = run_selftest(quick=True)
-    assert all_passed(results)
-    names = {r.name for r in results}
-    assert "tightness-k3" not in names
-    assert not any("k3" in n for n in names)
-    assert "tightness-k2" in names
-    assert "expectation-matches-l2sq-k2-w2" in names
+def test_battery_runs_every_check_once():
+    assert [r.name for r in run_selftest()] == [
+        "field-axioms-w1", "field-axioms-w2", "field-axioms-w4", "field-axioms-w8",
+        "reduction-polynomials-irreducible", "seed-census-w2",
+        "expectation-matches-l2sq-k2-w2", "variance-bound-k2-w2",
+        "expectation-matches-l2sq-k3-w1", "variance-bound-k3-w1",
+        "tightness-k1", "tightness-k2", "tightness-k3", "merge-replay",
+        "zero-single-and-constant", "zero-full-enumeration", "sketch-table-agreement",
+    ]
 
 
 def test_fault_injection_fails_only_the_field_check():
-    results = run_selftest(quick=True, field_fault=True)
+    results = run_selftest(field_fault=True)
     failed = {r.name for r in results if not r.ok}
     assert failed == {"field-axioms-w4"}
 
 
 def test_batteries_are_fixed_and_desk_sized():
-    k2 = battery_streams_k2()
+    k2 = battery_streams(2)
     assert len(k2) == 10
     assert all(1 <= len(s) <= 8 for s in k2)
     assert all(all(len(a) == 2 and 0 <= x < 4 for a in s for x in a) for s in k2)
-    assert k2 == battery_streams_k2()  # deterministic
-    k3 = battery_streams_k3()
+    assert k2 == battery_streams(2)  # deterministic
+    k3 = battery_streams(3)
+    assert len(k3) == 6
     assert all(all(len(a) == 3 and 0 <= x < 2 for a in s for x in a) for s in k3)
 
 
@@ -61,7 +57,7 @@ def _zero_check(results):
 
 
 def test_zero_full_enumeration_fails_on_a_broken_deviation_vector(monkeypatch):
-    assert _zero_check(run_selftest(quick=True))
+    assert _zero_check(run_selftest())
     deviation = oracle._deviation_vector
 
     def shifted(table):
@@ -70,7 +66,7 @@ def test_zero_full_enumeration_fails_on_a_broken_deviation_vector(monkeypatch):
         return v
 
     monkeypatch.setattr(oracle, "_deviation_vector", shifted)
-    assert not _zero_check(run_selftest(quick=True))
+    assert not _zero_check(run_selftest())
 
 
 def test_zero_full_enumeration_fails_on_a_broken_bank_marginal(monkeypatch):
@@ -81,7 +77,7 @@ def test_zero_full_enumeration_fails_on_a_broken_bank_marginal(monkeypatch):
         self._counts[:, 1] += 1
 
     monkeypatch.setattr(EstimatorBank, "_add_rows", off_by_one)
-    assert not _zero_check(run_selftest(quick=True))
+    assert not _zero_check(run_selftest())
 
 
 def _loop_axioms(spec):
@@ -157,6 +153,20 @@ def test_axioms_match_the_loop_on_a_broken_product(monkeypatch, width, pairs, de
     assert check_field_axioms(spec) == _loop_axioms(spec) == (False, detail)
 
 
+@pytest.mark.parametrize("width, order, poly", [
+    (16, 1 << 16, 0x10145),  # modulo (x^8+x^4+x^3+x+1)^2, a reducible ring
+    (5, 32, 0b100101),  # GF(2^5) itself: a field, but not one it can certify
+])
+def test_axioms_refuse_orders_whose_inverses_go_unchecked(monkeypatch, width, order, poly):
+    def no_product(*args, **kwargs):
+        raise AssertionError("a product was computed before the refusal")
+
+    monkeypatch.setattr(selftest, "field_mul", no_product)
+    ring = types.SimpleNamespace(width=width, order=order, reduction_polynomial=poly)
+    with pytest.raises(ValueError, match=f"order {order}$"):
+        check_field_axioms(ring)
+
+
 @pytest.mark.parametrize("pair, detail", [
     ((5, 0x52), "no inverse witnessed for a=5"),  # g^2 * g^253, a witness product
     ((5, 3), "no inverse witnessed for a=2"),  # g^2 * g: the powers miss elements
@@ -183,6 +193,6 @@ def test_battery_work_is_bounded(monkeypatch):
         if name.startswith("prodsketch") and getattr(module, "field_mul", None) is real_mul:
             monkeypatch.setattr(module, "field_mul", counted_mul)
     monkeypatch.setattr(SignHash, "__call__", counted_call)
-    assert all_passed(run_selftest())
+    assert all(x.ok for x in run_selftest())
     assert 0 < calls["field_mul"] <= 20_000
     assert 0 < calls["sign"] <= 5_000
