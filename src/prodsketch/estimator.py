@@ -384,10 +384,10 @@ class EstimatorBank:
         dense or row by row, with its ``fixed`` bytes and bytes a ``cell``."""
         k, spec = self.config.k, self.config.spec
         syms, idx = zip(*(np.unique(column, return_inverse=True) for column in rows.T))
-        masks = [symbol_words(s, spec) for s in syms]
+        grid = [len(s) for s in syms]
+        masks = np.split(symbol_words(np.concatenate(syms), spec), np.cumsum(grid[:-1]))
         weights = counts.astype(np.float64)
         tallies = [np.bincount(inverse, weights) for inverse in idx]
-        grid = [len(s) for s in syms]
         if math.prod(grid) <= _DENSE_GRID * len(rows):
             hist = np.bincount(np.ravel_multi_index(idx, grid), weights, math.prod(grid))
             run = _DenseRun(grid, masks, tallies, hist, int(counts.sum()))

@@ -99,26 +99,24 @@ def field_mul(a: int, b: int, spec: FieldSpec) -> int:
 def field_mul_vec(a: np.ndarray, b: np.ndarray, spec: FieldSpec) -> np.ndarray:
     """Elementwise :func:`field_mul` on broadcastable uint64 arrays.
 
-    Same peasant loop as the scalar path, w iterations of bitwise ops;
-    used for bulk hash evaluation where per-element Python calls would
-    dominate.  Exact for every supported width including w=64 (uint64
-    shifts wrap, which is the required masking).
+    Same peasant loop as the scalar path, w rounds of in-place bitwise ops.
+    Its one caller, ``hashing.symbol_words``, computes only y^3 = y^2 * y
+    with it (squares are byte-table lookups there).  Exact for every
+    supported width including w=64 (uint64 shifts wrap, which is the
+    required masking).
     """
     w = spec.width
-    a = np.asarray(a, dtype=np.uint64)
-    b = np.asarray(b, dtype=np.uint64)
-    acc = np.zeros(np.broadcast_shapes(a.shape, b.shape), dtype=np.uint64)
-    a = np.broadcast_to(a, acc.shape).copy()
-    b = np.broadcast_to(b, acc.shape).copy()
-    low = np.uint64(spec.low_terms)
-    mask = np.uint64(spec.mask)
-    shift_top = np.uint64(w - 1)
-    one = np.uint64(1)
-    with np.errstate(over="ignore"):
-        for _ in range(w):
-            acc ^= a * (b & one)
-            b >>= one
-            carry = (a >> shift_top) & one
-            a = ((a << one) & mask) ^ (carry * low)
+    acc = np.zeros(np.broadcast_shapes(np.shape(a), np.shape(b)), dtype=np.uint64)
+    a = np.broadcast_to(np.asarray(a, dtype=np.uint64), acc.shape).copy()
+    b = np.broadcast_to(np.asarray(b, dtype=np.uint64), acc.shape).copy()
+    bit, carry = np.empty_like(acc), np.empty_like(acc)
+    # a < 2^w, so a >> (w - 1) is the bit that a << 1 carries to x^w: poly clears it.
+    poly, top, one = (np.uint64(v) for v in (spec.reduction_polynomial % (1 << 64), w - 1, 1))
+    for _ in range(w):
+        acc ^= np.multiply(a, np.bitwise_and(b, one, out=bit), out=bit)
+        b >>= one
+        np.right_shift(a, top, out=carry)
+        carry *= poly
+        a <<= one
+        a ^= carry
     return acc
-

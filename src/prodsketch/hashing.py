@@ -19,8 +19,9 @@ The vectorised path rests on the low bit of ``c * y`` being GF(2)-linear in
 in GF(2)[x]/(f) for any f of degree w.  Both sides are packed the same way
 into ceil(4w/64) uint64 words (one word for w <= 16): a hash as its
 coefficients (``pack_words``), the limbs of its seed, and a symbol as its
-masks ``(1, L(y), L(y^2), L(y^3))`` (``symbol_words``, built once per
-distinct symbol).
+masks ``(1, L(y), L(y^2), L(y^3))`` (``symbol_words``): squaring and ``L``
+are GF(2)-linear too, each the XOR of ceil(w/8) 256-entry table lookups
+(cached per polynomial), and y^3 = y^2 * y is one ``field_mul_vec``.
 A sign is then the parity of a hash word and a symbol's masks, linear in
 each, so a hash's signs over g symbols pack into a code, the XOR of one
 256-entry table lookup per byte of its word (``sign_tables``,
@@ -42,6 +43,7 @@ words of a range of cells at once: each cell's words are the limbs of its
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -172,12 +174,50 @@ def pack_words(fields: np.ndarray, width: int, out: np.ndarray | None = None) ->
 
 
 def symbol_words(xs: np.ndarray, spec: FieldSpec) -> np.ndarray:
-    """Packed masks ``(1, L(y), L(y^2), L(y^3))`` of 1-D ``xs``, shape (len(xs), ceil(4w/64))."""
+    """Packed masks ``(1, L(y), L(y^2), L(y^3))`` of 1-D ``xs``, shape (len(xs), ceil(4w/64)):
+    y^2 and ``L`` by byte tables (:func:`_linear_tables`), y^3 = y^2 * y by one product."""
+    square, low = _linear_tables(spec.width, spec.reduction_polynomial)
     xs = np.asarray(xs, dtype=np.uint64)
-    x2 = field_mul_vec(xs, xs, spec)
-    x3 = field_mul_vec(x2, xs, spec)
-    masks = _lowbit_masks(np.stack([xs, x2, x3], axis=-1), spec)
-    return pack_words(np.column_stack([np.ones_like(xs), masks]), spec.width)
+    y2 = _apply_linear(square, xs)
+    fields = np.ones((len(xs), 4), np.uint64)
+    fields[:, 1] = _apply_linear(low, xs)
+    fields[:, 2] = _apply_linear(low, y2)
+    fields[:, 3] = _apply_linear(low, field_mul_vec(y2, xs, spec))
+    return pack_words(fields, spec.width, out=fields)
+
+
+@functools.cache
+def _linear_tables(width: int, poly: int) -> np.ndarray:
+    """Byte tables (2, ceil(w/8), 256) uint64 of squaring and of ``L`` in GF(2)[x]/(poly).
+
+    Both maps are GF(2)-linear, so entry [m, b, v] is the XOR of map m's
+    images of the basis elements x^(8b + j) for the bits j of v: the square
+    of x^j is x^(2j) mod poly, and bit i of ``L(x^j)`` is the low bit of
+    x^(i + j) mod poly.
+    """
+    powers = [1]  # x^t mod poly for t < 2w
+    for _ in range(2 * width - 1):
+        p = powers[-1] << 1
+        powers.append(p ^ poly if p >> width else p)
+    lows = sum((p & 1) << t for t, p in enumerate(powers))
+    images = np.zeros((2, -(-width // 8) * 8), np.uint64)
+    images[0, :width] = powers[::2]
+    images[1, :width] = [lows >> j & (1 << width) - 1 for j in range(width)]
+    rows = images.reshape(2, -1, 8)
+    tables = np.zeros(rows.shape[:2] + (256,), np.uint64)
+    for j in range(8):
+        np.bitwise_xor(tables[..., : 1 << j], rows[..., j, None], out=tables[..., 1 << j : 2 << j])
+    tables.flags.writeable = False
+    return tables
+
+
+def _apply_linear(tables: np.ndarray, ys: np.ndarray) -> np.ndarray:
+    """The linear map of :func:`_linear_tables`' ``tables`` (one map) at each of uint64 ``ys``."""
+    raw = np.ascontiguousarray(ys, dtype="<u8").view(np.uint8).reshape(ys.shape + (8,))
+    out = np.take(tables[0], raw[..., 0])
+    for b in range(1, len(tables)):
+        out ^= np.take(tables[b], raw[..., b])
+    return out
 
 
 def sign_tables(masks: np.ndarray) -> np.ndarray:
@@ -236,21 +276,3 @@ def batch_sign_eval(
     flat = words.reshape(-1, words.shape[-1])
     signs = code_signs(sign_codes(flat, sign_tables(masks)), out)
     return signs[:, : len(masks)].reshape(words.shape[:-1] + masks.shape[:1])
-
-
-def _lowbit_masks(ys: np.ndarray, spec: FieldSpec) -> np.ndarray:
-    """``L(y)`` for each element: bit ``i`` is the low bit of ``x^i * y``.
-
-    A w-step walk that multiplies by x (shift, then fold the carry through
-    the reduction polynomial's low terms).
-    """
-    low = np.uint64(spec.low_terms)
-    mask = np.uint64(spec.mask)
-    top = np.uint64(spec.width - 1)
-    one = np.uint64(1)
-    t = ys
-    out = np.zeros_like(ys)
-    for i in range(spec.width):
-        out |= (t & one) << np.uint64(i)
-        t = ((t << one) & mask) ^ (((t >> top) & one) * low)
-    return out

@@ -942,8 +942,9 @@ def test_dense_ingest_holds_no_bank_sized_words():
 def test_large_bank_adds_a_run_in_one_pass(monkeypatch):
     # 26,000 cells over [256]^3: every part of a run's rows sees nearly all
     # 256 symbols per dimension, so splitting the rows would not shrink the
-    # sign matrices.  The run stays one call that builds each dimension's
-    # masks once and walks the cells in slabs within the 4 MiB cap.
+    # sign matrices.  The run stays one call that builds the masks of all
+    # three dimensions' distinct symbols in one call and walks the cells in
+    # slabs within the 4 MiB cap.
     config = SketchConfig(k=3, n=256, spec=FieldSpec(8))
     block = np.random.default_rng(8).integers(0, 256, size=(2000, 3), dtype=np.uint64)
     runs, built = _spy_add_rows(monkeypatch), []
@@ -958,7 +959,8 @@ def test_large_bank_adds_a_run_in_one_pass(monkeypatch):
     finally:
         tracemalloc.stop()
     assert len(runs) == 1 and len(runs[0][0]) > 1900
-    assert len(built) == 3 and peak <= 4 << 20
+    distinct = sum(len(np.unique(column)) for column in block.T)
+    assert [len(args[0]) for args in built] == [distinct] and peak <= 4 << 20
     inst = SketchInstance.from_master_seed(config, 3, group=4, index=5199)
     for row in block.tolist():
         inst.update_item(tuple(row))

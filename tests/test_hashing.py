@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from prodsketch import hashing
-from prodsketch.field import SUPPORTED_WIDTHS, FieldSpec
+from prodsketch.field import SUPPORTED_WIDTHS, FieldSpec, field_mul, field_mul_vec
 from prodsketch.hashing import (
     MAX_GROUP,
     MAX_INDEX,
@@ -178,13 +178,20 @@ def test_batch_matches_scalar_on_group_crossing_ranges():
             _assert_range_matches_scalar(99, lo, hi, indexes, 3, spec)
 
 
-@pytest.mark.parametrize("width,poly", [(8, 0x101), (16, 0x1FFFF), (64, (1 << 64) | 0b11)])
-def test_batch_matches_scalar_on_reducible_polynomial(width, poly):
-    # The parity form holds in GF(2)[x]/(f) for any f of degree w.  No
-    # FieldSpec denotes such a ring, so a stand-in carries the names that
-    # field_mul, field_mul_vec and the mask walk read.
-    spec = types.SimpleNamespace(width=width, order=1 << width, mask=(1 << width) - 1,
+REDUCIBLE = [(8, 0x101), (16, 0x1FFFF), (64, (1 << 64) | 0b11)]
+
+
+def _ring(width, poly):
+    """A stand-in for GF(2)[x]/(poly), which no FieldSpec denotes: it carries
+    the names that field_mul, field_mul_vec and symbol_words read."""
+    return types.SimpleNamespace(width=width, order=1 << width, mask=(1 << width) - 1,
                                  low_terms=poly ^ (1 << width), reduction_polynomial=poly)
+
+
+@pytest.mark.parametrize("width,poly", REDUCIBLE)
+def test_batch_matches_scalar_on_reducible_polynomial(width, poly):
+    # The parity form holds in GF(2)[x]/(f) for any f of degree w.
+    spec = _ring(width, poly)
     assert not is_irreducible(poly)
     rng = np.random.default_rng(poly % 1000)
     xs = _symbols_across_field(spec, rng)
@@ -195,6 +202,55 @@ def test_batch_matches_scalar_on_reducible_polynomial(width, poly):
     for row, c in zip(table, coefs.tolist()):
         h = SignHash(spec, _seed(c, width), spec.order)
         assert [h(int(x)) for x in xs] == row.tolist()
+
+
+def _lowbit_masks(ys, spec):
+    """Reference ``L(y)``: bit i is the low bit of x^i * y, by a w-step walk
+    that multiplies by x (shift, then fold the carry through the low terms)."""
+    low, mask, top, one = (np.uint64(v) for v in (spec.low_terms, spec.mask, spec.width - 1, 1))
+    t, out = ys, np.zeros_like(ys)
+    for i in range(spec.width):
+        out |= (t & one) << np.uint64(i)
+        t = ((t << one) & mask) ^ (((t >> top) & one) * low)
+    return out
+
+
+def _reference_symbol_words(xs, spec):
+    """The masks ``(1, L(y), L(y^2), L(y^3))`` by two field products and the walk."""
+    x2 = field_mul_vec(xs, xs, spec)
+    masks = _lowbit_masks(np.stack([xs, x2, field_mul_vec(x2, xs, spec)], axis=-1), spec)
+    return pack_words(np.column_stack([np.ones_like(xs), masks]), spec.width)
+
+
+@pytest.mark.parametrize("spec", [FieldSpec(w) for w in SUPPORTED_WIDTHS] + [_ring(*r) for r in REDUCIBLE],
+                         ids=[f"w{w}" for w in SUPPORTED_WIDTHS] + [f"{w}-{p}" for w, p in REDUCIBLE])
+def test_table_kernels_match_scalar_field(spec):
+    # Squares and L(y) from the byte tables against field_mul and L's
+    # definition, and symbol_words against the two-multiply-and-walk
+    # composition, on every element at w <= 8.
+    w = spec.width
+    xs = _symbols_across_field(spec, np.random.default_rng(w + 2))
+    if w <= 8:
+        xs = np.arange(spec.order, dtype=np.uint64)
+    square, low = hashing._linear_tables(w, spec.reduction_polynomial)
+    ys = [int(y) for y in xs]
+    assert hashing._apply_linear(square, xs).tolist() == [field_mul(y, y, spec) for y in ys]
+    assert hashing._apply_linear(low, xs).tolist() == [
+        sum((field_mul(1 << i, y, spec) & 1) << i for i in range(w)) for y in ys]
+    assert np.array_equal(symbol_words(xs, spec), _reference_symbol_words(xs, spec))
+
+
+def test_table_cache_tells_rings_of_one_width_apart():
+    # GF(2^8) and the reducible (8, 257) stand-in share a width: the tables
+    # built first for the field are not the ring's.
+    hashing._linear_tables.cache_clear()
+    xs = np.arange(256, dtype=np.uint64)
+    field, ring = FieldSpec(8), _ring(8, 0x101)
+    words = [symbol_words(xs, spec) for spec in (field, ring)]
+    assert not np.array_equal(*words)
+    assert not np.array_equal(hashing._linear_tables(8, 0x11B), hashing._linear_tables(8, 0x101))
+    for spec, got in zip((field, ring), words):
+        assert np.array_equal(got, _reference_symbol_words(xs, spec))
 
 
 @pytest.mark.parametrize("buffer", ["one word", "part of a row", "ragged rows"])
