@@ -67,11 +67,6 @@ class FieldSpec:
     def mask(self) -> int:
         return (1 << self.width) - 1
 
-    @property
-    def low_terms(self) -> int:
-        """Reduction polynomial with the leading ``x^w`` bit stripped."""
-        return self.reduction_polynomial ^ (1 << self.width)
-
 
 def field_mul(a: int, b: int, spec: FieldSpec) -> int:
     """Product of two field elements, reduced modulo the field polynomial.

@@ -183,9 +183,9 @@ REDUCIBLE = [(8, 0x101), (16, 0x1FFFF), (64, (1 << 64) | 0b11)]
 
 def _ring(width, poly):
     """A stand-in for GF(2)[x]/(poly), which no FieldSpec denotes: it carries
-    the names that field_mul, field_mul_vec and symbol_words read."""
+    the names that field_mul, field_mul_vec, symbol_words and these tests read."""
     return types.SimpleNamespace(width=width, order=1 << width, mask=(1 << width) - 1,
-                                 low_terms=poly ^ (1 << width), reduction_polynomial=poly)
+                                 reduction_polynomial=poly)
 
 
 @pytest.mark.parametrize("width,poly", REDUCIBLE)
@@ -207,7 +207,8 @@ def test_batch_matches_scalar_on_reducible_polynomial(width, poly):
 def _lowbit_masks(ys, spec):
     """Reference ``L(y)``: bit i is the low bit of x^i * y, by a w-step walk
     that multiplies by x (shift, then fold the carry through the low terms)."""
-    low, mask, top, one = (np.uint64(v) for v in (spec.low_terms, spec.mask, spec.width - 1, 1))
+    low = spec.reduction_polynomial ^ (1 << spec.width)
+    low, mask, top, one = (np.uint64(v) for v in (low, spec.mask, spec.width - 1, 1))
     t, out = ys, np.zeros_like(ys)
     for i in range(spec.width):
         out |= (t & one) << np.uint64(i)
