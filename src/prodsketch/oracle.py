@@ -10,23 +10,15 @@ is a hard budget: enumeration is only permitted for field width <= 2 and
 k <= 3, so at most (2^8)^3 = 2^24 seed tuples; larger configurations are
 rejected rather than sampled.
 
-Enumeration is int64 where a bound proves it: |num| <= ||v||_1 for num =
-sum_p v_p H(p), so the sign contractions run in int64 while ||v||_1^4 < 2^63.
-Each dimension's sum over 2^(4w) seeds multiplies a moment's bound by 2^(4w),
-and the sum turns to Python ints once that bound reaches 2^63.
-
-Enumeration runs on one vector.  The estimator's cell value is
-U = t1 m^(k-1) - prod_i marg_i = sum_p H(p) v_p with the deviation vector
-v = m^(k-1) f - f_1 (x) ... (x) f_k, so a table's Y is the AMS square of
-v / m^k and a turnstile vector's Y is that of its own weights.
+Integer sums pick their dtype from a bound: int64 where it provably holds
+them, Python ints (object arrays) past it.  Enumeration contracts through one
+such kernel, ``_contract``; ``exhaustive_moments`` states its bounds.
 
 A table's joint counts are sparse, its distinct rows with their counts
 (streams occupy few cells of [n]^k), and the oracles sum each dimension's
 marginal over its present symbols only, so their memory follows the support
 at any alphabet size.  A table is built as the bank ingests: blocks
 through ``streamfile.row_runs``, tuples through ``streamfile.tuple_blocks``.
-Integer sums pick their dtype from a bound: int64 where it provably holds
-them, Python ints (object arrays) past it.
 """
 
 from __future__ import annotations
@@ -158,9 +150,9 @@ def exact_y_from_table(table: FrequencyTable, hashes: tuple[SignHash, ...]) -> F
 # Seed-space enumeration
 # ---------------------------------------------------------------------------
 
-# A plain dict, not an lru_cache: the benchmark clears it by this name to
-# measure enumeration with a cold table, and an lru_cache would stay warm.
-_sign_table_cache: dict[tuple[int, int], np.ndarray] = {}
+# (width, n) -> sign table, distinct rows, their seed counts.  A plain dict, not
+# an lru_cache: the benchmark clears it by this name to time a cold enumeration.
+_sign_table_cache: dict[tuple[int, int], tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
 
 
 def all_seed_signs(spec: FieldSpec, n: int) -> np.ndarray:
@@ -181,10 +173,10 @@ def all_seed_signs(spec: FieldSpec, n: int) -> np.ndarray:
         # Seed s is SignHash(spec, s, n); for w <= 16 it is its own packed
         # hash word (hashing.pack_words).
         seeds = np.arange(1 << (4 * spec.width), dtype=np.uint64)
-        cached = batch_sign_eval(seeds[:, None], symbol_words(np.arange(n), spec))
-        cached.setflags(write=False)
-        _sign_table_cache[key] = cached
-    return cached
+        table = batch_sign_eval(seeds[:, None], symbol_words(np.arange(n), spec))
+        table.setflags(write=False)
+        cached = _sign_table_cache[key] = (table, *_distinct_sign_rows(table))
+    return cached[0]
 
 
 def seed_uniformity_census(
@@ -227,6 +219,11 @@ def exhaustive_moments(
     sum_p H(p) v_p.  Weights may be ints, Fractions or floats; they are
     scaled to one integer grid, so the result is exact for the binary values
     actually supplied.  Refusals come before anything is expanded over [n]^k.
+    Every contraction is one kernel, ``_contract``: reshape-and-@ over each
+    axis, int64 while a running bound stays below 2^63, Python ints past it.
+    The bound is ||v||_1 for the signs (|num| <= ||v||_1) and grows by 2^(4w)
+    per axis for the seed-count sums of num^2 and num^4.  A table's v is int64
+    while m^k < 2^62, so that ||v||_1 <= 2 m^k < 2^63.
     """
     if isinstance(source, FrequencyTable):
         if n is not None:
@@ -251,7 +248,7 @@ def exhaustive_moments(
         raise ValueError(f"alphabet size {n} does not fit the field")
     if isinstance(source, FrequencyTable):
         tensor, scale = _deviation_vector(source), source.m**k
-        g = math.gcd(scale, *tensor.flat)  # the grid of v / m^k in lowest terms
+        g = math.gcd(scale, int(np.gcd.reduce(tensor, axis=None)))  # v / m^k in lowest terms
         tensor, scale = tensor // g, scale // g
     else:
         weights = [Fraction(wgt) for wgt in source.values()]
@@ -259,36 +256,38 @@ def exhaustive_moments(
         tensor = np.zeros((n,) * k, dtype=object)
         rows = np.concatenate(list(tuple_blocks(source, k, n))).astype(np.intp)
         tensor[tuple(rows.T)] = [int(w * scale) for w in weights]
-    # Y depends on a seed only through its sign row on [n]: contract v against
-    # the distinct rows one dimension at a time, then sum num^2 and num^4 over
-    # each dimension's rows weighted by the number of seeds that share a row.
-    signs, mult = _distinct_sign_rows(all_seed_signs(spec, n))
-    bound = sum(abs(int(x)) for x in tensor.flat)  # |num| <= ||v||_1
-    dtype = np.int64 if bound**4 < 1 << 63 else object
-    num, signs = tensor.astype(dtype), signs.astype(dtype)
-    for _ in range(k):
-        num = np.tensordot(num, signs, axes=([0], [1]))
-    sums = []
-    for power, top in ((num * num, bound**2), (num**4, bound**4)):
-        for _ in range(k):  # each sum over 2^(4w) seeds multiplies the bound by that
-            top <<= 4 * spec.width
-            if top >= 1 << 63:
-                power = power.astype(object, copy=False)
-            power = np.tensordot(mult, power, axes=([0], [0]))
-        sums.append(int(power))
-
+    # A seed enters only through its sign row on [n].  Cached rows serve only the
+    # table all_seed_signs returns, so a wrapped or substituted one is enumerated.
+    signs = all_seed_signs(spec, n)
+    cached, rows, mult = _sign_table_cache.get((spec.width, n), (None,) * 3)
+    rows, mult = (rows, mult) if cached is signs else _distinct_sign_rows(signs)
+    bound = int(np.abs(tensor).sum())  # |num| <= ||v||_1
+    num = _contract(tensor, rows.T, bound)
+    square = (num if bound**4 < 1 << 63 else num.astype(object)) ** 2
+    s2, s4 = (_contract(power, mult[:, None], top, 1 << 4 * spec.width).item()
+              for power, top in ((square, bound**2), (square**2, bound**4)))
     tuples = (1 << (4 * spec.width)) ** k
-    e_y = Fraction(sums[0], tuples * scale**2)
-    e_y2 = Fraction(sums[1], tuples * scale**4)
-    variance = e_y2 - e_y * e_y
-    ratio = variance / (e_y * e_y) if e_y != 0 else None
-    return ExactMoments(expectation=e_y, variance=variance, ratio=ratio)
+    spread = s4 * tuples - s2 * s2  # Var[Y] (tuples scale^2)^2
+    return ExactMoments(Fraction(s2, tuples * scale**2), Fraction(spread, (tuples * scale**2) ** 2),
+                        Fraction(spread, s2 * s2) if s2 else None)
+
+
+def _contract(t: np.ndarray, matrix: np.ndarray, bound: int, growth: int = 1) -> np.ndarray:
+    """tensordot(t, matrix, (0, 0)) once per axis of t, by reshape-and-@.  After
+    j axes |entries| < bound * growth^j: int64 while that is below 2^63, Python
+    ints past it (an int64 matrix meets an object array as Python ints)."""
+    for _ in range(t.ndim):
+        bound *= growth
+        flat = t.reshape(len(matrix), -1).T.astype(np.int64 if bound < 1 << 63 else object)
+        t = (flat @ matrix).reshape(*t.shape[1:], -1)
+    return t
 
 
 def _deviation_vector(table: FrequencyTable) -> np.ndarray:
-    """v over all of [n]^k as Python ints, v_p = m^(k-1) f(p) - prod_i f_i(p_i)."""
+    """v over all of [n]^k, v_p = m^(k-1) f(p) - prod_i f_i(p_i), int64 while m^k < 2^62."""
     # The marginals over [n], n <= 4 under the budget; int64 is exact: m < 2^53.
+    dtype = np.int64 if table.m**table.k < 1 << 62 else object
     margs = (np.bincount(c.astype(np.intp), table.counts, minlength=table.n) for c in table.rows.T)
-    v = -functools.reduce(np.multiply.outer, (f.astype(np.int64).astype(object) for f in margs))
-    v[tuple(table.rows.T.astype(np.intp))] += table.counts.astype(object) * table.m ** (table.k - 1)
+    v = -functools.reduce(np.multiply.outer, (f.astype(np.int64).astype(dtype) for f in margs))
+    v[tuple(table.rows.T.astype(np.intp))] += table.counts.astype(dtype) * table.m ** (table.k - 1)
     return v

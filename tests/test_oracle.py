@@ -524,21 +524,58 @@ def test_sign_row_codes_give_the_rows_of_unique():
 
 def test_bench_shaped_enumeration_contracts_in_int64(monkeypatch):
     # n = 4, k = 3, m = 16: ||v||_1 <= 2 m^k = 2^13 for any stream, so the
-    # sign contractions and the weighted sum of num^2 run in int64 throughout;
-    # only the sum of num^4 may turn to Python ints partway.
-    calls, real = [], np.tensordot
+    # sign contraction and the weighted sum of num^2 run in int64 throughout;
+    # only the sum of num^4 may turn to Python ints, after an int64 first axis.
+    calls, real = [], oracle._contract
 
-    def spy(a, b, axes):
-        calls.append((np.asarray(a).dtype, np.asarray(b).dtype))
-        return real(a, b, axes)
+    def spy(t, matrix, bound, growth=1):
+        out = real(t, matrix, bound, growth)
+        calls.append((t.dtype, out.dtype, bound * growth < 1 << 63))
+        return out
 
-    monkeypatch.setattr(np, "tensordot", spy)
+    monkeypatch.setattr(oracle, "_contract", spy)
     for seed in range(1, 6):
         stream = list(generate(GenSpec(n=4, k=3, m=16, lam=0.5, rng_seed=seed)))
         calls.clear()
         exhaustive_moments(FrequencyTable.from_stream(stream, k=3, n=4), spec=W2)
-        assert len(calls) == 3 * 3
-        assert all(dtypes == (np.int64, np.int64) for dtypes in calls[:6]), calls
+        assert len(calls) == 3
+        assert calls[:2] == [(np.int64, np.int64, True)] * 2, calls
+        assert calls[2][0] == np.int64 and calls[2][2], calls
+
+
+def test_deviation_vector_dtype_boundary_keeps_exact_moments():
+    # m^3 just below and just above 2^62: one large count makes the table's
+    # deviation vector int64 on one side and Python ints on the other.
+    dtypes = []
+    for m in (1_664_510, 1_664_511):
+        table = FrequencyTable(3, 4)
+        for item, count in (((0, 1, 2), 1), ((3, 3, 1), 2), ((1, 0, 3), 5)):
+            table.add(item, count)
+        table.add((2, 2, 0), m - table.m)
+        dtypes.append(oracle._deviation_vector(table).dtype)
+        f, margs = joint(table), marginals(table)
+        vec = {p: Fraction(m**2 * f.get(p, 0) - math.prod(g[x] for g, x in zip(margs, p)), m**3)
+               for p in itertools.product(range(4), repeat=3)}
+        e_y, variance = object_moments(vec, 3, 4, W2)
+        want = oracle.ExactMoments(e_y, variance, variance / (e_y * e_y))
+        assert exhaustive_moments(table, spec=W2) == want
+    assert dtypes == [np.int64, object]
+
+
+def test_cold_enumeration_evaluates_its_sign_table_once(monkeypatch):
+    # The benchmark clears the cache by name to time a cold enumeration, and
+    # its tracer binds oracle.all_seed_signs and oracle.batch_sign_eval.
+    reached, built, real_signs = [], [], oracle.all_seed_signs
+    monkeypatch.setattr(oracle, "all_seed_signs",
+                        lambda *args: reached.append(args) or real_signs(*args))
+    monkeypatch.setattr(oracle, "batch_sign_eval",
+                        lambda *args: built.append(args) or batch_sign_eval(*args))
+    table = FrequencyTable.from_stream([(0, 1, 2), (3, 3, 0), (0, 1, 2)], k=3, n=4)
+    oracle._sign_table_cache.clear()
+    cold = exhaustive_moments(table, spec=W2)
+    assert len(reached) == 1 and len(built) == 1
+    assert exhaustive_moments(table, spec=W2) == cold
+    assert len(reached) == 2 and len(built) == 1
 
 
 def test_census_patterns_and_marginalization():
